@@ -22,7 +22,7 @@ from .engine import (
 )
 from .mobius import PoleError, PolyMobius, level_map, scale_map, shift_map
 from .polynomial import K, NotDivisible, Poly, ZeroDivisor, poly_gcd
-from .rational import ZeroDenominator, rat_make, to_decimal
+from .rational import to_decimal
 from .stages import (
     CHAIN_ORDER,
     FlatCF,
@@ -34,7 +34,6 @@ from .stages import (
     flatten,
     lookup,
     peel_head,
-    step_matrix,
     substitution_chain,
 )
 from .verify import (
@@ -46,8 +45,6 @@ from .verify import (
     equivalence_scale,
     gutnik_alignment,
     verify_chain,
-    verify_step_equivalence,
-    verify_substitution,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +67,6 @@ __all__ = [
     "StepReport",
     "SubstitutionStep",
     "Target",
-    "ZeroDenominator",
     "ZeroDivisor",
     "catalog",
     "convergents",
@@ -87,15 +83,11 @@ __all__ = [
     "oracles_agree",
     "peel_head",
     "poly_gcd",
-    "rat_make",
     "scale_map",
     "shift_map",
-    "step_matrix",
     "substitution_chain",
     "to_decimal",
     "truncation_value",
     "verify_chain",
-    "verify_step_equivalence",
-    "verify_substitution",
     "zeta3_reference",
 ]

@@ -61,15 +61,11 @@ def _cmd_eval(args) -> tuple[str, dict, dict, int]:
     stage = _resolve_numeric_stage(args.stage)
     ref = engine.zeta3_reference(max(args.digits + 10, 30))
     target_value = ref.value(stage.target)
-    if stage.levels is not None:
-        try:
-            flat = stages.flatten(stage)
-            value = engine.convergents(flat, args.depth)[-1].value
-            method = "forward-convergent"
-        except stages.HeadNotFlattenable:
-            value = engine.truncation_value(stage, args.depth)
-            method = "backward-truncation"
-    else:
+    try:
+        flat = stages.flatten(stage)
+        value = engine.convergents(flat, args.depth)[-1].value
+        method = "forward-convergent"
+    except stages.HeadNotFlattenable:
         value = engine.truncation_value(stage, args.depth)
         method = "backward-truncation"
     decimal, exact = to_decimal(value, args.digits)
@@ -451,10 +447,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     command = args.command
     try:
         status, payload, tables, code = _COMMANDS[command](args)
-    except CommandError as exc:
-        _render(args, command, "error", {"error": str(exc)}, {}, out)
-        return 2
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (CommandError, ValueError, KeyError, ArithmeticError) as exc:
         _render(args, command, "error", {"error": str(exc)}, {}, out)
         return 2
     _render(args, command, status, payload, tables, out)

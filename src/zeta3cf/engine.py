@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .rational import log10_fraction, to_decimal
 from .stages import FlatCF, Stage, Target, flatten, lookup
@@ -63,26 +64,27 @@ def convergents(flat: FlatCF, n_max: int) -> list[Convergent]:
         raise ValueError("n_max must be >= 0")
     if flat.b0.denominator != 1:
         raise ValueError(f"non-integer leading term b0 = {flat.b0}")
-    out = [Convergent(0, int(flat.b0), 1)]
+
+    def integer_terms():
+        for n in range(1, n_max + 1):
+            a = flat.a_term(n)
+            b = flat.b_term(n)
+            if a.denominator != 1 or b.denominator != 1:
+                raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
+            yield int(a), int(b)
+
+    pairs = convergents_from_terms(int(flat.b0), integer_terms())
+    return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
+
+
+def convergents_from_terms(b0: Fraction, terms: Iterable[tuple]) -> list[tuple]:
+    """(p_n, q_n) pairs from the three-term recurrence over explicit terms.
+
+    Exact in the terms' own type: integer terms give integer pairs, Fraction
+    terms give Fraction pairs.  Terms are consumed lazily, one per step.
+    """
     p_prev, q_prev = 1, 0
-    p, q = int(flat.b0), 1
-    for n in range(1, n_max + 1):
-        a = flat.a_term(n)
-        b = flat.b_term(n)
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
-        p, p_prev = int(b) * p + int(a) * p_prev, p
-        q, q_prev = int(b) * q + int(a) * q_prev, q
-        if q == 0:
-            raise DegenerateConvergent(n)
-        out.append(Convergent(n, p, q))
-    return out
-
-
-def convergents_from_terms(b0: Fraction, terms: Terms) -> list[tuple[Fraction, Fraction]]:
-    """(p_n, q_n) pairs for an explicit finite term list, exact rationals."""
-    p_prev, q_prev = Fraction(1), Fraction(0)
-    p, q = Fraction(b0), Fraction(1)
+    p, q = b0, 1
     out = [(p, q)]
     for n, (a, b) in enumerate(terms, start=1):
         p, p_prev = b * p + a * p_prev, p
@@ -94,7 +96,7 @@ def convergents_from_terms(b0: Fraction, terms: Terms) -> list[tuple[Fraction, F
 
 
 def values_from_terms(b0: Fraction, terms: Terms) -> list[Fraction]:
-    return [p / q for p, q in convergents_from_terms(b0, terms)]
+    return [Fraction(p, q) for p, q in convergents_from_terms(b0, terms)]
 
 
 def eval_backward(stage: Stage, depth: int, seed: Fraction | int) -> Fraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .polynomial import Poly, Scalar, as_poly, poly_gcd
@@ -130,18 +131,7 @@ class PolyMobius:
 
 
 def _normalize(entries: list[Poly]) -> list[Poly]:
-    # Rational content across all four entries.
-    num = 0
-    den = 1
-    from math import gcd as igcd
-
-    for e in entries:
-        c = e.content()
-        num = igcd(num, c.numerator)
-        den = den * c.denominator // igcd(den, c.denominator)
-    if num:
-        content = Fraction(num, den)
-        entries = [e * (1 / content) for e in entries]
+    entries = _divide_content(entries)
     # Common polynomial factor of positive degree.
     g = Poly.zero()
     for e in entries:
@@ -150,7 +140,7 @@ def _normalize(entries: list[Poly]) -> list[Poly]:
     if g.degree > 0:
         entries = [e.divexact(g) if not e.is_zero else e for e in entries]
         # Dividing out g can reintroduce rational content.
-        entries = _normalize_content_only(entries)
+        entries = _divide_content(entries)
     # Sign: first nonzero entry has a positive leading coefficient.
     for e in entries:
         if not e.is_zero:
@@ -160,19 +150,18 @@ def _normalize(entries: list[Poly]) -> list[Poly]:
     return entries
 
 
-def _normalize_content_only(entries: list[Poly]) -> list[Poly]:
-    from math import gcd as igcd
-
+def _divide_content(entries: list[Poly]) -> list[Poly]:
+    """Divide out the rational content shared by all four entries."""
     num = 0
     den = 1
     for e in entries:
         c = e.content()
-        num = igcd(num, c.numerator)
-        den = den * c.denominator // igcd(den, c.denominator)
-    if num:
-        content = Fraction(num, den)
-        entries = [e * (1 / content) for e in entries]
-    return entries
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    if not num:
+        return entries
+    scale = Fraction(den, num)
+    return [e * scale for e in entries]
 
 
 def level_map(b: Entry, a: Entry) -> PolyMobius:

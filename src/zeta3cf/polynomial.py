@@ -89,23 +89,23 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
-        o = _as_poly(other)
+        o = as_poly(other)
         n = max(len(self.coeffs), len(o.coeffs))
         return Poly(tuple(self._c(i) + o._c(i) for i in range(n)))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
-        return self + (-_as_poly(other))
+        return self + (-as_poly(other))
 
     def __rsub__(self, other: Scalar) -> "Poly":
-        return _as_poly(other) - self
+        return as_poly(other) - self
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
-        o = _as_poly(other)
+        o = as_poly(other)
         if self.is_zero or o.is_zero:
             return Poly(())
         out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
@@ -215,15 +215,11 @@ def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"({f})"
 
 
-def _as_poly(x: Union[Poly, Scalar]) -> Poly:
+def as_poly(x: Union[Poly, Scalar]) -> Poly:
+    """Coerce an int or Fraction to a constant polynomial."""
     if isinstance(x, Poly):
         return x
     return Poly.const(x)
-
-
-def as_poly(x: Union[Poly, Scalar]) -> Poly:
-    """Coerce an int or Fraction to a constant polynomial."""
-    return _as_poly(x)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

@@ -1,29 +1,18 @@
-"""Exact rational scalars: construction guards and truncating decimal output.
+"""Exact rational scalars: truncating decimal and scientific output.
 
 The scalar type used throughout the package is fractions.Fraction, which
 already maintains the canonical form the rest of the code relies on: the
 denominator is positive, gcd(|num|, den) == 1, and zero is stored as 0/1.
-This module adds the two pieces Fraction does not provide: a constructor
-that reports a zero denominator as a domain error instead of a bare
-ZeroDivisionError, and decimal rendering that truncates toward zero (never
-rounds), so printed digits do not depend on any rounding mode.
+This module adds what Fraction does not provide: decimal rendering that
+truncates toward zero (never rounds), so printed digits do not depend on
+any rounding mode, plus a log10 that is safe for huge numerators and
+denominators and the scientific notation built on it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-class ZeroDenominator(ZeroDivisionError):
-    """Raised when a rational is constructed with denominator zero."""
-
-
-def rat_make(num: int, den: int) -> Fraction:
-    """Build num/den in canonical reduced form (positive denominator)."""
-    if den == 0:
-        raise ZeroDenominator(f"rational {num}/0 has a zero denominator")
-    return Fraction(num, den)
 
 
 def to_decimal(r: Fraction, digits: int) -> tuple[str, bool]:

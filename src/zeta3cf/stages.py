@@ -100,10 +100,6 @@ class Stage:
         if not self.head.is_constant:
             raise ValueError(f"stage {self.name}: head entries must be constant")
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) if self.levels else 1
-
 
 @dataclass(frozen=True)
 class SubstitutionStep:
@@ -154,12 +150,7 @@ class FlatCF:
         return self.a_fam[j](m)
 
 
-def step_matrix(stage: Stage) -> PolyMobius:
-    """The collapsed one-index map of the stage's displayed nesting."""
-    return stage.step
-
-
-def _stage_from_levels(
+def stage_from_levels(
     name: str,
     levels: list[tuple],
     head: PolyMobius,
@@ -167,6 +158,7 @@ def _stage_from_levels(
     kind: str = "claimed",
     note: str = "",
 ) -> Stage:
+    """Build a stage from a pure nested display (list of (b, a) pairs)."""
     lvls = tuple(Level(b, a) for b, a in levels)
     try:
         step = lvls[0].matrix()
@@ -175,11 +167,6 @@ def _stage_from_levels(
     except DegenerateMobius as exc:
         raise DegenerateStep(f"stage {name}: {exc}") from exc
     return Stage(name, step, head, target, levels=lvls, kind=kind, note=note)
-
-
-def stage_from_levels(name, levels, head, target, kind="claimed", note="") -> Stage:
-    """Build a stage from a pure nested display (list of (b, a) pairs)."""
-    return _stage_from_levels(name, levels, head, target, kind, note)
 
 
 def peel_head(stage: Stage, new_name: str | None = None) -> Stage:
@@ -261,7 +248,7 @@ def _claimed_stages() -> list[Stage]:
     stages: list[Stage] = []
 
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "APERY",
             [(b_apery, -((k + 1) ** 6))],
             head_apery,
@@ -270,7 +257,7 @@ def _claimed_stages() -> list[Stage]:
         )
     )
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "A5",
             [(b_shifted, -((k + 2) ** 6))],
             head_a5,
@@ -278,7 +265,7 @@ def _claimed_stages() -> list[Stage]:
         )
     )
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "A6",
             [(5 * (k + 1) ** 3 + b_w, -((k + 2) ** 6))],
             head_a5,
@@ -309,7 +296,7 @@ def _claimed_stages() -> list[Stage]:
     )
     # Four-level form of U
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "U4",
             [
                 ((2 * k + 3) * (2 * k + 4), (k + 2) ** 3),
@@ -343,7 +330,7 @@ def _claimed_stages() -> list[Stage]:
     )
     # Q12: Q_k = 1 + 1/(4 + 1/(1 + 1/((k+1)^3 + (k+2)^3/Q_{k+1})))
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "Q12",
             [
                 (Poly.const(1), Poly.const(1)),
@@ -383,7 +370,7 @@ def _claimed_stages() -> list[Stage]:
     )
     # G (first displayed form): 2 + 1/(2 + 1/((k+1)^3 + (k+2)^3/(2 + 1/G_{k+1})))
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "G",
             [
                 (Poly.const(2), Poly.const(1)),
@@ -396,7 +383,7 @@ def _claimed_stages() -> list[Stage]:
         )
     )
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "G16",
             [
                 (Poly.const(2), k + 2),
@@ -409,7 +396,7 @@ def _claimed_stages() -> list[Stage]:
         )
     )
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "G17",
             [
                 (Poly.const(2), k + 2),
@@ -422,7 +409,7 @@ def _claimed_stages() -> list[Stage]:
         )
     )
     stages.append(
-        _stage_from_levels(
+        stage_from_levels(
             "N",
             [
                 (2 * k + 2, (k + 1) * (k + 2)),

@@ -17,11 +17,11 @@ convergents at index 4v-2 with reduced Apery convergents at index v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from .engine import Terms, convergents, truncation_value, zeta3_reference
+from .engine import ReferenceValue, Terms, convergents, truncation_value, zeta3_reference
 from .mobius import DegenerateMobius, PolyMobius, scale_map
 from .rational import sci_string
 from .stages import (
@@ -75,9 +75,11 @@ def _check_sigma(step: SubstitutionStep) -> None:
         raise DegenerateSigma(f"step {step.name}: sigma degenerates at k = 0")
     # Integer roots of a primitive integer polynomial divide the constant term.
     bound = abs(const.numerator)
-    for cand in range(bound + 1):
-        if cand != 0 and bound % cand != 0:
-            continue
+    divisors = set()
+    for cand in range(1, isqrt(bound) + 1):
+        if bound % cand == 0:
+            divisors.update((cand, bound // cand))
+    for cand in sorted(divisors):
         if det(cand) == 0:
             raise DegenerateSigma(f"step {step.name}: sigma degenerates at k = {cand}")
 
@@ -187,31 +189,16 @@ def _residual(stage: Stage, ref_fraction: Fraction) -> Fraction:
     return abs(value - stage.target.scale * ref_fraction)
 
 
-def verify_substitution(
-    step: SubstitutionStep,
-    source: Stage | None = None,
-    claimed: Stage | None = None,
+def _verify_step(
+    source: Stage, step: SubstitutionStep, claimed: Stage | None, ref: ReferenceValue
 ) -> StepReport:
     """Derive one chain step and diff it against its claimed transcription."""
-    if source is None:
-        current = catalog()["APERY"]
-        for s in substitution_chain():
-            if s.name == step.name:
-                break
-            current = derive_stage(current, s)
-        source = current
-    if claimed is None:
-        claimed = catalog().get(step.to_stage)
     try:
         derived = derive_stage(source, step)
     except (DegenerateSigma, ChainInconsistency) as exc:
-        placeholder = source
-        return StepReport(
-            step.name, False, placeholder, False, (), "n/a", error=str(exc)
-        )
+        return StepReport(step.name, False, source, False, (), "n/a", str(exc))
     symbolic = _symbolic_check(source, derived, step)
-    ref = zeta3_reference(RESIDUAL_REF_DIGITS)
-    residual = _residual(derived, ref.fraction)
+    residual = sci_string(_residual(derived, ref.fraction))
     if claimed is None:
         return StepReport(
             step.name,
@@ -219,26 +206,11 @@ def verify_substitution(
             derived,
             False,
             (),
-            sci_string(residual),
+            residual,
             error=f"ChainInconsistency: no claimed stage {step.to_stage!r} in catalog",
         )
     mismatches = _diff_stages(claimed, derived)
-    return StepReport(
-        step.name,
-        symbolic,
-        derived,
-        not mismatches,
-        mismatches,
-        sci_string(residual),
-    )
-
-
-def verify_step_equivalence(a: Stage, b: Stage) -> bool:
-    """True iff the stages are the same rewrite: step matrices and heads
-    projectively equal (same target required)."""
-    if a.target is not b.target:
-        raise ValueError(f"stages {a.name}, {b.name} have different targets")
-    return a.step.proj_eq(b.step) and a.head.proj_eq(b.head)
+    return StepReport(step.name, symbolic, derived, not mismatches, mismatches, residual)
 
 
 def verify_chain(
@@ -258,44 +230,10 @@ def verify_chain(
     current = claimed.get("APERY") or catalog()["APERY"]
     for step in substitution_chain():
         if sigma_override and step.name in sigma_override:
-            step = SubstitutionStep(
-                step.name, step.from_stage, step.to_stage, sigma_override[step.name]
-            )
-        try:
-            derived = derive_stage(current, step)
-        except (DegenerateSigma, ChainInconsistency) as exc:
-            reports.append(
-                StepReport(step.name, False, current, False, (), "n/a", str(exc))
-            )
-            continue
-        symbolic = _symbolic_check(current, derived, step)
-        residual = _residual(derived, ref.fraction)
-        claimed_stage = claimed.get(step.to_stage)
-        if claimed_stage is None:
-            reports.append(
-                StepReport(
-                    step.name,
-                    symbolic,
-                    derived,
-                    False,
-                    (),
-                    sci_string(residual),
-                    error=f"ChainInconsistency: no claimed stage {step.to_stage!r} in catalog",
-                )
-            )
-        else:
-            mismatches = _diff_stages(claimed_stage, derived)
-            reports.append(
-                StepReport(
-                    step.name,
-                    symbolic,
-                    derived,
-                    not mismatches,
-                    mismatches,
-                    sci_string(residual),
-                )
-            )
-        current = derived
+            step = replace(step, sigma=sigma_override[step.name])
+        report = _verify_step(current, step, claimed.get(step.to_stage), ref)
+        reports.append(report)
+        current = report.derived
 
     variant_reports: list[VariantReport] = []
     derived_by_name = {r.step_name: r.derived for r in reports}

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeta3cf.mobius import (
     DegenerateMobius,
@@ -153,6 +155,28 @@ def test_normalization_canonical_form():
     m = PolyMobius(-2 * (K + 1), 0, 0, -4 * (K + 1) * (K + 2))
     # content 2 and common factor (k+1) removed, leading sign positive
     assert m == PolyMobius(1, 0, 0, 2 * (K + 2))
+
+
+small_polys = st.lists(st.integers(-9, 9), max_size=3).map(lambda cs: Poly(tuple(cs)))
+entry_quads = st.tuples(small_polys, small_polys, small_polys, small_polys).filter(
+    lambda e: not (e[0] * e[3] - e[1] * e[2]).is_zero
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    e=entry_quads,
+    other=entry_quads,
+    lam=st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool),
+    g=small_polys.filter(lambda p: not p.is_zero),
+)
+def test_normal_form_is_canonical(e, other, lam, g):
+    m = PolyMobius(*e)
+    assert PolyMobius(*(lam * g * x for x in e)) == m
+    n = PolyMobius(*other)
+    assert m.proj_eq(n) == (m == n)
+    first = next(x for x in m.entries if not x.is_zero)
+    assert first.leading > 0
 
 
 def test_builders():

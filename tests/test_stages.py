@@ -17,7 +17,6 @@ from zeta3cf.stages import (
     lookup,
     peel_head,
     stage_from_levels,
-    step_matrix,
     substitution_chain,
 )
 
@@ -62,7 +61,7 @@ def test_catalog_heads():
 
 
 def test_step_matrix_apery():
-    assert step_matrix(lookup("APERY")) == PolyMobius(
+    assert lookup("APERY").step == PolyMobius(
         34 * K**3 + 51 * K**2 + 27 * K + 5, -((K + 1) ** 6), 1, 0
     )
 
@@ -74,12 +73,12 @@ def test_step_matrix_n_is_level_product():
         @ level_map(2 * K + 3, (K + 2) ** 2)
         @ level_map(2 * K + 2, (K + 1) * (K + 2))
     )
-    assert step_matrix(lookup("N")).proj_eq(expected)
+    assert lookup("N").step.proj_eq(expected)
 
 
 def test_step_matrix_single_level():
     s = stage_from_levels("tmp", [(K + 3, K + 1)], PolyMobius(2, 1, 1, 0), Target.TWO_ZETA3)
-    assert step_matrix(s) == level_map(K + 3, K + 1)
+    assert s.step == level_map(K + 3, K + 1)
 
 
 def test_chain_order_and_entries():

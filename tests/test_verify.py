@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from zeta3cf.engine import convergents_from_terms, values_from_terms
-from zeta3cf.mobius import PolyMobius
+from zeta3cf.mobius import PolyMobius, scale_map
 from zeta3cf.polynomial import K
 from zeta3cf.stages import Target, catalog, lookup, perturbed, substitution_chain
 from zeta3cf.verify import (
+    DegenerateSigma,
     InvalidScale,
     NoAlignmentFound,
     canonical_head,
@@ -18,8 +20,6 @@ from zeta3cf.verify import (
     flat_prefix,
     gutnik_alignment,
     verify_chain,
-    verify_step_equivalence,
-    verify_substitution,
 )
 
 
@@ -50,16 +50,20 @@ def test_derive_n_from_g(chain):
     assert canonical_head(derived).proj_eq(PolyMobius(2, 1, 1, 0))
 
 
-def test_verify_substitution_w():
-    report = verify_substitution(step_named("W"))
+def step_report(report, name):
+    return next(s for s in report.steps if s.step_name == name)
+
+
+def test_verify_substitution_w(chain_report):
+    report = step_report(chain_report, "W")
     assert report.symbolic_pass
     assert report.claimed_matches
     assert report.mismatches == ()
 
 
-def test_verify_substitution_q_head(chain):
+def test_verify_substitution_q_head(chain_report):
     # The derived Q head is the identity on the zeta(3) scale: zeta3 = Q_0.
-    report = verify_substitution(step_named("Q"))
+    report = step_report(chain_report, "Q")
     assert report.symbolic_pass
     assert canonical_head(report.derived).proj_eq(PolyMobius(2, 0, 0, 1))
     claimed = lookup("Q")
@@ -67,20 +71,37 @@ def test_verify_substitution_q_head(chain):
     assert claimed.target is Target.ZETA3
 
 
-def test_verify_substitution_wrong_sigma_negative_control(chain):
-    step = step_named("U")
-    bad = type(step)("U", "W", "U", PolyMobius(1, 1, 0, 1))
-    report = verify_substitution(bad, source=chain["W"])
+def test_verify_substitution_wrong_sigma_negative_control():
+    report = step_report(verify_chain(sigma_override={"U": PolyMobius(1, 1, 0, 1)}), "U")
     assert not report.claimed_matches
     assert report.mismatches
 
 
+def test_sigma_degenerate_at_large_root_reported(chain):
+    # det = k - 10**12 vanishes only far out; divisor search finds it fast.
+    sigma = scale_map(K - 10**12)
+    step = replace(step_named("U"), sigma=sigma)
+    with pytest.raises(DegenerateSigma, match="k = 1000000000000$"):
+        derive_stage(chain["W"], step)
+    report = step_report(verify_chain(sigma_override={"U": sigma}), "U")
+    assert not report.symbolic_pass
+    assert report.error == "step U: sigma degenerates at k = 1000000000000"
+
+
+def test_sigma_large_constant_without_root_passes():
+    report = step_report(verify_chain(sigma_override={"U": scale_map(K + 10**12)}), "U")
+    assert report.error is None
+    assert report.symbolic_pass
+
+
 def test_step_equivalence_a5_a6():
-    assert verify_step_equivalence(lookup("A5"), lookup("A6"))
+    a5, a6 = lookup("A5"), lookup("A6")
+    assert a5.step.proj_eq(a6.step) and a5.head.proj_eq(a6.head)
 
 
 def test_step_equivalence_u_u4():
-    assert verify_step_equivalence(lookup("U"), lookup("U4"))
+    u, u4 = lookup("U"), lookup("U4")
+    assert u.step.proj_eq(u4.step) and u.head.proj_eq(u4.head)
 
 
 def test_step_equivalence_g16_g17_as_printed():
@@ -88,16 +109,11 @@ def test_step_equivalence_g16_g17_as_printed():
     # level's denominator carries an extra k+1 factor), so the literal
     # transcriptions are NOT the same rewrite.  Both are flagged against the
     # derived stage instead.
-    assert not verify_step_equivalence(lookup("G16"), lookup("G17"))
+    assert not lookup("G16").step.proj_eq(lookup("G17").step)
 
 
 def test_step_equivalence_different_stages():
-    assert not verify_step_equivalence(lookup("N"), lookup("APERY"))
-
-
-def test_step_equivalence_requires_same_target():
-    with pytest.raises(ValueError):
-        verify_step_equivalence(lookup("APERY"), lookup("A5"))
+    assert not lookup("N").step.proj_eq(lookup("APERY").step)
 
 
 def test_verify_chain_full(chain_report):
