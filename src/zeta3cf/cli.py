@@ -40,13 +40,6 @@ def _resolve_numeric_stage(name: str) -> stages.Stage:
     return cat[name]
 
 
-def _flatten_or_error(stage: stages.Stage) -> stages.FlatCF:
-    try:
-        return stages.flatten(stage)
-    except stages.HeadNotFlattenable as exc:
-        raise CommandError(str(exc)) from exc
-
-
 def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
@@ -85,7 +78,7 @@ def _cmd_eval(args) -> tuple[str, dict, dict, int]:
 
 def _cmd_convergents(args) -> tuple[str, dict, dict, int]:
     stage = _resolve_numeric_stage(args.stage)
-    flat = _flatten_or_error(stage)
+    flat = stages.flatten(stage)
     convs = engine.convergents(flat, args.n_max)
     rows = []
     for c in convs:
@@ -136,7 +129,7 @@ def _cmd_verify_chain(args) -> tuple[str, dict, dict, int]:
 
 def _cmd_rate(args) -> tuple[str, dict, dict, int]:
     stage = _resolve_numeric_stage(args.stage)
-    flat = _flatten_or_error(stage)
+    flat = stages.flatten(stage)
     if args.window:
         try:
             lo_s, hi_s = args.window.split(":")
@@ -145,12 +138,9 @@ def _cmd_rate(args) -> tuple[str, dict, dict, int]:
             raise CommandError(f"bad window {args.window!r}; expected LO:HI") from exc
     else:
         lo, hi = args.n_max // 5 + 1, args.n_max
-    try:
-        ref = engine.zeta3_reference(max(args.ref_digits, 30))
-        curve = engine.error_curve(flat, stage.target, args.n_max, ref)
-        slope = engine.digits_per_term(curve, lo, hi)
-    except (engine.InsufficientData, engine.InsufficientReferencePrecision) as exc:
-        raise CommandError(str(exc)) from exc
+    ref = engine.zeta3_reference(max(args.ref_digits, 30))
+    curve = engine.error_curve(flat, stage.target, args.n_max, ref)
+    slope = engine.digits_per_term(curve, lo, hi)
     payload = {
         "stage": stage.name,
         "target": stage.target.name,
@@ -282,16 +272,14 @@ def _emit_text(command, status, payload, tables, out) -> None:
         if not rows:
             continue
         print(f"[{name}]", file=out)
+        cells = [[_plain(cell) for cell in row] for row in reversed(rows)]
         widths = [
-            max(len(str(h)), max(len(_plain(r[i])) for r in rows))
+            max(len(str(h)), max(len(r[i]) for r in cells))
             for i, h in enumerate(header)
         ]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)), file=out)
-        for row in rows:
-            print(
-                "  ".join(_plain(cell).ljust(w) for cell, w in zip(row, widths)),
-                file=out,
-            )
+        while cells:  # pop each row as it prints, so its strings are freed
+            print("  ".join(c.ljust(w) for c, w in zip(cells.pop(), widths)), file=out)
     print(f"status: {status}", file=out)
 
 

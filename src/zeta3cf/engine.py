@@ -7,7 +7,8 @@ recurrence in exact integers:
 
 seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
-needs a tail seed while forward convergents do not.
+needs a tail seed while forward convergents do not.  Both, and the series
+oracle below, are products of 2x2 integer matrices in one loop, `_walk`.
 
 The reference value of zeta(3) comes from two independent oracles: the
 alternating central-binomial series zeta(3) = (5/2) * sum (-1)^(n-1) /
@@ -18,11 +19,12 @@ every reported digit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import count
+from typing import Iterable, Iterator
 
+from .mobius import PoleError
 from .rational import log10_fraction, to_decimal
 from .stages import FlatCF, Stage, Target, flatten, lookup
 
@@ -83,12 +85,9 @@ def convergents_from_terms(b0: Fraction, terms: Iterable[tuple]) -> list[tuple]:
     Exact in the terms' own type: integer terms give integer pairs, Fraction
     terms give Fraction pairs.  Terms are consumed lazily, one per step.
     """
-    p_prev, q_prev = 1, 0
-    p, q = b0, 1
-    out = [(p, q)]
-    for n, (a, b) in enumerate(terms, start=1):
-        p, p_prev = b * p + a * p_prev, p
-        q, q_prev = b * q + a * q_prev, q
+    out = [(b0, 1)]
+    steps = ((b, a, 1, 0) for a, b in terms)
+    for n, ((p, _), (q, _)) in enumerate(_walk(steps, (b0, 1), (1, 0)), start=1):
         if q == 0:
             raise DegenerateConvergent(n)
         out.append((p, q))
@@ -105,12 +104,7 @@ def eval_backward(stage: Stage, depth: int, seed: Fraction | int) -> Fraction:
     Exact; a pole along the descent propagates as PoleError with the
     offending index.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    x = Fraction(seed)
-    for k in range(depth - 1, -1, -1):
-        x = stage.step.apply(x, k)
-    return stage.head.apply(x, 0)
+    return _descend(stage, depth, depth, Fraction(seed).as_integer_ratio())
 
 
 def truncation_value(stage: Stage, depth: int) -> Fraction:
@@ -119,8 +113,32 @@ def truncation_value(stage: Stage, depth: int) -> Fraction:
     For a level-form stage this seeds the full block at k = depth with its
     own trailing term removed (the b-part rule for one-level stages).
     """
-    seed = stage.step.apply_to_infinity(depth)
-    return eval_backward(stage, depth, seed)
+    return _descend(stage, depth, depth + 1, (1, 0))
+
+
+def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fraction:
+    """Apply step_k for k = top-1 .. 0, then the head, to the column (x, y) = x/y.
+
+    (1, 0) is infinity.  PoleError carries the value entering the failing map.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    maps = [(stage.step, k) for k in range(top - 1, -1, -1)] + [(stage.head, 0)]
+    mats = ((int(m.a(k)), int(m.b(k)), int(m.c(k)), int(m.d(k))) for m, k in maps)
+    x = seed
+    for (_, k), (col,) in zip(maps, _walk(mats, seed)):
+        if col[1] == 0:
+            raise PoleError(k, Fraction(*x) if x[1] else "infinity")
+        x = col
+    return Fraction(*x)
+
+
+def _walk(mats: Iterable[tuple], *cols: tuple) -> Iterator[list[tuple]]:
+    """Left-multiply the columns (x, y) by each matrix (a, b, c, d) in turn;
+    yield the columns after every step."""
+    for a, b, c, d in mats:
+        cols = [(a * x + b * y, c * x + d * y) for x, y in cols]
+        yield cols
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +168,17 @@ class ReferenceValue:
 
 
 def _series_fraction(digits: int) -> Fraction:
-    threshold = Fraction(1, 10 ** (digits + 5))
-    total = Fraction(0)
-    n = 1
-    while True:
-        term = Fraction(1, n**3 * math.comb(2 * n, n))
-        if term < threshold:
+    # t_n = (-1)^(n-1) / (n^3 C(2n,n)) has t_1 = 1/2 and t_{n+1} = t_n * u/v with
+    # u = -n^3, v = 2(n+1)^2(2n+1).  Over a common denominator D the columns
+    # (S*D, t*D) and (D, 0) times (v, v, 0, u) carry S + t_n and t_{n+1}.
+    scale = 10 ** (digits + 5)
+    steps = ((v, v, 0, -(n**3)) for n in count(1) for v in [2 * (n + 1) ** 2 * (2 * n + 1)])
+    for (total, term), (denom, _) in _walk(steps, (0, 1), (2, 0)):
+        if abs(term) * scale < denom:
             break
-        total += term if n % 2 == 1 else -term
-        n += 1
     # Alternating with decreasing terms: tail bounded by the first omitted
     # term, so |zeta3 - value| < (5/2) * 10**-(digits+5).
-    return Fraction(5, 2) * total
+    return Fraction(5 * total, 2 * denom)
 
 
 def _deep_cf_fraction(digits: int) -> Fraction:

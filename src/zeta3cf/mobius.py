@@ -108,13 +108,6 @@ class PolyMobius:
             raise PoleError(k, x)
         return (self.a(k) * x + self.b(k)) / denom
 
-    def apply_to_infinity(self, k: int) -> Fraction:
-        """Limit of the map at x -> infinity: a(k)/c(k)."""
-        c = self.c(k)
-        if c == 0:
-            raise PoleError(k, "infinity")
-        return self.a(k) / c
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMobius):
             return NotImplemented

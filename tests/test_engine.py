@@ -19,9 +19,9 @@ from zeta3cf.engine import (
     values_from_terms,
     zeta3_reference,
 )
-from zeta3cf.mobius import PoleError
-from zeta3cf.stages import FlatCF, Target, lookup
-from zeta3cf.polynomial import Poly
+from zeta3cf.mobius import PoleError, PolyMobius
+from zeta3cf.stages import FlatCF, Stage, Target, lookup, perturbed
+from zeta3cf.polynomial import K, Poly
 
 
 def test_convergents_hand_values_n_stage(nes_flat):
@@ -79,8 +79,32 @@ def test_eval_backward_n_one_level():
 
 
 def test_eval_backward_pole_propagates():
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError) as exc:
         eval_backward(lookup("APERY"), 1, 0)
+    assert exc.value.k == 0
+    assert exc.value.x == 0
+
+
+def test_truncation_value_seeds_infinity():
+    # X_1 = a(1)/c(1) = 117, the step map at infinity; then 12/(5 - 1/117).
+    assert truncation_value(lookup("APERY"), 1) == Fraction(351, 146)
+
+
+def test_truncation_value_pole_at_infinity_seed():
+    # c(k) = k - 2 vanishes at k = 2: the seed X_3 = step_2(infinity) has no value.
+    stage = Stage("c-vanishes", PolyMobius(1, 1, K - 2, 1), PolyMobius.identity(), Target.ZETA3)
+    with pytest.raises(PoleError) as exc:
+        truncation_value(stage, 2)
+    assert exc.value.k == 2
+    assert exc.value.x == "infinity"
+
+
+def test_truncation_value_rejects_negative_depth():
+    # The depth is checked before any map is evaluated, even where the first
+    # map would have a pole (c(k) = k + 1 vanishes at k = -1).
+    stage = Stage("c-vanishes", PolyMobius(1, 1, K + 1, 1), PolyMobius.identity(), Target.ZETA3)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        truncation_value(stage, -1)
 
 
 def test_backward_forward_agreement(nes_flat, apery_flat):
@@ -146,6 +170,25 @@ def test_oracles_agree_200_digits():
     assert series.decimal == deep.decimal
     assert series.oracle_id == "SERIES"
     assert deep.oracle_id == "DEEP_CF"
+
+
+def _series_reference(digits: int) -> Fraction:
+    # The alternating central-binomial sum term by term in Fractions.
+    threshold = Fraction(1, 10 ** (digits + 5))
+    total = Fraction(0)
+    n = 1
+    while True:
+        term = Fraction(1, n**3 * math.comb(2 * n, n))
+        if term < threshold:
+            break
+        total += term if n % 2 == 1 else -term
+        n += 1
+    return Fraction(5, 2) * total
+
+
+def test_series_oracle_matches_fraction_sum():
+    for digits in [*range(1, 301), 1000]:
+        assert zeta3_reference(digits).fraction == _series_reference(digits), digits
 
 
 def test_series_tail_bound():
@@ -219,6 +262,12 @@ def test_values_from_terms_matches_flat(nes_flat):
     values = values_from_terms(nes_flat.b0, terms)
     convs = convergents(nes_flat, 10)
     assert values == [c.value for c in convs]
+
+
+def test_convergents_rejects_non_integer_term(nes_flat):
+    flat = perturbed(nes_flat, 3, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"^non-integer term at n=3: "):
+        convergents(flat, 5)
 
 
 def test_convergents_from_terms_rational_safe():

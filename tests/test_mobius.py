@@ -100,11 +100,6 @@ def test_apply_pole():
     assert exc.value.x == 0
 
 
-def test_apply_to_infinity():
-    m = level_map(34 * K**3 + 51 * K**2 + 27 * K + 5, -((K + 1) ** 6))
-    assert m.apply_to_infinity(1) == 117
-
-
 def test_compose_associative_randomized():
     rng = random.Random(13)
     for _ in range(60):
