@@ -9,6 +9,9 @@ seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
 needs a tail seed while forward convergents do not.  Both, and the series
 oracle below, are products of 2x2 integer matrices in one loop, `_walk`.
+The matrix entries are plain ints: step-map entries and flattened term
+families are evaluated in integer Horner form (`Poly.value_at`, through
+`FlatCF.terms` for terms), so no Fraction arithmetic runs per step.
 
 The reference value of zeta(3) comes from two independent oracles: the
 alternating central-binomial series zeta(3) = (5/2) * sum (-1)^(n-1) /
@@ -68,9 +71,7 @@ def convergents(flat: FlatCF, n_max: int) -> list[Convergent]:
         raise ValueError(f"non-integer leading term b0 = {flat.b0}")
 
     def integer_terms():
-        for n in range(1, n_max + 1):
-            a = flat.a_term(n)
-            b = flat.b_term(n)
+        for n, (a, b) in enumerate(flat.terms(n_max), start=1):
             if a.denominator != 1 or b.denominator != 1:
                 raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
             yield int(a), int(b)
@@ -124,7 +125,9 @@ def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fract
     if depth < 0:
         raise ValueError("depth must be >= 0")
     maps = [(stage.step, k) for k in range(top - 1, -1, -1)] + [(stage.head, 0)]
-    mats = ((int(m.a(k)), int(m.b(k)), int(m.c(k)), int(m.d(k))) for m, k in maps)
+    mats = (
+        (m.a.value_at(k), m.b.value_at(k), m.c.value_at(k), m.d.value_at(k)) for m, k in maps
+    )
     x = seed
     for (_, k), (col,) in zip(maps, _walk(mats, seed)):
         if col[1] == 0:
@@ -172,9 +175,14 @@ def _series_fraction(digits: int) -> Fraction:
     # u = -n^3, v = 2(n+1)^2(2n+1).  Over a common denominator D the columns
     # (S*D, t*D) and (D, 0) times (v, v, 0, u) carry S + t_n and t_{n+1}.
     scale = 10 ** (digits + 5)
+    scale_bits = scale.bit_length()
     steps = ((v, v, 0, -(n**3)) for n in count(1) for v in [2 * (n + 1) ** 2 * (2 * n + 1)])
     for (total, term), (denom, _) in _walk(steps, (0, 1), (2, 0)):
-        if abs(term) * scale < denom:
+        # Stop at the first |t*D| * scale < D.  Bit lengths decide it unless
+        # they are within one bit: gap < 0 means the product is below D,
+        # gap >= 2 that it is above; only gap 0 or 1 needs the product.
+        gap = term.bit_length() + scale_bits - denom.bit_length()
+        if gap < 0 or (gap < 2 and abs(term) * scale < denom):
             break
     # Alternating with decreasing terms: tail bounded by the first omitted
     # term, so |zeta3 - value| < (5/2) * 10**-(digits+5).

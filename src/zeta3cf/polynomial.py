@@ -6,6 +6,13 @@ coefficients, so the zero polynomial is the empty tuple and degree() is -1
 for it.  Values are immutable; all arithmetic is exact, with no
 floating-point path anywhere.
 
+Evaluation runs in plain ints.  Each polynomial derives, once and on first
+use, its integer form: integer numerators over one positive common
+denominator (1 for an integer polynomial).  `value_at(k)` is the fast path
+for integer k: Horner in ints, returning an int whenever the value is an
+integer.  `p(x)` accepts any rational x and always returns a Fraction, so
+a caller that divides by a value stays exact.
+
 Build polynomials with the exported indeterminate K and ordinary operators:
 
     34 * K**3 + 51 * K**2 + 27 * K + 5
@@ -15,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -79,12 +87,37 @@ class Poly:
             raise ValueError(f"polynomial {self} is not constant")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, highest power first; positive common denominator)."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)), den
+
     def __call__(self, x: Scalar) -> Fraction:
-        """Exact Horner evaluation at x."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at a rational x, always a Fraction (never an int or float).
+
+        Homogeneous Horner in ints: for x = p/q and degree n the loop sums
+        num_i p^i q^(n-i), and the result divides that by den q^n.
+        """
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        nums, den = self._integer_form
+        acc, qpow = 0, 1
+        for c in nums:
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc * q, den * qpow)
+
+    def value_at(self, k: int) -> int | Fraction:
+        """Exact value at the integer k: an int when it is an integer, else a Fraction."""
+        nums, den = self._integer_form
+        acc = 0
+        for c in nums:
+            acc = acc * k + c
+        if den == 1:
+            return acc
+        quo, rem = divmod(acc, den)
+        return Fraction(acc, den) if rem else quo
 
     # -- arithmetic ----------------------------------------------------
 

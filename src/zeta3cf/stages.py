@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from typing import Iterator
 
 from .mobius import DegenerateMobius, PolyMobius, level_map, scale_map, shift_map
 from .polynomial import K, Poly, as_poly
@@ -125,6 +126,10 @@ class FlatCF:
     a_n = a_fam[j](m).  Positions fixed up by the head override the families
     through the finite `exceptions` map (for these fractions that is just
     a_1, where the wrapped family value would vanish).
+
+    `terms` yields the exact terms for the engine: family values come from
+    integer Horner form, as ints where they are integers.  `a_term` and
+    `b_term` return the same values as Fractions.
     """
 
     name: str
@@ -138,16 +143,26 @@ class FlatCF:
     def b_term(self, n: int) -> Fraction:
         if n < 1:
             raise IndexError("partial denominators start at n = 1")
-        m, j = divmod(n - 1, self.period)
-        return self.b_fam[j](m)
+        return Fraction(self._b(n))
 
     def a_term(self, n: int) -> Fraction:
         if n < 1:
             raise IndexError("partial numerators start at n = 1")
+        return Fraction(self._a(n))
+
+    def terms(self, n_max: int) -> Iterator[tuple[int | Fraction, int | Fraction]]:
+        """(a_n, b_n) for n = 1 .. n_max, lazily."""
+        return ((self._a(n), self._b(n)) for n in range(1, n_max + 1))
+
+    def _a(self, n: int) -> int | Fraction:
         if n in self.exceptions:
             return self.exceptions[n]
         m, j = divmod(n - 1, self.period)
-        return self.a_fam[j](m)
+        return self.a_fam[j].value_at(m)
+
+    def _b(self, n: int) -> int | Fraction:
+        m, j = divmod(n - 1, self.period)
+        return self.b_fam[j].value_at(m)
 
 
 def stage_from_levels(

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd
 
 from .engine import ReferenceValue, Terms, convergents, truncation_value, zeta3_reference
 from .mobius import DegenerateMobius, PolyMobius, scale_map
+from .polynomial import Poly, poly_gcd
 from .rational import sci_string
 from .stages import (
     VARIANTS,
@@ -70,18 +71,54 @@ def _check_sigma(step: SubstitutionStep) -> None:
     det = sigma.det.primitive()
     if det.is_constant:
         return
-    const = det.coeffs[0]
-    if const == 0:
+    if det.coeffs[0] == 0:
         raise DegenerateSigma(f"step {step.name}: sigma degenerates at k = 0")
-    # Integer roots of a primitive integer polynomial divide the constant term.
-    bound = abs(const.numerator)
-    divisors = set()
-    for cand in range(1, isqrt(bound) + 1):
-        if bound % cand == 0:
-            divisors.update((cand, bound // cand))
-    for cand in sorted(divisors):
-        if det(cand) == 0:
-            raise DegenerateSigma(f"step {step.name}: sigma degenerates at k = {cand}")
+    root = _least_positive_integer_root(det)
+    if root is not None:
+        raise DegenerateSigma(f"step {step.name}: sigma degenerates at k = {root}")
+
+
+def _least_positive_integer_root(f: Poly) -> int | None:
+    """Smallest integer root k >= 1 of a nonconstant f, or None.
+
+    The cost depends on the degree and bit size of f, not on its values.
+    Descartes' rule of signs settles an f without a coefficient sign change
+    (no positive root).  Otherwise a Sturm sequence of the square-free part
+    g counts the roots in (lo, hi] as V(lo) - V(hi); bisecting (0, B], B the
+    Cauchy bound, on integer end points down to unit intervals leaves one
+    candidate, hi, per interval that holds a root.
+    """
+    signs = [c > 0 for c in f.coeffs if c]
+    if all(s == signs[0] for s in signs):
+        return None
+    g = f.divexact(poly_gcd(f, _derivative(f)))
+    seq = [g.primitive(), _derivative(g).primitive()]
+    while seq[-1].degree > 0:
+        seq.append((-seq[-2].divmod(seq[-1])[1]).primitive())
+
+    def variations(x: int) -> int:
+        values = [v for v in (p.value_at(x) for p in seq) if v]
+        return sum((u < 0) != (v < 0) for u, v in zip(values, values[1:]))
+
+    bound = ceil(1 + max(abs(c) for c in g.coeffs[:-1]) / abs(g.leading))
+    pending = [(0, bound, variations(0), variations(bound))]
+    while pending:
+        lo, hi, v_lo, v_hi = pending.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if g.value_at(hi) == 0:
+                return hi
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        # Lower half popped first, so the first root found is the smallest.
+        pending += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return None
+
+
+def _derivative(f: Poly) -> Poly:
+    return Poly(tuple(i * c for i, c in enumerate(f.coeffs))[1:])
 
 
 def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:

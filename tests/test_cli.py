@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -238,3 +239,33 @@ def test_hooks_hidden_from_help():
     )
     assert result.returncode == 0
     assert "hook" not in result.stdout
+
+
+# sha256 of stdout and the exit code for fixed argvs, recorded before
+# stage terms and step entries were evaluated in integer Horner form: any
+# change to the numeric kernels must leave every byte of stdout as it was.
+STDOUT_GOLDEN = (
+    ("eval A5 --depth 300", 0, "b8269a8791cfbd7de1e9c64f9416aab3d58fc3e4a2d475b5835873ea19b55c0d"),
+    ("eval W --depth 300", 0, "574066261fc33592e50e169d7534070c1f8eee9b6272da772252cf29b423abdd"),
+    ("eval U --depth 300", 0, "49f20935579b7d75106fd26a7513c88aa44934d50610ebdc1714d2b346794dff"),
+    ("eval P --depth 300", 0, "2656264028f45ef03c142cfd80b71cc785f44673ec93a66129b0584c5e90ac1d"),
+    ("eval Q --depth 300", 0, "075b5928310350ef3efebf5edca28e66806f75b983e087cd7898af447b19fee8"),
+    ("eval Z --depth 300", 0, "48336cc2e0de58eb7c856c0b411d27254030356ac2144090ca0870600c0a14d2"),
+    ("eval H --depth 300", 0, "843bdc9b3c16b9972d74f8324ad988e39952693b76f5fcae3e692816cf66fb27"),
+    ("eval G --depth 300", 0, "c0816a43b177da3b6ef454066b80d529b2db6ad349c6d3a42f812945ca658148"),
+    ("convergents N --n-max 200 --format text", 0, "bf71591341d02bb3f6a1a89b74629cba1b0b3b9a356305b45129d094073a8856"),
+    ("convergents APERY --n-max 100 --format text", 0, "b2c8ec3e22278875e217fe2b5730769e69197989866b508447204a2889f370f5"),
+    ("convergents N --n-max 200 --format json", 0, "015eb58b8b2d378de11fae837f263aa6069bf75038589898edc9560a1db5c61b"),
+    ("convergents APERY --n-max 100 --format json", 0, "3c33ed915dedbc31cac8b4c8af63c6abf74514ef79fe544a210dccfcae41c606"),
+    ("convergents N --n-max 200 --format csv", 0, "ca869fbe291c1624ac8dad93c851a0a5f08dd9b59657ced7bd19b15ecca66597"),
+    ("convergents APERY --n-max 100 --format csv", 0, "4fed03ce6074b8ba10a5a707415966a9454094d99cb970c687c2bb7ab4d156c4"),
+    ("ref --digits 500", 0, "bb9764beaadc9841bc94bc1ee0a3453267a46cf6810a888c0f152ff8024044b9"),
+    ("rate N --n-max 200", 2, "7bf204fae7f3f681c8a29ac74e09d96bf371d5de8a876b093e2678c36f6c31e0"),
+    ("gutnik --v-max 100", 0, "553e43747f8fb1a7e63797ebdc39e7f186a1b22fca69a2521f662a32ede58601"),
+)
+
+
+def test_stdout_golden_digests():
+    for argv, code, digest in STDOUT_GOLDEN:
+        got_code, text = run(argv.split())
+        assert (got_code, hashlib.sha256(text.encode()).hexdigest()) == (code, digest), argv

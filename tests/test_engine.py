@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -107,6 +108,32 @@ def test_truncation_value_rejects_negative_depth():
         truncation_value(stage, -1)
 
 
+def _fraction_truncation(stage: Stage, depth: int) -> Fraction:
+    # The descent in Fractions, each entry by Fraction Horner on its coefficients.
+    def entries(m: PolyMobius, k: int) -> list[Fraction]:
+        out = []
+        for e in m.entries:
+            acc = Fraction(0)
+            for c in reversed(e.coeffs):
+                acc = acc * k + c
+            out.append(acc)
+        return out
+
+    a, _, c, _ = entries(stage.step, depth)
+    x = a / c
+    for k in range(depth - 1, -1, -1):
+        a, b, c, d = entries(stage.step, k)
+        x = (a * x + b) / (c * x + d)
+    a, b, c, d = entries(stage.head, 0)
+    return (a * x + b) / (c * x + d)
+
+
+def test_truncation_value_matches_fraction_descent(chain):
+    for name, stage in chain.items():
+        for depth in (0, 1, 25, 700):
+            assert truncation_value(stage, depth) == _fraction_truncation(stage, depth), (name, depth)
+
+
 def test_backward_forward_agreement(nes_flat, apery_flat):
     # Seeding with the bare b-part of level 1 at k = m equals the flat
     # truncation at n = d*m + 1, exactly.
@@ -189,6 +216,23 @@ def _series_reference(digits: int) -> Fraction:
 def test_series_oracle_matches_fraction_sum():
     for digits in [*range(1, 301), 1000]:
         assert zeta3_reference(digits).fraction == _series_reference(digits), digits
+
+
+def _series_product_stop(digits: int) -> Fraction:
+    # The oracle's recurrence with its earlier stop rule: the exact product
+    # |t*D| * 10**(digits+5) < D tested on every term.
+    scale = 10 ** (digits + 5)
+    total, term, denom = 0, 1, 2
+    for n in count(1):
+        v = 2 * (n + 1) ** 2 * (2 * n + 1)
+        total, term, denom = v * (total + term), -(n**3) * term, v * denom
+        if abs(term) * scale < denom:
+            return Fraction(5 * total, 2 * denom)
+
+
+def test_series_bit_length_stop_matches_product_stop():
+    for digits in [*range(1, 401), 1000]:
+        assert zeta3_reference(digits).fraction == _series_product_stop(digits), digits
 
 
 def test_series_tail_bound():

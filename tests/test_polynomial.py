@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeta3cf.polynomial import K, NotDivisible, Poly, ZeroDivisor, poly_gcd
 
@@ -110,3 +112,58 @@ def test_str():
     assert str(-((K + 1) ** 2)) == "-k^2-2k-1"
     assert str(Poly.zero()) == "0"
     assert str(Fraction(5, 2) * K) == "(5/2)k"
+
+
+def fraction_horner(p: Poly, x) -> Fraction:
+    """Reference evaluator: Horner over Fraction, as the integer form replaced."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def binomial_poly(i: int) -> Poly:
+    """C(k, i) = k(k-1)...(k-i+1)/i!: rational coefficients, integer values
+    (C(k, 1) + C(k, 2) = k(k+1)/2)."""
+    acc = Poly.const(1)
+    for j in range(i):
+        acc = acc * (K - j) * Fraction(1, j + 1)
+    return acc
+
+
+indices = st.integers(-50, 2000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=9), indices)
+def test_integer_horner_integer_coefficients(coeffs, k):
+    p = Poly(tuple(coeffs))
+    value = p.value_at(k)
+    assert type(value) is int
+    assert value == fraction_horner(p, k)
+    assert p(k) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=7), indices)
+def test_integer_horner_integer_valued_rational_coefficients(weights, k):
+    p = sum((w * binomial_poly(i) for i, w in enumerate(weights)), Poly.zero())
+    value = p.value_at(k)
+    assert type(value) is int
+    assert value == fraction_horner(p, k)
+    assert p(k) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(max_denominator=50), max_size=6),
+    indices,
+    st.fractions(max_denominator=1000),
+)
+def test_integer_horner_rational_coefficients_and_points(coeffs, k, x):
+    p = Poly(tuple(coeffs))
+    expected = fraction_horner(p, k)
+    assert p.value_at(k) == expected
+    assert type(p.value_at(k)) is (int if expected.denominator == 1 else Fraction)
+    assert p(x) == fraction_horner(p, x)
+

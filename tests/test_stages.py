@@ -232,3 +232,16 @@ def test_w_step_carries_notation_note():
     w = next(s for s in chain if s.name == "W")
     assert "T" in w.note
     assert lookup("W").note == w.note
+
+
+def test_public_evaluators_return_fraction(nes_flat, apery_flat):
+    # Integer-form evaluation must not leak ints: apply() divides by an
+    # entry value, and int / int would be a float (2.4, not 12/5).
+    assert type((34 * K**3 + 5)(2)) is Fraction
+    assert type(K(Fraction(1, 2))) is Fraction
+    head = PolyMobius(0, 12, 1, 0)
+    assert type(head.apply(5, 0)) is Fraction and head.apply(5, 0) == Fraction(12, 5)
+    for flat in (nes_flat, apery_flat):
+        for n in range(1, 9):
+            assert type(flat.a_term(n)) is Fraction
+            assert type(flat.b_term(n)) is Fraction

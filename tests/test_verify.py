@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -92,6 +93,34 @@ def test_sigma_large_constant_without_root_passes():
     report = step_report(verify_chain(sigma_override={"U": scale_map(K + 10**12)}), "U")
     assert report.error is None
     assert report.symbolic_pass
+
+
+def test_sigma_check_cost_independent_of_constant_size():
+    # A divisor search up to sqrt(10**16) ran for seconds; the root
+    # isolation depends only on degree and bit size.
+    start = time.perf_counter()
+    report = step_report(verify_chain(sigma_override={"U": scale_map(K + 10**16 + 61)}), "U")
+    assert report.error is None and report.symbolic_pass
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sigma_degree_two_root_far_out_reported(chain):
+    # det = (k - 10**15)(k + 3): one sign change, one positive root.
+    sigma = scale_map((K - 10**15) * (K + 3))
+    start = time.perf_counter()
+    with pytest.raises(DegenerateSigma, match="k = 1000000000000000$"):
+        derive_stage(chain["W"], replace(step_named("U"), sigma=sigma))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sigma_smallest_integer_root_reported(chain):
+    # Double root 7, root 3, root 1/2 and complex roots: the square-free
+    # part keeps 7 visible and the smallest integer root, 3, is named.
+    det = (K - 7) ** 2 * (K - 3) * (2 * K - 1) * (K**2 + 1)
+    with pytest.raises(DegenerateSigma, match="k = 3$"):
+        derive_stage(chain["W"], replace(step_named("U"), sigma=scale_map(det)))
+    with pytest.raises(DegenerateSigma, match="k = 7$"):
+        derive_stage(chain["W"], replace(step_named("U"), sigma=scale_map((K - 7) ** 2 * (K + 1))))
 
 
 def test_step_equivalence_a5_a6():
