@@ -24,6 +24,8 @@ from zeta3cf.mobius import PoleError, PolyMobius
 from zeta3cf.stages import FlatCF, Stage, Target, lookup, perturbed
 from zeta3cf.polynomial import K, Poly
 
+from test_polynomial import fraction_horner
+
 
 def test_convergents_hand_values_n_stage(nes_flat):
     convs = convergents(nes_flat, 6)
@@ -111,13 +113,7 @@ def test_truncation_value_rejects_negative_depth():
 def _fraction_truncation(stage: Stage, depth: int) -> Fraction:
     # The descent in Fractions, each entry by Fraction Horner on its coefficients.
     def entries(m: PolyMobius, k: int) -> list[Fraction]:
-        out = []
-        for e in m.entries:
-            acc = Fraction(0)
-            for c in reversed(e.coeffs):
-                acc = acc * k + c
-            out.append(acc)
-        return out
+        return [fraction_horner(e, k) for e in m.entries]
 
     a, _, c, _ = entries(stage.step, depth)
     x = a / c

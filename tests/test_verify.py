@@ -114,8 +114,8 @@ def test_sigma_degree_two_root_far_out_reported(chain):
 
 
 def test_sigma_smallest_integer_root_reported(chain):
-    # Double root 7, root 3, root 1/2 and complex roots: the square-free
-    # part keeps 7 visible and the smallest integer root, 3, is named.
+    # Roots 7 (double), 3, 1/2 and +-i: the smallest integer root is named;
+    # a double root alone is found too.
     det = (K - 7) ** 2 * (K - 3) * (2 * K - 1) * (K**2 + 1)
     with pytest.raises(DegenerateSigma, match="k = 3$"):
         derive_stage(chain["W"], replace(step_named("U"), sigma=scale_map(det)))
