@@ -8,10 +8,10 @@ floating-point path anywhere.
 
 Evaluation runs in plain ints.  Each polynomial derives, once and on first
 use, its integer form: integer numerators over one positive common
-denominator (1 for an integer polynomial).  `value_at(k)` is the fast path
-for integer k: Horner in ints, returning an int whenever the value is an
-integer.  `p(x)` accepts any rational x and always returns a Fraction, so
-a caller that divides by a value stays exact.
+denominator (1 for an integer polynomial).  `value_at(k)` is the one
+Horner loop over it: for integer k it runs in ints and returns an int
+whenever the value is an integer.  `p(x)` is `value_at(x)` cast to Fraction,
+for any rational x, so a caller that divides by a value stays exact.
 
 Build polynomials with the exported indeterminate K and ordinary operators:
 
@@ -94,22 +94,16 @@ class Poly:
         return tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)), den
 
     def __call__(self, x: Scalar) -> Fraction:
-        """Exact value at a rational x, always a Fraction (never an int or float).
+        """Exact value at a rational x, always a Fraction (never an int or float)."""
+        return Fraction(self.value_at(x))
 
-        Homogeneous Horner in ints: for x = p/q and degree n the loop sums
-        num_i p^i q^(n-i), and the result divides that by den q^n.
+    def value_at(self, k: Scalar) -> int | Fraction:
+        """Exact value at k by Horner over the integer form.
+
+        For an integer k the loop runs in ints and returns an int whenever
+        the value is an integer, else a Fraction; a Fraction k gives the
+        same value as an int or a Fraction.
         """
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        nums, den = self._integer_form
-        acc, qpow = 0, 1
-        for c in nums:
-            acc = acc * p + c * qpow
-            qpow *= q
-        return Fraction(acc * q, den * qpow)
-
-    def value_at(self, k: int) -> int | Fraction:
-        """Exact value at the integer k: an int when it is an integer, else a Fraction."""
         nums, den = self._integer_form
         acc = 0
         for c in nums:

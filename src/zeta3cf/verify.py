@@ -258,7 +258,9 @@ def verify_chain(
 
     `stages` substitutes the claimed catalog (negative-control hook);
     `sigma_override` replaces named substitution matrices (fault injection).
-    Overall pass means: every symbolic identity holds and the final derived
+    It accepts any PolyMobius a caller builds, so the degeneracy check on
+    sigma costs time set by the degree and bit size of det(sigma), never by
+    the size of its roots or coefficients.  Overall pass means: every symbolic identity holds and the final derived
     stage is projectively the Nesterenko stage with head 2 + 1/N_0.
     """
     claimed = catalog() if stages is None else stages

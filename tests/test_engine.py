@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import count
 
 import pytest
 
@@ -210,25 +209,8 @@ def _series_reference(digits: int) -> Fraction:
 
 
 def test_series_oracle_matches_fraction_sum():
-    for digits in [*range(1, 301), 1000]:
-        assert zeta3_reference(digits).fraction == _series_reference(digits), digits
-
-
-def _series_product_stop(digits: int) -> Fraction:
-    # The oracle's recurrence with its earlier stop rule: the exact product
-    # |t*D| * 10**(digits+5) < D tested on every term.
-    scale = 10 ** (digits + 5)
-    total, term, denom = 0, 1, 2
-    for n in count(1):
-        v = 2 * (n + 1) ** 2 * (2 * n + 1)
-        total, term, denom = v * (total + term), -(n**3) * term, v * denom
-        if abs(term) * scale < denom:
-            return Fraction(5 * total, 2 * denom)
-
-
-def test_series_bit_length_stop_matches_product_stop():
     for digits in [*range(1, 401), 1000]:
-        assert zeta3_reference(digits).fraction == _series_product_stop(digits), digits
+        assert zeta3_reference(digits).fraction == _series_reference(digits), digits
 
 
 def test_series_tail_bound():

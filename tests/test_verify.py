@@ -1,15 +1,15 @@
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import replace
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
 from zeta3cf.engine import convergents_from_terms, values_from_terms
 from zeta3cf.mobius import PolyMobius, scale_map
-from zeta3cf.polynomial import K
+from zeta3cf.polynomial import K, Poly
 from zeta3cf.stages import Target, catalog, lookup, perturbed, substitution_chain
 from zeta3cf.verify import (
     DegenerateSigma,
@@ -79,7 +79,7 @@ def test_verify_substitution_wrong_sigma_negative_control():
 
 
 def test_sigma_degenerate_at_large_root_reported(chain):
-    # det = k - 10**12 vanishes only far out; divisor search finds it fast.
+    # det = k - 10**12 vanishes only far out; the check still finds it fast.
     sigma = scale_map(K - 10**12)
     step = replace(step_named("U"), sigma=sigma)
     with pytest.raises(DegenerateSigma, match="k = 1000000000000$"):
@@ -95,22 +95,47 @@ def test_sigma_large_constant_without_root_passes():
     assert report.symbolic_pass
 
 
-def test_sigma_check_cost_independent_of_constant_size():
-    # A divisor search up to sqrt(10**16) ran for seconds; the root
-    # isolation depends only on degree and bit size.
-    start = time.perf_counter()
-    report = step_report(verify_chain(sigma_override={"U": scale_map(K + 10**16 + 61)}), "U")
+def _count_evaluations(monkeypatch) -> list:
+    calls = []
+    value_at = Poly.value_at
+
+    def counted(self, k):
+        calls.append(k)
+        return value_at(self, k)
+
+    monkeypatch.setattr(Poly, "value_at", counted)
+    return calls
+
+
+def _sigma_check_budget(sigma: PolyMobius) -> int:
+    # Bisecting (0, B], B the Cauchy bound, visits at most deg intervals per
+    # halving and evaluates at most deg + 1 Sturm polynomials per visit;
+    # derive_stage then evaluates sigma's 4 entries at k = 0.  A search whose
+    # cost grows with the size of the roots or constants overruns this.
+    det = sigma.det.primitive()
+    deg = det.degree
+    bits = ceil(max(abs(c) for c in det.coeffs) / abs(det.leading)).bit_length() + 1
+    return (deg + 1) * (2 + deg * (bits + 1)) + deg + 4
+
+
+def test_sigma_check_cost_independent_of_constant_size(chain, monkeypatch):
+    # A divisor search up to sqrt(10**16) ran for seconds; the check costs
+    # a number of evaluations set by degree and bit size alone.
+    sigma = scale_map(K + 10**16 + 61)
+    report = step_report(verify_chain(sigma_override={"U": sigma}), "U")
     assert report.error is None and report.symbolic_pass
-    assert time.perf_counter() - start < 1.0
+    calls = _count_evaluations(monkeypatch)
+    derive_stage(chain["W"], replace(step_named("U"), sigma=sigma))
+    assert len(calls) <= _sigma_check_budget(sigma)
 
 
-def test_sigma_degree_two_root_far_out_reported(chain):
+def test_sigma_degree_two_root_far_out_reported(chain, monkeypatch):
     # det = (k - 10**15)(k + 3): one sign change, one positive root.
     sigma = scale_map((K - 10**15) * (K + 3))
-    start = time.perf_counter()
+    calls = _count_evaluations(monkeypatch)
     with pytest.raises(DegenerateSigma, match="k = 1000000000000000$"):
         derive_stage(chain["W"], replace(step_named("U"), sigma=sigma))
-    assert time.perf_counter() - start < 1.0
+    assert len(calls) <= _sigma_check_budget(sigma)
 
 
 def test_sigma_smallest_integer_root_reported(chain):
