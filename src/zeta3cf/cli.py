@@ -45,12 +45,13 @@ def _fraction_str(f: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command payload builders.  Each returns (status, payload, tables, exit_code)
-# where payload is an ordered mapping and tables maps name -> (header, rows).
+# Command payload builders.  Each returns (status, payload, tables) where
+# status is "ok" or "fail", payload is an ordered mapping and tables maps
+# name -> (header, rows).
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(args) -> tuple[str, dict, dict, int]:
+def _cmd_eval(args) -> tuple[str, dict, dict]:
     stage = _resolve_numeric_stage(args.stage)
     ref = engine.zeta3_reference(max(args.digits + 10, 30))
     target_value = ref.value(stage.target)
@@ -73,23 +74,24 @@ def _cmd_eval(args) -> tuple[str, dict, dict, int]:
         "target": stage.target.name,
         "abs_error": sci_string(abs(value - target_value)),
     }
-    return "ok", payload, {}, 0
+    return "ok", payload, {}
 
 
-def _cmd_convergents(args) -> tuple[str, dict, dict, int]:
+def _cmd_convergents(args) -> tuple[str, dict, dict]:
     stage = _resolve_numeric_stage(args.stage)
     flat = stages.flatten(stage)
     convs = engine.convergents(flat, args.n_max)
     rows = []
     for c in convs:
-        decimal, _ = to_decimal(c.value, args.digits)
-        rows.append([c.n, c.p, c.q, _fraction_str(c.value), decimal])
+        value = c.value
+        decimal, _ = to_decimal(value, args.digits)
+        rows.append([c.n, c.p, c.q, _fraction_str(value), decimal])
     payload = {"stage": stage.name, "target": stage.target.name, "n_max": args.n_max}
     tables = {"convergents": (["n", "p", "q", "value", "decimal"], rows)}
-    return "ok", payload, tables, 0
+    return "ok", payload, tables
 
 
-def _cmd_verify_chain(args) -> tuple[str, dict, dict, int]:
+def _cmd_verify_chain(args) -> tuple[str, dict, dict]:
     override = None
     if args.hook_break_sigma:
         override = {args.hook_break_sigma: verify.PolyMobius(1, 1, 0, 1)}
@@ -123,11 +125,10 @@ def _cmd_verify_chain(args) -> tuple[str, dict, dict, int]:
         ),
         "variants": (["variant", "base", "claimed", "mismatch_entries"], variant_rows),
     }
-    status = "ok" if report.passed else "fail"
-    return status, payload, tables, 0 if report.passed else 1
+    return "ok" if report.passed else "fail", payload, tables
 
 
-def _cmd_rate(args) -> tuple[str, dict, dict, int]:
+def _cmd_rate(args) -> tuple[str, dict, dict]:
     stage = _resolve_numeric_stage(args.stage)
     flat = stages.flatten(stage)
     if args.window:
@@ -150,10 +151,10 @@ def _cmd_rate(args) -> tuple[str, dict, dict, int]:
     }
     rows = [[n, truncate_float(d, 3)] for n, d in curve.points]
     tables = {"points": (["n", "accurate_digits"], rows)}
-    return "ok", payload, tables, 0
+    return "ok", payload, tables
 
 
-def _cmd_gutnik(args) -> tuple[str, dict, dict, int]:
+def _cmd_gutnik(args) -> tuple[str, dict, dict]:
     nes = stages.flatten(stages.lookup("N"))
     apery = stages.flatten(stages.lookup("APERY"))
     if args.hook_perturb:
@@ -162,7 +163,7 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict, int]:
         report = verify.gutnik_alignment(nes, apery, args.v_max)
     except verify.NoAlignmentFound as exc:
         payload = {"error": str(exc)}
-        return "fail", payload, {}, 1
+        return "fail", payload, {}
     rows = [
         [
             r.v,
@@ -186,11 +187,10 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict, int]:
             rows,
         )
     }
-    status = "ok" if report.all_equal else "fail"
-    return status, payload, tables, 0 if report.all_equal else 1
+    return "ok" if report.all_equal else "fail", payload, tables
 
 
-def _cmd_catalog(args) -> tuple[str, dict, dict, int]:
+def _cmd_catalog(args) -> tuple[str, dict, dict]:
     chain_report = verify.verify_chain()
     derived = {r.step_name: r.derived for r in chain_report.steps}
     match_by_name = {r.step_name: r.claimed_matches for r in chain_report.steps}
@@ -240,10 +240,10 @@ def _cmd_catalog(args) -> tuple[str, dict, dict, int]:
             rows,
         )
     }
-    return "ok", payload, tables, 0
+    return "ok", payload, tables
 
 
-def _cmd_ref(args) -> tuple[str, dict, dict, int]:
+def _cmd_ref(args) -> tuple[str, dict, dict]:
     if args.digits < 1 or args.digits > MAX_REF_DIGITS:
         raise CommandError(f"digits must be in 1..{MAX_REF_DIGITS}")
     agree, series, deep = engine.oracles_agree(args.digits)
@@ -255,8 +255,7 @@ def _cmd_ref(args) -> tuple[str, dict, dict, int]:
         "oracles_agree": agree,
         "deep_cf": deep.decimal,
     }
-    status = "ok" if agree else "fail"
-    return status, payload, {}, 0 if agree else 1
+    return "ok" if agree else "fail", payload, {}
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +433,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args.digits = getattr(args, "digits", 12)
     command = args.command
     try:
-        status, payload, tables, code = _COMMANDS[command](args)
+        status, payload, tables = _COMMANDS[command](args)
     except (CommandError, ValueError, KeyError, ArithmeticError) as exc:
         _render(args, command, "error", {"error": str(exc)}, {}, out)
         return 2
     _render(args, command, status, payload, tables, out)
-    return code
+    return 0 if status == "ok" else 1
 
 
 if __name__ == "__main__":

@@ -249,26 +249,30 @@ def error_curve(
 ) -> ErrorCurve:
     """Measure accuracy of the first n_max convergents against the reference.
 
-    Indices where x_n equals the reference exactly are omitted.  If the
-    largest measured accuracy comes within 10 guard digits of the reference
-    precision, the reference is extended once; failing that is an error.
+    Indices where x_n equals the reference exactly are omitted.  Before
+    measuring, a reference too short for the gap |x_n - x_{n-1}| of the
+    last two convergents (about the error of x_{n-1}) is extended to 20
+    digits past it; if the largest measured accuracy still comes within 10
+    guard digits of the reference precision, that is an error.
     """
-    for attempt in range(2):
-        limit = ref.value(target)
-        points: list[tuple[int, float]] = []
-        for conv in convergents(flat, n_max):
-            err = abs(conv.value - limit)
-            if err == 0:
-                continue
+    convs = convergents(flat, n_max)
+    if len(convs) > 1:
+        gap = abs(convs[-1].value - convs[-2].value)
+        need = int(-log10_fraction(gap)) + 20 if gap else 0
+        if need > ref.digits:
+            ref = zeta3_reference(need, ref.oracle_id)
+    limit = ref.value(target)
+    points: list[tuple[int, float]] = []
+    for conv in convs:
+        err = abs(conv.value - limit)
+        if err:
             points.append((conv.n, -log10_fraction(err)))
-        max_d = max((d for _, d in points), default=0.0)
-        if max_d <= ref.digits - 10:
-            return ErrorCurve(tuple(points), target, ref.digits)
-        if attempt == 0:
-            ref = zeta3_reference(int(max_d) + 20, ref.oracle_id)
-    raise InsufficientReferencePrecision(
-        f"reference digits {ref.digits} cannot resolve d = {max_d:.1f}"
-    )
+    max_d = max((d for _, d in points), default=0.0)
+    if max_d > ref.digits - 10:
+        raise InsufficientReferencePrecision(
+            f"reference digits {ref.digits} cannot resolve d = {max_d:.1f}"
+        )
+    return ErrorCurve(tuple(points), target, ref.digits)
 
 
 def digits_per_term(curve: ErrorCurve, lo: int, hi: int) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 from .polynomial import Poly, Scalar, as_poly, poly_gcd
@@ -145,15 +145,10 @@ def _normalize(entries: list[Poly]) -> list[Poly]:
 
 def _divide_content(entries: list[Poly]) -> list[Poly]:
     """Divide out the rational content shared by all four entries."""
-    num = 0
-    den = 1
-    for e in entries:
-        c = e.content()
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
+    num = gcd(*(n for e in entries for n in e.nums))
     if not num:
         return entries
-    scale = Fraction(den, num)
+    scale = Fraction(lcm(*(e.den for e in entries)), num)
     return [e * scale for e in entries]
 
 

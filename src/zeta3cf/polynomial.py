@@ -1,17 +1,18 @@
 """Univariate polynomials over the rationals in the recurrence index k.
 
-Coefficients are stored ascending: coeffs[i] multiplies k**i, every
-coefficient an exact Fraction.  Canonical form has no trailing zero
-coefficients, so the zero polynomial is the empty tuple and degree() is -1
-for it.  Values are immutable; all arithmetic is exact, with no
-floating-point path anywhere.
+A polynomial is held once, in integer form: `nums`, integer numerators in
+ascending order (nums[i] multiplies k**i), over one positive denominator
+`den`.  Canonical form has no trailing zero numerator and
+gcd(*nums, den) == 1, so the zero polynomial is ((), 1) and degree() is -1
+for it, and an integer polynomial has den == 1.  Values are immutable; all
+arithmetic is exact and, except for `divmod`, runs in ints, with no
+floating-point path anywhere.  `coeffs`, `leading`, `content()` and
+`constant_value()` return exact Fractions.
 
-Evaluation runs in plain ints.  Each polynomial derives, once and on first
-use, its integer form: integer numerators over one positive common
-denominator (1 for an integer polynomial).  `value_at(k)` is the one
-Horner loop over it: for integer k it runs in ints and returns an int
-whenever the value is an integer.  `p(x)` is `value_at(x)` cast to Fraction,
-for any rational x, so a caller that divides by a value stays exact.
+`value_at(k)` is the one Horner loop: for integer k it runs in ints and
+returns an int whenever the value is an integer.  `p(x)` is `value_at(x)`
+cast to Fraction, for any rational x, so a caller that divides by a value
+stays exact.
 
 Build polynomials with the exported indeterminate K and ordinary operators:
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Union
 
@@ -37,19 +38,18 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-def _canon(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Poly:
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _canon(self.coeffs))
+    def __new__(cls, coeffs: Iterable[Scalar]) -> "Poly":
+        coeffs = tuple(coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        return _make([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def __getnewargs__(self) -> tuple:
+        return (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -57,68 +57,65 @@ class Poly:
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def variable(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients ascending, each an exact Fraction."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree under the canonical encoding; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1] if self.nums else 0, self.den)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"polynomial {self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(numerators, highest power first; positive common denominator)."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)), den
+        return Fraction(self.nums[0] if self.nums else 0, self.den)
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact value at a rational x, always a Fraction (never an int or float)."""
         return Fraction(self.value_at(x))
 
     def value_at(self, k: Scalar) -> int | Fraction:
-        """Exact value at k by Horner over the integer form.
+        """Exact value at k by Horner over the integer numerators.
 
         For an integer k the loop runs in ints and returns an int whenever
         the value is an integer, else a Fraction; a Fraction k gives the
         same value as an int or a Fraction.
         """
-        nums, den = self._integer_form
         acc = 0
-        for c in nums:
+        for c in reversed(self.nums):
             acc = acc * k + c
-        if den == 1:
+        if self.den == 1:
             return acc
-        quo, rem = divmod(acc, den)
-        return Fraction(acc, den) if rem else quo
+        quo, rem = divmod(acc, self.den)
+        return Fraction(acc, self.den) if rem else quo
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
         o = as_poly(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(tuple(self._c(i) + o._c(i) for i in range(n)))
+        den = lcm(self.den, o.den)
+        sa, so = den // self.den, den // o.den
+        return _make([a * sa + b * so for a, b in zip_longest(self.nums, o.nums, fillvalue=0)], den)
 
     __radd__ = __add__
 
@@ -129,17 +126,15 @@ class Poly:
         return as_poly(other) - self
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _make([-n for n in self.nums], self.den)
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         o = as_poly(other)
-        if self.is_zero or o.is_zero:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
+        out = [0] * (len(self.nums) + len(o.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(o.nums):
                 out[i + j] += a * b
-        return Poly(tuple(out))
+        return _make(out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -156,13 +151,10 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def _c(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        return hash((self.nums, self.den))
 
     # -- division ------------------------------------------------------
 
@@ -170,16 +162,16 @@ class Poly:
         if divisor.is_zero:
             raise ZeroDivisor("division by the zero polynomial")
         rem = list(self.coeffs)
+        dcoeffs = divisor.coeffs
         dd = divisor.degree
-        lead = divisor.leading
         quo = [Fraction(0)] * max(len(rem) - dd, 0)
         for i in range(len(rem) - dd - 1, -1, -1):
-            factor = rem[i + dd] / lead
+            factor = rem[i + dd] / dcoeffs[-1]
             quo[i] = factor
             if factor:
-                for j, c in enumerate(divisor.coeffs):
+                for j, c in enumerate(dcoeffs):
                     rem[i + j] -= factor * c
-        return Poly(tuple(quo)), Poly(tuple(rem))
+        return Poly(quo), Poly(rem)
 
     def divexact(self, divisor: "Poly") -> "Poly":
         """Return r with r * divisor == self, or raise NotDivisible."""
@@ -189,30 +181,24 @@ class Poly:
         return quo
 
     def shift(self, c: Scalar) -> "Poly":
-        """Substitute k -> k + c (exact Taylor shift)."""
-        linear = Poly((Fraction(c), Fraction(1)))
-        acc = Poly(())
-        for coeff in reversed(self.coeffs):
-            acc = acc * linear + coeff
-        return acc
+        """Substitute k -> k + c (exact Taylor shift, in ints): for c = p/q and
+        degree d, f(k + c) = h(q*k + p) / q**d with h(x) = q**d * f(x/q)."""
+        p, q = c.numerator, c.denominator
+        d = max(self.degree, 0)
+        h = [n * q ** (d - j) for j, n in enumerate(self.nums)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                h[j] += p * h[j + 1]
+        return _make([n * q**j for j, n in enumerate(h)], self.den * q**d)
 
     def content(self) -> Fraction:
         """Positive rational content: gcd of numerators / lcm of denominators."""
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        if num == 0:
-            return Fraction(0)
-        return Fraction(num, den)
+        return Fraction(gcd(*self.nums), self.den)
 
     def primitive(self) -> "Poly":
         """Integer-coefficient multiple with content 1, same sign pattern."""
-        cont = self.content()
-        if cont == 0:
-            return self
-        return Poly(tuple(c / cont for c in self.coeffs))
+        g = gcd(*self.nums)
+        return _make([n // g for n in self.nums], 1) if g else self
 
     # -- rendering -----------------------------------------------------
 
@@ -221,7 +207,7 @@ class Poly:
             return "0"
         parts: list[str] = []
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+            c = Fraction(self.nums[i], self.den)
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
@@ -236,6 +222,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _make(nums: list[int], den: int) -> Poly:
+    """The canonical Poly with coefficients nums[i] / den, for den > 0."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(*nums, den)
+    poly = object.__new__(Poly)
+    object.__setattr__(poly, "nums", tuple(n // g for n in nums))
+    object.__setattr__(poly, "den", den // g)
+    return poly
 
 
 def _frac_str(f: Fraction) -> str:

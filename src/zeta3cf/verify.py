@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil
 
 from .engine import ReferenceValue, Terms, convergents, truncation_value, zeta3_reference
 from .mobius import DegenerateMobius, PolyMobius, scale_map
@@ -374,9 +374,9 @@ def gutnik_alignment(nes: FlatCF, apery: FlatCF, v_max: int) -> AlignmentReport:
         if i < 0 or j < 0:
             return None
         nc, ac = nes_convs[i], apery_convs[j]
-        return AlignmentRow(
-            v, i, j, nc.value == ac.value, nc.value, ac.value, gcd(nc.p, nc.q)
-        )
+        nv, av = nc.value, ac.value
+        # Fraction(p, q) reduces by gcd(p, q), so |q| / denominator is it.
+        return AlignmentRow(v, i, j, nv == av, nv, av, abs(nc.q) // nv.denominator)
 
     chosen: tuple[int, int] | None = None
     for d_nes in range(-3, 4):

@@ -22,6 +22,7 @@ from zeta3cf.engine import (
 from zeta3cf.mobius import PoleError, PolyMobius
 from zeta3cf.stages import FlatCF, Stage, Target, lookup, perturbed
 from zeta3cf.polynomial import K, Poly
+from zeta3cf.rational import truncate_float
 
 from test_polynomial import fraction_horner
 
@@ -229,6 +230,17 @@ def test_error_curve_hand_points(nes_flat, apery_flat, ref40):
     # |351/146 - 2z(3)| ~ 4.2e-6 and |12/5 - 2z(3)| ~ 4.1e-3
     assert abs(d_a[2] - 5.375) < 0.01
     assert abs(d_n[2] - 2.386) < 0.01
+
+
+def test_error_curve_extends_short_reference(nes_flat, ref120):
+    # At n = 200 the N stage passes 150 digits, beyond a 120-digit
+    # reference: the extension must be sized before any point is measured.
+    curve = error_curve(nes_flat, Target.TWO_ZETA3, 200, ref120)
+    long = error_curve(nes_flat, Target.TWO_ZETA3, 200, zeta3_reference(300))
+    assert max(d for _, d in curve.points) > 150
+    assert [(n, truncate_float(d, 3)) for n, d in curve.points] == [
+        (n, truncate_float(d, 3)) for n, d in long.points
+    ]
 
 
 def test_error_curve_omits_exact_hits(apery_flat):

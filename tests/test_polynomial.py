@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -80,14 +82,6 @@ def test_divexact_zero_divisor():
         (K + 1).divexact(Poly.zero())
 
 
-def test_divexact_round_trip_randomized():
-    rng = random.Random(3)
-    for _ in range(200):
-        p = rand_poly(rng)
-        q = rand_poly(rng, zero_ok=False)
-        assert (p * q).divexact(q) == p
-
-
 def test_shift():
     p = 34 * K**3 + 51 * K**2 + 27 * K + 5
     assert p.shift(1) == 34 * K**3 + 153 * K**2 + 231 * K + 117
@@ -132,6 +126,9 @@ def binomial_poly(i: int) -> Poly:
 
 
 indices = st.integers(-50, 2000)
+rational_polys = st.lists(st.fractions(max_denominator=50), max_size=6).map(Poly)
+nonzero_polys = rational_polys.filter(lambda p: not p.is_zero)
+scalars = st.integers(-50, 50) | st.fractions(-50, 50, max_denominator=12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,15 +152,49 @@ def test_integer_horner_integer_valued_rational_coefficients(weights, k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.fractions(max_denominator=50), max_size=6),
-    indices,
-    st.fractions(max_denominator=1000),
-)
-def test_integer_horner_rational_coefficients_and_points(coeffs, k, x):
-    p = Poly(tuple(coeffs))
+@given(rational_polys, indices, st.fractions(max_denominator=1000))
+def test_integer_horner_rational_coefficients_and_points(p, k, x):
     expected = fraction_horner(p, k)
     assert p.value_at(k) == expected
     assert type(p.value_at(k)) is (int if expected.denominator == 1 else Fraction)
     assert p(x) == fraction_horner(p, x)
 
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys, rational_polys, rational_polys)
+def test_ring_laws(p, q, r):
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + 0 == p and p * 1 == p and (p - p).is_zero and -(-p) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys, rational_polys, scalars, scalars, st.fractions(max_denominator=100))
+def test_shift_composition(p, q, a, b, x):
+    assert p.shift(a).shift(b) == p.shift(a + b)
+    assert (p * q).shift(a) == p.shift(a) * q.shift(a)
+    assert p.shift(a)(x) == fraction_horner(p, x + a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys, nonzero_polys)
+def test_divexact_round_trip_randomized(p, d):
+    assert (p * d).divexact(d) == p
+    quo, rem = p.divmod(d)
+    assert quo * d + rem == p and rem.degree < d.degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys)
+def test_canonical_form(p):
+    # Ints for integral coefficients and trailing zeros build the same value.
+    rebuilt = Poly([c.numerator if c.denominator == 1 else c for c in p.coeffs] + [0, Fraction(0)])
+    assert Poly(p.coeffs) == p and rebuilt == p
+    assert hash(Poly(p.coeffs)) == hash(rebuilt) == hash(p)
+    assert copy.copy(p) == pickle.loads(pickle.dumps(p)) == p
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert type(p.leading) is Fraction and type(p.content()) is Fraction
+    if p.is_constant:
+        assert type(p.constant_value()) is Fraction and p == p.constant_value()
