@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
-from .polynomial import Poly, Scalar, as_poly, poly_gcd
+from .polynomial import Poly, Scalar, _make, as_poly, poly_gcd
 
 Entry = Union[Poly, int, Fraction]
 
@@ -128,28 +128,26 @@ def _normalize(entries: list[Poly]) -> list[Poly]:
     # Common polynomial factor of positive degree.
     g = Poly.zero()
     for e in entries:
-        if not e.is_zero:
-            g = e if g.is_zero else poly_gcd(g, e)
-    if g.degree > 0:
-        entries = [e.divexact(g) if not e.is_zero else e for e in entries]
-        # Dividing out g can reintroduce rational content.
-        entries = _divide_content(entries)
-    # Sign: first nonzero entry has a positive leading coefficient.
-    for e in entries:
-        if not e.is_zero:
-            if e.leading < 0:
-                entries = [-x for x in entries]
+        g = poly_gcd(g, e)
+        if g.degree == 0:
             break
+    if g.degree > 0:
+        # g is primitive, so by Gauss's lemma the quotients stay integral and
+        # content-free.
+        entries = [e.divexact(g) for e in entries]
+    # Sign: first nonzero entry has a positive leading coefficient.
+    if next((e.nums[-1] for e in entries if e.nums), 0) < 0:
+        entries = [-x for x in entries]
     return entries
 
 
 def _divide_content(entries: list[Poly]) -> list[Poly]:
     """Divide out the rational content shared by all four entries."""
-    num = gcd(*(n for e in entries for n in e.nums))
-    if not num:
+    g = gcd(*(n for e in entries for n in e.nums))
+    if not g:
         return entries
-    scale = Fraction(lcm(*(e.den for e in entries)), num)
-    return [e * scale for e in entries]
+    den = lcm(*(e.den for e in entries))
+    return [_make([n * (den // e.den) // g for n in e.nums], 1) for e in entries]
 
 
 def level_map(b: Entry, a: Entry) -> PolyMobius:

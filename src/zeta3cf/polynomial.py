@@ -5,9 +5,13 @@ ascending order (nums[i] multiplies k**i), over one positive denominator
 `den`.  Canonical form has no trailing zero numerator and
 gcd(*nums, den) == 1, so the zero polynomial is ((), 1) and degree() is -1
 for it, and an integer polynomial has den == 1.  Values are immutable; all
-arithmetic is exact and, except for `divmod`, runs in ints, with no
-floating-point path anywhere.  `coeffs`, `leading`, `content()` and
-`constant_value()` return exact Fractions.
+arithmetic, division included, is exact and runs in ints, with no
+floating-point path anywhere: a scalar that is neither an int nor a Fraction
+raises TypeError.  `coeffs`, `leading`, `content()` and `constant_value()`
+return exact Fractions.  Division is one integer pseudo-division (Knuth,
+TAOCP vol. 2, 4.6.1, Algorithm R): `divmod` scales it back to Q, and
+`poly_gcd` runs the primitive remainder sequence over Z[k] on it (Collins
+1967; Brown 1971).
 
 `value_at(k)` is the one Horner loop: for integer k it runs in ints and
 returns an int whenever the value is an integer.  `p(x)` is `value_at(x)`
@@ -44,7 +48,7 @@ class Poly:
     den: int
 
     def __new__(cls, coeffs: Iterable[Scalar]) -> "Poly":
-        coeffs = tuple(coeffs)
+        coeffs = tuple(map(_scalar, coeffs))
         den = lcm(*(c.denominator for c in coeffs))
         return _make([c.numerator * (den // c.denominator) for c in coeffs], den)
 
@@ -101,6 +105,8 @@ class Poly:
         the value is an integer, else a Fraction; a Fraction k gives the
         same value as an int or a Fraction.
         """
+        if type(k) is not int:
+            _scalar(k)
         acc = 0
         for c in reversed(self.nums):
             acc = acc * k + c
@@ -159,19 +165,13 @@ class Poly:
     # -- division ------------------------------------------------------
 
     def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
+        """Exact quotient and remainder over the rationals, deg rem < deg divisor."""
         if divisor.is_zero:
             raise ZeroDivisor("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dcoeffs = divisor.coeffs
-        dd = divisor.degree
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            factor = rem[i + dd] / dcoeffs[-1]
-            quo[i] = factor
-            if factor:
-                for j, c in enumerate(dcoeffs):
-                    rem[i + j] -= factor * c
-        return Poly(quo), Poly(rem)
+        quo, rem, scale = _pseudo_divmod(self.nums, divisor.nums)
+        # scale * nums == quo * divisor.nums + rem, divided through by scale * den.
+        den = scale * self.den
+        return _make([n * divisor.den for n in quo], den), _make(rem, den)
 
     def divexact(self, divisor: "Poly") -> "Poly":
         """Return r with r * divisor == self, or raise NotDivisible."""
@@ -183,7 +183,7 @@ class Poly:
     def shift(self, c: Scalar) -> "Poly":
         """Substitute k -> k + c (exact Taylor shift, in ints): for c = p/q and
         degree d, f(k + c) = h(q*k + p) / q**d with h(x) = q**d * f(x/q)."""
-        p, q = c.numerator, c.denominator
+        p, q = _scalar(c).numerator, c.denominator
         d = max(self.degree, 0)
         h = [n * q ** (d - j) for j, n in enumerate(self.nums)]
         for i in range(d):
@@ -207,11 +207,11 @@ class Poly:
             return "0"
         parts: list[str] = []
         for i in range(self.degree, -1, -1):
-            c = Fraction(self.nums[i], self.den)
-            if c == 0:
+            n = self.nums[i]
+            if not n:
                 continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
+            sign = "-" if n < 0 else ("+" if parts else "")
+            mag = Fraction(abs(n), self.den)
             if i == 0:
                 body = _frac_str(mag)
             else:
@@ -228,11 +228,40 @@ def _make(nums: list[int], den: int) -> Poly:
     """The canonical Poly with coefficients nums[i] / den, for den > 0."""
     while nums and not nums[-1]:
         nums.pop()
-    g = gcd(*nums, den)
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
     poly = object.__new__(Poly)
-    object.__setattr__(poly, "nums", tuple(n // g for n in nums))
-    object.__setattr__(poly, "den", den // g)
+    object.__setattr__(poly, "nums", tuple(nums))
+    object.__setattr__(poly, "den", den)
     return poly
+
+
+def _pseudo_divmod(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """(q, r, m) with m * u == q * v + r over ints, deg r < deg v (v nonzero).
+
+    The multiplier m = |lc(v)|**e, e = max(deg u - deg v + 1, 0), is positive,
+    so r keeps the sign of the true remainder, as a Sturm sequence needs.
+    """
+    n, lc, sign = len(v) - 1, abs(v[-1]), 1 if v[-1] > 0 else -1
+    r = list(u)
+    q = [0] * max(len(u) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = sign * r.pop()
+        q[k] = c * lc**k
+        if lc != 1:
+            r = [lc * x for x in r]
+        for j in range(n):
+            r[j + k] -= c * v[j]
+    return q, r, lc ** len(q)
+
+
+def _scalar(x: Scalar) -> Scalar:
+    """x itself if it is an exact scalar (int or Fraction); else TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, not {type(x).__name__} {x!r}")
+    return x
 
 
 def _frac_str(f: Fraction) -> str:
@@ -247,17 +276,14 @@ def as_poly(x: Union[Poly, Scalar]) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd over Q[k] with positive leading coefficient."""
-    a, b = p, q
+    """Primitive gcd over Q[k] with positive leading coefficient.
+
+    The primitive remainder sequence over Z[k]: a, b = b, primitive(prem(a, b)).
+    """
+    a, b = p.primitive(), q.primitive()
     while not b.is_zero:
-        _, rem = a.divmod(b)
-        a, b = b, rem
-    if a.is_zero:
-        return a
-    a = a.primitive()
-    if a.leading < 0:
-        a = -a
-    return a
+        a, b = b, _make(_pseudo_divmod(a.nums, b.nums)[1], 1).primitive()
+    return -a if a.nums and a.nums[-1] < 0 else a
 
 
 K = Poly.variable()

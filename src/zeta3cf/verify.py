@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil
 
 from .engine import ReferenceValue, Terms, convergents, truncation_value, zeta3_reference
 from .mobius import DegenerateMobius, PolyMobius, scale_map
@@ -71,7 +70,7 @@ def _check_sigma(step: SubstitutionStep) -> None:
     det = sigma.det.primitive()
     if det.is_constant:
         return
-    if det.coeffs[0] == 0:
+    if det.nums[0] == 0:
         raise DegenerateSigma(f"step {step.name}: sigma degenerates at k = 0")
     root = _least_positive_integer_root(det)
     if root is not None:
@@ -88,11 +87,11 @@ def _least_positive_integer_root(f: Poly) -> int | None:
     Cauchy bound, on integer end points down to unit intervals leaves one
     candidate, hi, per interval that holds a root.
     """
-    signs = [c > 0 for c in f.coeffs if c]
+    signs = [n > 0 for n in f.nums if n]
     if all(s == signs[0] for s in signs):
         return None
-    g = f.divexact(poly_gcd(f, _derivative(f)))
-    seq = [g.primitive(), _derivative(g).primitive()]
+    g = f.divexact(poly_gcd(f, _derivative(f))).primitive()
+    seq = [g, _derivative(g).primitive()]
     while seq[-1].degree > 0:
         seq.append((-seq[-2].divmod(seq[-1])[1]).primitive())
 
@@ -100,7 +99,8 @@ def _least_positive_integer_root(f: Poly) -> int | None:
         values = [v for v in (p.value_at(x) for p in seq) if v]
         return sum((u < 0) != (v < 0) for u, v in zip(values, values[1:]))
 
-    bound = ceil(1 + max(abs(c) for c in g.coeffs[:-1]) / abs(g.leading))
+    lead = abs(g.nums[-1])
+    bound = 1 + (max(abs(n) for n in g.nums[:-1]) + lead - 1) // lead
     pending = [(0, bound, variations(0), variations(bound))]
     while pending:
         lo, hi, v_lo, v_hi = pending.pop()
@@ -118,7 +118,8 @@ def _least_positive_integer_root(f: Poly) -> int | None:
 
 
 def _derivative(f: Poly) -> Poly:
-    return Poly(tuple(i * c for i, c in enumerate(f.coeffs))[1:])
+    """den(f) times the derivative of f: a positive multiple, in ints."""
+    return Poly([i * n for i, n in enumerate(f.nums)][1:])
 
 
 def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:

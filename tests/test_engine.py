@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zeta3cf.engine import (
     DegenerateConvergent,
@@ -20,7 +22,7 @@ from zeta3cf.engine import (
     zeta3_reference,
 )
 from zeta3cf.mobius import PoleError, PolyMobius
-from zeta3cf.stages import FlatCF, Stage, Target, lookup, perturbed
+from zeta3cf.stages import FlatCF, Stage, Target, flatten, lookup, perturbed, stage_from_levels
 from zeta3cf.polynomial import K, Poly
 from zeta3cf.rational import truncate_float
 
@@ -150,6 +152,35 @@ def test_truncation_value_matches_full_block(nes_flat):
     convs = convergents(nes_flat, 4 * 7)
     for m in range(0, 6):
         assert truncation_value(n_stage, m) == convs[4 * (m + 1)].value
+
+
+small_ints = st.integers(-4, 4)
+nonzero_small_ints = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+random_levels = st.lists(
+    st.tuples(
+        st.lists(small_ints, max_size=3).map(Poly),
+        # Partial numerators are nonzero polynomials: a nonzero leading coefficient.
+        st.builds(
+            lambda low, lead: Poly(low + [lead]), st.lists(small_ints, max_size=2), nonzero_small_ints
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_levels, small_ints, nonzero_small_ints, st.integers(0, 6))
+def test_truncation_value_matches_forward_on_random_level_stages(levels, b0, a1, m):
+    # The same relation on random level stages: backward through the
+    # normalized step map, forward through the flattened term families.
+    stage = stage_from_levels("R", levels, PolyMobius(b0, a1, 1, 0), Target.TWO_ZETA3)
+    try:
+        backward = truncation_value(stage, m)
+        forward = convergents(flatten(stage), len(levels) * (m + 1))[-1].value
+    except (PoleError, DegenerateConvergent):
+        assume(False)
+    assert backward == forward
 
 
 def test_two_seed_agreement(nes_flat):

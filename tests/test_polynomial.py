@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeta3cf.polynomial import K, NotDivisible, Poly, ZeroDivisor, poly_gcd
+from zeta3cf.polynomial import K, NotDivisible, Poly, ZeroDivisor, as_poly, poly_gcd
 
 
 def rand_poly(rng: random.Random, max_deg: int = 4, zero_ok: bool = True) -> Poly:
@@ -93,6 +93,28 @@ def test_gcd():
     q = (K + 1) * (K + 3)
     assert poly_gcd(p, q) == K + 1
     assert poly_gcd(p, Poly.zero()) == p.primitive()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poly([1.5]),
+        lambda: Poly([1, 2.0]),
+        lambda: as_poly(0.5),
+        lambda: K * 1.5,
+        lambda: 1.5 * K,
+        lambda: K + 0.5,
+        lambda: K - 0.5,
+        lambda: K.shift(0.5),
+        lambda: K(0.1),
+        lambda: K.value_at(0.5),
+        lambda: (K + 1).value_at(complex(1, 0)),
+    ],
+)
+def test_float_scalars_rejected(build):
+    # The core is exact: a float never enters it, silently or otherwise.
+    with pytest.raises(TypeError, match="int or Fraction"):
+        build()
 
 
 def test_content_primitive():
@@ -198,3 +220,17 @@ def test_canonical_form(p):
     assert type(p.leading) is Fraction and type(p.content()) is Fraction
     if p.is_constant:
         assert type(p.constant_value()) is Fraction and p == p.constant_value()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys, rational_polys, nonzero_polys)
+def test_gcd_common_factor(p, q, h):
+    a, b = p * h, q * h
+    g = poly_gcd(a, b)
+    if a.is_zero and b.is_zero:
+        assert g.is_zero
+        return
+    assert g.den == 1 and g.leading > 0 and g.content() == 1
+    assert a.divmod(g)[1].is_zero and b.divmod(g)[1].is_zero
+    if h.degree > 0:
+        assert g.divmod(h.primitive())[1].is_zero
