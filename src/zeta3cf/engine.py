@@ -7,11 +7,17 @@ recurrence in exact integers:
 
 seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
-needs a tail seed while forward convergents do not.  Both, and the series
-oracle below, are products of 2x2 integer matrices in one loop, `_walk`.
-The matrix entries are plain ints: step-map entries and flattened term
-families are evaluated in integer Horner form (`Poly.value_at`, through
-`FlatCF.terms` for terms), so no Fraction arithmetic runs per step.
+needs a tail seed while forward convergents do not.  Both, and the two
+oracles below, are products of 2x2 integer matrices.  Callers that need
+every intermediate column walk the product one step at a time in `_walk`:
+forward convergents (each row is reported) and backward truncation (each
+column is checked for a pole).  The oracles need only the last column and
+multiply their steps in a balanced product tree, `_product` (binary
+splitting; Haible & Papanikolaou, ANTS 1998), which turns n big-by-small
+products into O(log n) rounds of balanced big-by-big ones.  The matrix
+entries are plain ints: step-map entries and flattened term families are
+evaluated in integer Horner form (`Poly.value_at`, through `FlatCF.terms`
+for terms), so no Fraction arithmetic runs per step.
 
 The reference value of zeta(3) comes from two independent oracles: the
 alternating central-binomial series zeta(3) = (5/2) * sum (-1)^(n-1) /
@@ -22,9 +28,9 @@ every reported digit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Iterable, Iterator
 
 from .mobius import PoleError
@@ -69,15 +75,15 @@ def convergents(flat: FlatCF, n_max: int) -> list[Convergent]:
         raise ValueError("n_max must be >= 0")
     if flat.b0.denominator != 1:
         raise ValueError(f"non-integer leading term b0 = {flat.b0}")
-
-    def integer_terms():
-        for n, (a, b) in enumerate(flat.terms(n_max), start=1):
-            if a.denominator != 1 or b.denominator != 1:
-                raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
-            yield int(a), int(b)
-
-    pairs = convergents_from_terms(int(flat.b0), integer_terms())
+    pairs = convergents_from_terms(int(flat.b0), _integer_terms(flat, n_max))
     return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
+
+
+def _integer_terms(flat: FlatCF, n_max: int) -> Iterator[tuple[int, int]]:
+    for n, (a, b) in enumerate(flat.terms(n_max), start=1):
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
+        yield int(a), int(b)
 
 
 def convergents_from_terms(b0: Fraction, terms: Iterable[tuple]) -> list[tuple]:
@@ -144,6 +150,21 @@ def _walk(mats: Iterable[tuple], *cols: tuple) -> Iterator[list[tuple]]:
         yield cols
 
 
+def _product(mats: Iterable[tuple]) -> tuple:
+    """The product M_n ... M_2 M_1 of the matrices (a, b, c, d) in the order
+    `_walk` applies them, so `_walk([_product(mats)], *cols)` yields the
+    last columns of `_walk(mats, *cols)`.  Adjacent pairs are multiplied in
+    rounds, a balanced product tree; the empty product is (1, 0, 0, 1)."""
+    mats = list(mats) or [(1, 0, 0, 1)]
+    while len(mats) > 1:
+        odd = mats[-1:] if len(mats) % 2 else []
+        mats = [
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for (e, f, g, h), (a, b, c, d) in zip(mats[::2], mats[1::2])
+        ] + odd
+    return mats[0]
+
+
 # ---------------------------------------------------------------------------
 # Reference value of zeta(3).
 # ---------------------------------------------------------------------------
@@ -170,20 +191,32 @@ class ReferenceValue:
         return text
 
 
+def _series_stop(digits: int) -> int:
+    """The first m with |t_m| = 1/(m^3 C(2m, m)) below 10**-(digits + 5).
+
+    The float seed log_4 10**(digits+5) is just above m, as C(2m, m) grows
+    like 4^m; exact integer comparisons decide, stepping C(2m, m) by ratios.
+    """
+    bound = 10 ** (digits + 5)
+    m = max(2, math.ceil((digits + 5) * math.log(10) / math.log(4)))
+    c = math.comb(2 * m, m)
+    while m**3 * c <= bound:
+        c = c * 2 * (2 * m + 1) // (m + 1)
+        m += 1
+    while m > 2 and (m - 1) ** 3 * (down := c * m // (2 * (2 * m - 1))) > bound:
+        c, m = down, m - 1
+    return m
+
+
 def _series_fraction(digits: int) -> Fraction:
     # t_n = (-1)^(n-1) / (n^3 C(2n,n)) has t_1 = 1/2 and t_{n+1} = t_n * u/v with
     # u = -n^3, v = 2(n+1)^2(2n+1).  Over a common denominator D the columns
     # (S*D, t*D) and (D, 0) times (v, v, 0, u) carry S + t_n and t_{n+1}.
-    scale = 10 ** (digits + 5)
-    scale_bits = scale.bit_length()
-    steps = ((v, v, 0, -(n**3)) for n in count(1) for v in [2 * (n + 1) ** 2 * (2 * n + 1)])
-    for (total, term), (denom, _) in _walk(steps, (0, 1), (2, 0)):
-        # Stop at the first |t*D| * scale < D.  Bit lengths decide it unless
-        # they are within one bit: gap < 0 means the product is below D,
-        # gap >= 2 that it is above; only gap 0 or 1 needs the product.
-        gap = term.bit_length() + scale_bits - denom.bit_length()
-        if gap < 0 or (gap < 2 and abs(term) * scale < denom):
-            break
+    # Steps 1 .. m-1 sum t_1 .. t_{m-1}, for the first m with |t_m| below
+    # 10**-(digits+5).
+    m = _series_stop(digits)
+    steps = ((v, v, 0, -(n**3)) for n in range(1, m) for v in [2 * (n + 1) ** 2 * (2 * n + 1)])
+    [(total, _), (denom, _)] = next(_walk([_product(steps)], (0, 1), (2, 0)))
     # Alternating with decreasing terms: tail bounded by the first omitted
     # term, so |zeta3 - value| < (5/2) * 10**-(digits+5).
     return Fraction(5 * total, 2 * denom)
@@ -193,13 +226,20 @@ def _deep_cf_fraction(digits: int) -> Fraction:
     flat = flatten(lookup("APERY"))
     depth = int(digits / 3) + 12
     for _ in range(6):
-        convs = convergents(flat, depth + 2)
-        gap1 = abs(convs[depth + 1].value - convs[depth].value)
-        gap2 = abs(convs[depth + 2].value - convs[depth + 1].value)
-        # Demand the gap already resolves the requested digits and keeps
-        # contracting, so the limit is within ~1.01 * gap2 of x_{depth+2}.
-        if gap2 < Fraction(1, 10 ** (digits + 6)) and gap2 * 50 < gap1:
-            return convs[depth + 2].value / 2
+        # Columns (p_n, p_{n-1}) and (q_n, q_{n-1}) of the forward
+        # recurrence: the tree reaches n = depth, two walked steps go on.
+        steps = [(b, a, 1, 0) for a, b in _integer_terms(flat, depth + 2)]
+        cols = next(_walk([_product(steps[:depth])], (int(flat.b0), 1), (1, 0)))
+        [(p0, _), (q0, _)] = cols
+        [(p1, _), (q1, _)], [(p2, _), (q2, _)] = _walk(steps[depth:], *cols)
+        # gap_n = |x_{n+1} - x_n| = |p_{n+1} q_n - p_n q_{n+1}| / |q_n q_{n+1}|.
+        # Demand that gap2 already resolves the requested digits and keeps
+        # contracting, gap2 * 50 < gap1, so the limit is within ~1.01 * gap2
+        # of x_{depth+2}; both tests are cross-multiplied out.
+        cross1 = abs(p1 * q0 - p0 * q1)
+        cross2 = abs(p2 * q1 - p1 * q2)
+        if cross2 * 10 ** (digits + 6) < abs(q1 * q2) and cross2 * 50 * abs(q0) < cross1 * abs(q2):
+            return Fraction(p2, q2) / 2
         depth = depth + depth // 2 + 8
     raise InsufficientReferencePrecision(
         f"deep-fraction oracle did not certify {digits} digits"

@@ -24,15 +24,24 @@ def to_decimal(r: Fraction, digits: int) -> tuple[str, bool]:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     sign = "-" if r < 0 else ""
-    num = abs(r.numerator)
-    den = r.denominator
-    whole, rem = divmod(num, den)
-    out = []
-    for _ in range(digits):
-        rem *= 10
-        digit, rem = divmod(rem, den)
-        out.append(chr(ord("0") + digit))
-    return f"{sign}{whole}.{''.join(out)}", rem == 0
+    whole, rem = divmod(abs(r.numerator), r.denominator)
+    frac, rem = divmod(rem * 10**digits, r.denominator)
+    return f"{sign}{whole}.{_zero_padded(frac, digits)}", rem == 0
+
+
+# str() of an int this short is never refused by the interpreter's int->str
+# digit limit, which cannot be set below 640 digits.
+_STR_CHUNK = 640
+
+
+def _zero_padded(n: int, width: int) -> str:
+    """0 <= n < 10**width as exactly `width` decimal digits, converted in
+    halves down to chunks of at most _STR_CHUNK digits."""
+    if width <= _STR_CHUNK:
+        return str(n).zfill(width)
+    low = width // 2
+    high, n = divmod(n, 10**low)
+    return _zero_padded(high, width - low) + _zero_padded(n, low)
 
 
 def truncate_float(x: float, places: int) -> str:

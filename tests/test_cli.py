@@ -246,6 +246,8 @@ def test_hooks_hidden_from_help():
 # change to the numeric kernels must leave every byte of stdout as it was.
 # `rate N --n-max 200` was re-recorded when error_curve began sizing its
 # reference from the convergent gap: it used to exit 2 on a too-short one.
+# The ref/eval/rate shapes from 900 digits up were recorded before the two
+# oracles and to_decimal moved off per-term and per-digit loops.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "b8269a8791cfbd7de1e9c64f9416aab3d58fc3e4a2d475b5835873ea19b55c0d"),
     ("eval W --depth 300", 0, "574066261fc33592e50e169d7534070c1f8eee9b6272da772252cf29b423abdd"),
@@ -264,6 +266,13 @@ STDOUT_GOLDEN = (
     ("ref --digits 500", 0, "bb9764beaadc9841bc94bc1ee0a3453267a46cf6810a888c0f152ff8024044b9"),
     ("rate N --n-max 200", 0, "13818299638596a889e804e56ae451651e9464d8b46e124f0fdd4d6eabb83341"),
     ("gutnik --v-max 100", 0, "553e43747f8fb1a7e63797ebdc39e7f186a1b22fca69a2521f662a32ede58601"),
+    ("ref --digits 1000 --format text", 0, "e1b43526fffe8220c3f27570a3da066f7981894c2988fda92bd7f428d1a4344f"),
+    ("ref --digits 1000 --format json", 0, "73a8a0cbe0b064e6ecc9b25c2cf96b80dbe7dd9cdedd76b2608eb4972d256323"),
+    ("ref --digits 1000 --format csv", 0, "e6566f0ca0fea3252f9826cc9d95d563dd3e73056ff4f3def8c8b718e4e570a2"),
+    ("eval APERY --depth 300 --digits 900", 0, "e2dee7e05c2e0932014549c0e33fc53fb06313cec8e043fef2eb69e1968bcb0d"),
+    ("eval N --depth 1200 --digits 900", 0, "b82044f6278df7d13dbb6a6052cb19debcd85adf746447d0267a29e2817ac7d9"),
+    ("rate N --n-max 600 --ref-digits 510", 0, "964c16f679cdcb3c9ef7949538abcba3b98d9201fca0cf5d270eae0bc686ecc4"),
+    ("eval N --depth 10 --digits 5000", 0, "27a322beed40c8fc6a1a950c980e21277cd0891ea96e5d2d5875b1339c04de9e"),
 )
 
 
@@ -271,3 +280,9 @@ def test_stdout_golden_digests():
     for argv, code, digest in STDOUT_GOLDEN:
         got_code, text = run(argv.split())
         assert (got_code, hashlib.sha256(text.encode()).hexdigest()) == (code, digest), argv
+
+
+def test_eval_digits_beyond_int_str_limit():
+    code, text = run(["eval", "N", "--depth", "10", "--digits", "5000"])
+    assert code == 0
+    assert "Exceeds the limit" not in text

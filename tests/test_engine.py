@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from zeta3cf.engine import (
     DegenerateConvergent,
     InsufficientData,
+    _product,
+    _walk,
     convergents,
     convergents_from_terms,
     digits_per_term,
@@ -183,6 +185,25 @@ def test_truncation_value_matches_forward_on_random_level_stages(levels, b0, a1,
     assert backward == forward
 
 
+matrix_entries = st.integers(-(10**6), 10**6) | st.sampled_from([0, 1, -1])
+matrix_streams = st.lists(st.tuples(*[matrix_entries] * 4), max_size=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_streams, st.tuples(matrix_entries, matrix_entries), st.tuples(matrix_entries, matrix_entries))
+def test_product_tree_matches_walk(mats, col, col2):
+    # The tree product applied once equals the last columns of the step-by-step
+    # walk; the empty product is the identity, which leaves the columns as given.
+    last = [col, col2]
+    for last in _walk(mats, col, col2):
+        pass
+    assert next(_walk([_product(mats)], col, col2)) == last
+
+
+def test_product_tree_empty_is_identity():
+    assert _product([]) == (1, 0, 0, 1)
+
+
 def test_two_seed_agreement(nes_flat):
     # Backward evaluation is tail-seed-insensitive: with all terms positive
     # the depth-m map is monotone on (0, inf), so any two positive seeds land
@@ -243,6 +264,38 @@ def _series_reference(digits: int) -> Fraction:
 def test_series_oracle_matches_fraction_sum():
     for digits in [*range(1, 401), 1000]:
         assert zeta3_reference(digits).fraction == _series_reference(digits), digits
+
+
+def _deep_cf_by_convergents(digits: int) -> Fraction:
+    # The DEEP_CF oracle as a loop over full convergent tables and Fraction gaps.
+    flat = flatten(lookup("APERY"))
+    depth = int(digits / 3) + 12
+    for _ in range(6):
+        convs = convergents(flat, depth + 2)
+        gap1 = abs(convs[depth + 1].value - convs[depth].value)
+        gap2 = abs(convs[depth + 2].value - convs[depth + 1].value)
+        if gap2 < Fraction(1, 10 ** (digits + 6)) and gap2 * 50 < gap1:
+            return convs[depth + 2].value / 2
+        depth = depth + depth // 2 + 8
+    raise AssertionError(f"no certified depth for {digits} digits")
+
+
+def test_deep_cf_matches_convergent_loop():
+    for digits in [*range(1, 301), 1000]:
+        assert zeta3_reference(digits, "DEEP_CF").fraction == _deep_cf_by_convergents(digits), digits
+
+
+@pytest.mark.parametrize("oracle", ["SERIES", "DEEP_CF"])
+def test_reference_matches_mpmath(oracle):
+    # A third, independent oracle at positions where the next digits read
+    # 9990 (after 32), 0003 (after 356) and 0009 (after 617): a reference
+    # that is off by one unit in the last place shows up there first.
+    mpmath = pytest.importorskip("mpmath")
+    for digits in (32, 356, 617, 1000):
+        with mpmath.workdps(digits + 30):
+            scaled = int(mpmath.floor(mpmath.zeta(3) * mpmath.mpf(10) ** digits))
+        text = str(scaled)
+        assert zeta3_reference(digits, oracle).decimal == f"{text[:1]}.{text[1:]}", digits
 
 
 def test_series_tail_bound():

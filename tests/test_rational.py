@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeta3cf.rational import (
     log10_fraction,
@@ -82,6 +84,50 @@ def test_decimal_matches_oracle_randomized():
         assert text == oracle_digits(r, digits)
         if exact:
             assert Fraction(text) == r
+
+
+def long_division(r: Fraction, digits: int) -> tuple[str, bool]:
+    """Schoolbook long division, one fractional digit per step."""
+    sign = "-" if r < 0 else ""
+    whole, rem = divmod(abs(r.numerator), r.denominator)
+    out = []
+    for _ in range(digits):
+        digit, rem = divmod(rem * 10, r.denominator)
+        out.append(str(digit))
+    return f"{sign}{whole}.{''.join(out)}", rem == 0
+
+
+decimal_fractions = st.builds(
+    Fraction,
+    st.integers(-(10**40), 10**40) | st.sampled_from([0, 1, -1]),
+    # Products of 2s and 5s terminate: they exercise exact = True.
+    st.integers(1, 10**30) | st.builds(lambda i, j: 2**i * 5**j, st.integers(0, 60), st.integers(0, 60)),
+)
+
+
+@settings(max_examples=300)
+@given(decimal_fractions, st.integers(1, 300))
+def test_decimal_matches_long_division(r, digits):
+    assert to_decimal(r, digits) == long_division(r, digits)
+
+
+def test_decimal_small_cases():
+    assert to_decimal(Fraction(0), 3) == ("0.000", True)
+    assert to_decimal(Fraction(-1, 3), 2) == ("-0.33", False)
+    assert to_decimal(Fraction(-7, 2), 1) == ("-3.5", True)
+
+
+def test_decimal_beyond_int_str_limit():
+    # 5000 digits is past the interpreter's default 4300-digit int->str limit.
+    text, exact = to_decimal(Fraction(1, 7), 5000)
+    assert text == "0." + ("142857" * 834)[:5000]
+    assert not exact
+    text, exact = to_decimal(Fraction(1, 10**700), 1000)
+    assert text == "0." + "0" * 699 + "1" + "0" * 300
+    assert exact
+    r = Fraction(10**50 + 12345, 3**77 * 7)
+    for width in (640, 641, 1281, 4301):
+        assert to_decimal(r, width) == long_division(r, width), width
 
 
 def test_canonical_form_randomized():
