@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import engine, stages, verify
-from .rational import sci_string, to_decimal, truncate_float
+from .rational import ratio_to_decimal, sci_string, to_decimal, truncate_float
 
 MAX_REF_DIGITS = 1000
 
@@ -40,8 +39,8 @@ def _resolve_numeric_stage(name: str) -> stages.Stage:
     return cat[name]
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+def _ratio_str(num: int, den: int) -> str:
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +67,7 @@ def _cmd_eval(args) -> tuple[str, dict, dict]:
         "kind": stage.kind,
         "method": method,
         "depth": args.depth,
-        "fraction": _fraction_str(value),
+        "fraction": _ratio_str(value.numerator, value.denominator),
         "decimal": decimal,
         "exact": exact,
         "target": stage.target.name,
@@ -80,12 +79,10 @@ def _cmd_eval(args) -> tuple[str, dict, dict]:
 def _cmd_convergents(args) -> tuple[str, dict, dict]:
     stage = _resolve_numeric_stage(args.stage)
     flat = stages.flatten(stage)
-    convs = engine.convergents(flat, args.n_max)
-    rows = []
-    for c in convs:
-        value = c.value
-        decimal, _ = to_decimal(value, args.digits)
-        rows.append([c.n, c.p, c.q, _fraction_str(value), decimal])
+    rows = [
+        [c.n, c.p, c.q, _ratio_str(num, den), ratio_to_decimal(num, den, args.digits)[0]]
+        for c, num, den in engine.reduced_convergents(flat, args.n_max)
+    ]
     payload = {"stage": stage.name, "target": stage.target.name, "n_max": args.n_max}
     tables = {"convergents": (["n", "p", "q", "value", "decimal"], rows)}
     return "ok", payload, tables
@@ -164,18 +161,21 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
     except verify.NoAlignmentFound as exc:
         payload = {"error": str(exc)}
         return "fail", payload, {}
-    rows = [
-        [
-            r.v,
-            r.nes_index,
-            r.apery_index,
-            "true" if r.equal else "false",
-            _fraction_str(r.nes_value),
-            _fraction_str(r.apery_value),
-            r.nes_gcd,
-        ]
-        for r in report.entries
-    ]
+    rows = []
+    for r in report.entries:
+        nes_value = _ratio_str(*r.nes_ratio)
+        apery_value = nes_value if r.equal else _ratio_str(*r.apery_ratio)
+        rows.append(
+            [
+                r.v,
+                r.nes_index,
+                r.apery_index,
+                "true" if r.equal else "false",
+                nes_value,
+                apery_value,
+                r.nes_gcd,
+            ]
+        )
     payload = {
         "offset_nes": report.offset_nes,
         "offset_apery": report.offset_apery,

@@ -14,10 +14,13 @@ forward convergents (each row is reported) and backward truncation (each
 column is checked for a pole).  The oracles need only the last column and
 multiply their steps in a balanced product tree, `_product` (binary
 splitting; Haible & Papanikolaou, ANTS 1998), which turns n big-by-small
-products into O(log n) rounds of balanced big-by-big ones.  The matrix
-entries are plain ints: step-map entries and flattened term families are
-evaluated in integer Horner form (`Poly.value_at`, through `FlatCF.terms`
-for terms), so no Fraction arithmetic runs per step.
+products into O(log n) rounds of balanced big-by-big ones.  Tables that
+print every reduced convergent (the `convergents` and `gutnik` commands)
+use `reduced_convergents`, which walks the primitive part of the state
+matrix beside the unreduced one, so no row pays a gcd of the full p_n and
+q_n.  The matrix entries are plain ints: step-map entries and flattened
+term families are evaluated in integer Horner form (`Poly.value_at`,
+through `FlatCF.terms` for terms), so no Fraction arithmetic runs per step.
 
 The reference value of zeta(3) comes from two independent oracles: the
 alternating central-binomial series zeta(3) = (5/2) * sum (-1)^(n-1) /
@@ -58,7 +61,8 @@ class InsufficientReferencePrecision(ValueError):
 
 @dataclass(frozen=True)
 class Convergent:
-    """Unreduced p/q from the three-term recurrence plus the reduced value."""
+    """Unreduced p/q from the three-term recurrence; `value` reduces it on
+    each access."""
 
     n: int
     p: int
@@ -71,12 +75,54 @@ class Convergent:
 
 def convergents(flat: FlatCF, n_max: int) -> list[Convergent]:
     """Exact convergents x_0 .. x_{n_max} of a flattened fraction."""
+    pairs = convergents_from_terms(*_integer_cf(flat, n_max))
+    return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
+
+
+def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[tuple[Convergent, int, int]]:
+    """(x_n, num, den) for n = 0 .. n_max, lazily: the unreduced convergent
+    and num/den = p_n/q_n in lowest terms with den > 0.
+
+    Raises DegenerateConvergent(n) when row n is reached with q_n = 0.
+    """
+    return _reduced_walk(*_integer_cf(flat, n_max))
+
+
+def _integer_cf(flat: FlatCF, n_max: int) -> tuple[int, Iterator[tuple[int, int]]]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if flat.b0.denominator != 1:
         raise ValueError(f"non-integer leading term b0 = {flat.b0}")
-    pairs = convergents_from_terms(int(flat.b0), _integer_terms(flat, n_max))
-    return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
+    return int(flat.b0), _integer_terms(flat, n_max)
+
+
+def _reduced_walk(
+    b0: int, terms: Iterable[tuple[int, int]]
+) -> Iterator[tuple[Convergent, int, int]]:
+    # The state S_n = [[p_n, p_{n-1}], [q_n, q_{n-1}]] is h_n times a
+    # primitive matrix with columns x = (x1, x2) and y = (y1, y2), where h_n
+    # is the content (gcd of the four entries) of S_n.  A step multiplies on
+    # the right by [[b, 1], [a, 0]], giving [b x + a y, x]; as gcd(x) = gx
+    # divides x, its content is c = gcd(gx, a * gy) with gy = gcd(y).  Both
+    # are small, since h_n holds nearly all of gcd(p_n, q_n) =
+    # h_n * gcd(x1, x2), so the one big gcd per row is taken on x alone.
+    # Exactness needs only that c divides the content; taking all of it is
+    # what keeps x about a third the size of p_n.
+    p, p1, q, q1 = b0, 1, 1, 0
+    x1, x2, y1, y2 = b0, 1, 1, 0
+    gx = gy = 1
+    yield Convergent(0, b0, 1), b0, 1
+    for n, (a, b) in enumerate(terms, start=1):
+        p, p1, q, q1 = b * p + a * p1, p, b * q + a * q1, q
+        if q == 0:
+            raise DegenerateConvergent(n)
+        x1, x2, y1, y2 = b * x1 + a * y1, b * x2 + a * y2, x1, x2
+        c = math.gcd(gx, a * gy)
+        if c != 1:
+            x1, x2, y1, y2 = x1 // c, x2 // c, y1 // c, y2 // c
+        gx, gy = math.gcd(x1, x2), gx // c
+        num, den = (x1 // gx, x2 // gx) if gx != 1 else (x1, x2)
+        yield Convergent(n, p, q), (num if den > 0 else -num), abs(den)
 
 
 def _integer_terms(flat: FlatCF, n_max: int) -> Iterator[tuple[int, int]]:

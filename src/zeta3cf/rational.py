@@ -21,11 +21,16 @@ def to_decimal(r: Fraction, digits: int) -> tuple[str, bool]:
     Returns (text, exact); exact is True when the expansion terminates
     within `digits` digits.
     """
+    return ratio_to_decimal(r.numerator, r.denominator, digits)
+
+
+def ratio_to_decimal(num: int, den: int, digits: int) -> tuple[str, bool]:
+    """`to_decimal` of num/den for ints with den > 0, with no Fraction built."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    sign = "-" if r < 0 else ""
-    whole, rem = divmod(abs(r.numerator), r.denominator)
-    frac, rem = divmod(rem * 10**digits, r.denominator)
+    sign = "-" if num < 0 else ""
+    whole, rem = divmod(abs(num), den)
+    frac, rem = divmod(rem * 10**digits, den)
     return f"{sign}{whole}.{_zero_padded(frac, digits)}", rem == 0
 
 

@@ -20,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .engine import ReferenceValue, Terms, convergents, truncation_value, zeta3_reference
+from .engine import (
+    ReferenceValue,
+    Terms,
+    convergents,
+    reduced_convergents,
+    truncation_value,
+    zeta3_reference,
+)
 from .mobius import DegenerateMobius, PolyMobius, scale_map
 from .polynomial import Poly, poly_gcd
 from .rational import sci_string
@@ -335,13 +342,23 @@ def flat_prefix(flat: FlatCF, length: int) -> Terms:
 
 @dataclass(frozen=True)
 class AlignmentRow:
+    """One aligned pair; each value is held as its reduced (num, den), den > 0."""
+
     v: int
     nes_index: int
     apery_index: int
     equal: bool
-    nes_value: Fraction
-    apery_value: Fraction
+    nes_ratio: tuple[int, int]
+    apery_ratio: tuple[int, int]
     nes_gcd: int  # common factor of the unreduced Nesterenko p, q
+
+    @property
+    def nes_value(self) -> Fraction:
+        return Fraction(*self.nes_ratio)
+
+    @property
+    def apery_value(self) -> Fraction:
+        return Fraction(*self.apery_ratio)
 
 
 @dataclass(frozen=True)
@@ -362,22 +379,34 @@ def gutnik_alignment(nes: FlatCF, apery: FlatCF, v_max: int) -> AlignmentReport:
     window [-3, 3] to absorb indexing-convention differences, then applied
     to every v up to v_max.  Rows whose shifted index falls below zero are
     skipped as boundary entries.
+
+    Only the Apery side is reduced (`reduced_convergents`).  The unreduced
+    Nesterenko p/q equals the coprime num/den exactly when den divides |q|
+    and sign(q) * p = num * (|q| / den); the quotient |q| / den is then
+    gcd(p, q), which is `nes_gcd`.  An unequal row reduces p/q as a
+    Fraction, and `nes_gcd` is |q| over its denominator.
     """
     if v_max < 1:
         raise ValueError("v_max must be >= 1")
     # Depth covers both the calibration rows (v <= 3) and the full range.
     nes_convs = convergents(nes, max(4 * v_max, 12) + 2)
-    apery_convs = convergents(apery, max(v_max, 3) + 4)
+    apery_ratios = [
+        (num, den) for _, num, den in reduced_convergents(apery, max(v_max, 3) + 4)
+    ]
 
     def row(v: int, d_nes: int, d_apery: int) -> AlignmentRow | None:
         i = 4 * v - 2 + d_nes
         j = v + d_apery
         if i < 0 or j < 0:
             return None
-        nc, ac = nes_convs[i], apery_convs[j]
-        nv, av = nc.value, ac.value
-        # Fraction(p, q) reduces by gcd(p, q), so |q| / denominator is it.
-        return AlignmentRow(v, i, j, nv == av, nv, av, abs(nc.q) // nv.denominator)
+        p, q = nes_convs[i].p, nes_convs[i].q
+        num, den = apery_ratios[j]
+        g, rem = divmod(abs(q), den)
+        if rem == 0 and (p if q > 0 else -p) == num * g:
+            return AlignmentRow(v, i, j, True, (num, den), (num, den), g)
+        nv = Fraction(p, q)
+        ratio = (nv.numerator, nv.denominator)
+        return AlignmentRow(v, i, j, False, ratio, (num, den), abs(q) // nv.denominator)
 
     chosen: tuple[int, int] | None = None
     for d_nes in range(-3, 4):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 
+from zeta3cf import engine, stages
 from zeta3cf.cli import main
 
 
@@ -173,6 +174,25 @@ def test_format_equivalence_eval():
     assert record["abs_error"] == payload["abs_error"]
 
 
+def test_gutnik_unequal_rows_render_both_values(monkeypatch):
+    # Redirect the negative-control hook to a_10, past the calibration rows,
+    # so the table carries unequal rows instead of failing calibration.
+    bump = stages.perturbed
+    monkeypatch.setattr(stages, "perturbed", lambda flat, n, delta: bump(flat, 10, delta))
+    code, text = run(["gutnik", "--v-max", "12", "--hook-perturb", "--format", "csv"])
+    assert code == 1
+    rows = csv_rows(text)[1:]
+    assert [row[3] for row in rows] == ["true"] * 9 + ["false"] * 3
+    for row in rows:
+        assert (row[4] == row[5]) == (row[3] == "true")
+    apery = stages.flatten(stages.lookup("APERY"))
+    values = [c.value for c in engine.convergents(bump(apery, 10, 1), 12)]
+    assert [row[5] for row in rows] == [
+        f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        for x in values[1:]
+    ]
+
+
 def test_format_equivalence_gutnik():
     _, doc = run_json(["gutnik", "--v-max", "3"])
     _, csv_text = run(["gutnik", "--v-max", "3", "--format", "csv"])
@@ -247,7 +267,10 @@ def test_hooks_hidden_from_help():
 # `rate N --n-max 200` was re-recorded when error_curve began sizing its
 # reference from the convergent gap: it used to exit 2 on a too-short one.
 # The ref/eval/rate shapes from 900 digits up were recorded before the two
-# oracles and to_decimal moved off per-term and per-digit loops.
+# oracles and to_decimal moved off per-term and per-digit loops.  The
+# gutnik json/csv, gutnik --v-max 300 and convergents APERY --n-max 300
+# shapes were recorded before the tables stopped reducing each row with a
+# full-size gcd.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "b8269a8791cfbd7de1e9c64f9416aab3d58fc3e4a2d475b5835873ea19b55c0d"),
     ("eval W --depth 300", 0, "574066261fc33592e50e169d7534070c1f8eee9b6272da772252cf29b423abdd"),
@@ -273,6 +296,12 @@ STDOUT_GOLDEN = (
     ("eval N --depth 1200 --digits 900", 0, "b82044f6278df7d13dbb6a6052cb19debcd85adf746447d0267a29e2817ac7d9"),
     ("rate N --n-max 600 --ref-digits 510", 0, "964c16f679cdcb3c9ef7949538abcba3b98d9201fca0cf5d270eae0bc686ecc4"),
     ("eval N --depth 10 --digits 5000", 0, "27a322beed40c8fc6a1a950c980e21277cd0891ea96e5d2d5875b1339c04de9e"),
+    ("gutnik --v-max 100 --format json", 0, "d12302f780d7f7d3b0f7c805be8bd340489e8deedd7d44f15f70b96fcbcdb0ec"),
+    ("gutnik --v-max 100 --format csv", 0, "8c95bf01c0534af81c1d26d8a732eea745f77958d4c7df2e9fc381526920297c"),
+    ("gutnik --v-max 300", 0, "51d699ff3b52a5ccee0a5342688ac501786dc5afbe8880078f3f2fbafd361386"),
+    ("convergents APERY --n-max 300 --format text", 0, "2da2a104222b7012397e94f3971c0c17ef0e3b7614750428fc48d0725005041f"),
+    ("convergents APERY --n-max 300 --format json", 0, "a70183936ec2c4ff562089dc625f7bb9590f41d428a02cadcc8d194334edc070"),
+    ("convergents APERY --n-max 300 --format csv", 0, "a9278ed3011752c230e8f1240a40291f2dbe4d4bac83401e78277510582f2024"),
 )
 
 

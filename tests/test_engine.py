@@ -19,6 +19,7 @@ from zeta3cf.engine import (
     error_curve,
     eval_backward,
     oracles_agree,
+    reduced_convergents,
     truncation_value,
     values_from_terms,
     zeta3_reference,
@@ -183,6 +184,62 @@ def test_truncation_value_matches_forward_on_random_level_stages(levels, b0, a1,
     except (PoleError, DegenerateConvergent):
         assume(False)
     assert backward == forward
+
+
+# Random integer-term flat fractions: each of the `period` term families is a
+# polynomial of degree <= 2 in the block index, so a_n and b_n take zero and
+# negative values at some n, and b0 ranges over nonpositive values too.
+def _flat_from_families(b0: int, fams: list[tuple[Poly, Poly]]) -> FlatCF:
+    b_fam = tuple(b for b, _ in fams)
+    a_fam = tuple(a for _, a in fams)
+    return FlatCF("R", Fraction(b0), Fraction(a_fam[0].value_at(0)), len(fams), b_fam, a_fam)
+
+
+small_polys = st.lists(small_ints, max_size=3).map(Poly)
+random_integer_cfs = st.builds(
+    _flat_from_families,
+    st.integers(-5, 5),
+    st.lists(st.tuples(small_polys, small_polys), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_integer_cfs, st.integers(0, 40))
+def test_reduced_convergents_match_fraction(flat, n_max):
+    # Each row is the unreduced convergent and Fraction(p, q)'s numerator and
+    # denominator; |q| / den is gcd(p, q).  A vanishing q_n raises at the
+    # same n as convergents(), after the same rows.
+    rows = []
+    try:
+        for row in reduced_convergents(flat, n_max):
+            rows.append(row)
+    except DegenerateConvergent as exc:
+        with pytest.raises(DegenerateConvergent) as expected:
+            convergents(flat, n_max)
+        assert exc.n == expected.value.n == len(rows)
+    else:
+        assert len(rows) == n_max + 1
+    for conv, (got, num, den) in zip(convergents(flat, len(rows) - 1), rows):
+        assert got == conv
+        value = Fraction(conv.p, conv.q)
+        assert (num, den) == (value.numerator, value.denominator)
+        g = abs(conv.q) // den
+        assert g == math.gcd(conv.p, conv.q)
+        assert conv.p == (num * g if conv.q > 0 else -num * g)
+
+
+def test_reduced_convergents_match_fraction_at_table_sizes(nes_flat, apery_flat):
+    for flat, n_max in ((apery_flat, 120), (nes_flat, 480)):
+        convs = convergents(flat, n_max)
+        rows = list(reduced_convergents(flat, n_max))
+        assert [c for c, _, _ in rows] == convs
+        assert [Fraction(num, den) for _, num, den in rows] == [c.value for c in convs]
+        assert all(den > 0 for _, _, den in rows)
+
+
+def test_reduced_convergents_checks_arguments_eagerly(nes_flat):
+    with pytest.raises(ValueError):
+        reduced_convergents(nes_flat, -1)
 
 
 matrix_entries = st.integers(-(10**6), 10**6) | st.sampled_from([0, 1, -1])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ from math import ceil
 
 import pytest
 
-from zeta3cf.engine import convergents_from_terms
+from zeta3cf.engine import convergents, convergents_from_terms
 from zeta3cf.mobius import PolyMobius, scale_map
 from zeta3cf.polynomial import K, Poly
 from zeta3cf.stages import Target, catalog, lookup, perturbed, substitution_chain
@@ -345,6 +346,21 @@ def test_gutnik_perturbed_fails(nes_flat, apery_flat):
     broken = perturbed(apery_flat, 1, 1)
     with pytest.raises(NoAlignmentFound):
         gutnik_alignment(nes_flat, broken, 3)
+
+
+def test_gutnik_unequal_rows_reduce_nesterenko_side(nes_flat, apery_flat):
+    # a_10 bumped: the Apery side changes from v = 10 on, after calibration.
+    report = gutnik_alignment(nes_flat, perturbed(apery_flat, 10, 1), 15)
+    assert (report.offset_nes, report.offset_apery) == (0, 0)
+    assert [r.v for r in report.entries] == list(range(1, 16))
+    assert [r.equal for r in report.entries] == [v <= 9 for v in range(1, 16)]
+    nes_convs = convergents(nes_flat, 4 * 15 + 2)
+    for r in report.entries:
+        c = nes_convs[r.nes_index]
+        assert type(r.nes_value) is Fraction and type(r.apery_value) is Fraction
+        assert r.nes_value == Fraction(c.p, c.q)
+        assert r.nes_gcd == math.gcd(c.p, c.q)
+        assert (r.nes_value == r.apery_value) == r.equal
 
 
 def test_gutnik_rejects_bad_vmax(nes_flat, apery_flat):
