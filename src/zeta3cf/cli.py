@@ -156,11 +156,7 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
     apery = stages.flatten(stages.lookup("APERY"))
     if args.hook_perturb:
         apery = stages.perturbed(apery, 1, 1)
-    try:
-        report = verify.gutnik_alignment(nes, apery, args.v_max)
-    except verify.NoAlignmentFound as exc:
-        payload = {"error": str(exc)}
-        return "fail", payload, {}
+    report = verify.gutnik_alignment(nes, apery, args.v_max)
     rows = []
     for r in report.entries:
         nes_value = _ratio_str(*r.nes_ratio)

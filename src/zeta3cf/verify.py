@@ -44,7 +44,6 @@ from .stages import (
 
 RESIDUAL_DEPTH = 25
 RESIDUAL_REF_DIGITS = 40
-RESIDUAL_BOUND = Fraction(1, 10**20)
 
 
 class DegenerateSigma(ArithmeticError):
@@ -57,10 +56,6 @@ class ChainInconsistency(ArithmeticError):
 
 class InvalidScale(ValueError):
     """An equivalence transformation used a zero scale factor."""
-
-
-class NoAlignmentFound(ValueError):
-    """No offset pair aligns the two convergent sequences."""
 
 
 def canonical_head(stage: Stage) -> PolyMobius:
@@ -375,10 +370,9 @@ class AlignmentReport:
 def gutnik_alignment(nes: FlatCF, apery: FlatCF, v_max: int) -> AlignmentReport:
     """Match reduced Nesterenko convergents at 4v-2 with Apery ones at v.
 
-    The offset pair (delta, delta') is calibrated on v in {1, 2, 3} over the
-    window [-3, 3] to absorb indexing-convention differences, then applied
-    to every v up to v_max.  Rows whose shifted index falls below zero are
-    skipped as boundary entries.
+    The index map (4v - 2, v) is the one the coincidence states, checked
+    for v = 1 .. v_max with no search, so `offset_nes` and `offset_apery`
+    are always 0.
 
     Only the Apery side is reduced (`reduced_convergents`).  The unreduced
     Nesterenko p/q equals the coprime num/den exactly when den divides |q|
@@ -388,48 +382,19 @@ def gutnik_alignment(nes: FlatCF, apery: FlatCF, v_max: int) -> AlignmentReport:
     """
     if v_max < 1:
         raise ValueError("v_max must be >= 1")
-    # Depth covers both the calibration rows (v <= 3) and the full range.
-    nes_convs = convergents(nes, max(4 * v_max, 12) + 2)
-    apery_ratios = [
-        (num, den) for _, num, den in reduced_convergents(apery, max(v_max, 3) + 4)
-    ]
-
-    def row(v: int, d_nes: int, d_apery: int) -> AlignmentRow | None:
-        i = 4 * v - 2 + d_nes
-        j = v + d_apery
-        if i < 0 or j < 0:
-            return None
-        p, q = nes_convs[i].p, nes_convs[i].q
-        num, den = apery_ratios[j]
-        g, rem = divmod(abs(q), den)
-        if rem == 0 and (p if q > 0 else -p) == num * g:
-            return AlignmentRow(v, i, j, True, (num, den), (num, den), g)
-        nv = Fraction(p, q)
-        ratio = (nv.numerator, nv.denominator)
-        return AlignmentRow(v, i, j, False, ratio, (num, den), abs(q) // nv.denominator)
-
-    chosen: tuple[int, int] | None = None
-    for d_nes in range(-3, 4):
-        for d_apery in range(-3, 4):
-            ok = True
-            for v in (1, 2, 3):
-                r = row(v, d_nes, d_apery)
-                if r is None or not r.equal:
-                    ok = False
-                    break
-            if ok:
-                chosen = (d_nes, d_apery)
-                break
-        if chosen:
-            break
-    if chosen is None:
-        raise NoAlignmentFound(
-            "no offset pair in [-3, 3] aligns the sequences for v in {1, 2, 3}"
-        )
-    d_nes, d_apery = chosen
+    nes_convs = convergents(nes, 4 * v_max - 2)
+    apery_ratios = [(num, den) for _, num, den in reduced_convergents(apery, v_max)]
     rows = []
     for v in range(1, v_max + 1):
-        r = row(v, d_nes, d_apery)
-        if r is not None:
-            rows.append(r)
-    return AlignmentReport(d_nes, d_apery, tuple(rows))
+        i = 4 * v - 2
+        p, q = nes_convs[i].p, nes_convs[i].q
+        num, den = apery_ratios[v]
+        g, rem = divmod(abs(q), den)
+        if rem == 0 and (p if q > 0 else -p) == num * g:
+            row = AlignmentRow(v, i, v, True, (num, den), (num, den), g)
+        else:
+            nv = Fraction(p, q)
+            ratio = (nv.numerator, nv.denominator)
+            row = AlignmentRow(v, i, v, False, ratio, (num, den), abs(q) // nv.denominator)
+        rows.append(row)
+    return AlignmentReport(0, 0, tuple(rows))

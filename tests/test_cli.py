@@ -129,6 +129,15 @@ def test_gutnik_csv_header_plus_rows():
 def test_gutnik_perturbed_exit_1():
     code, _ = run(["gutnik", "--v-max", "3", "--hook-perturb"])
     assert code == 1
+    code, text = run(["gutnik", "--v-max", "3", "--hook-perturb", "--format", "csv"])
+    assert code == 1
+    rows = csv_rows(text)
+    assert rows[0][-2:] == ["offset_nes", "offset_apery"]
+    assert [row[:4] for row in rows[1:]] == [
+        ["1", "2", "1", "false"], ["2", "6", "2", "false"], ["3", "10", "3", "false"]
+    ]
+    assert rows[1][4:6] == ["12/5", "13/5"]
+    assert all(row[-2:] == ["0", "0"] for row in rows[1:])
 
 
 def test_ref_seven_digits():
@@ -175,8 +184,8 @@ def test_format_equivalence_eval():
 
 
 def test_gutnik_unequal_rows_render_both_values(monkeypatch):
-    # Redirect the negative-control hook to a_10, past the calibration rows,
-    # so the table carries unequal rows instead of failing calibration.
+    # Redirect the negative-control hook to a_10, so the table carries
+    # nine equal rows before the unequal ones.
     bump = stages.perturbed
     monkeypatch.setattr(stages, "perturbed", lambda flat, n, delta: bump(flat, 10, delta))
     code, text = run(["gutnik", "--v-max", "12", "--hook-perturb", "--format", "csv"])
@@ -270,7 +279,8 @@ def test_hooks_hidden_from_help():
 # oracles and to_decimal moved off per-term and per-digit loops.  The
 # gutnik json/csv, gutnik --v-max 300 and convergents APERY --n-max 300
 # shapes were recorded before the tables stopped reducing each row with a
-# full-size gcd.
+# full-size gcd.  The verify-chain and catalog shapes were recorded before
+# the Gutnik offset search and the DEEP_CF depth escalation were deleted.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "b8269a8791cfbd7de1e9c64f9416aab3d58fc3e4a2d475b5835873ea19b55c0d"),
     ("eval W --depth 300", 0, "574066261fc33592e50e169d7534070c1f8eee9b6272da772252cf29b423abdd"),
@@ -302,6 +312,13 @@ STDOUT_GOLDEN = (
     ("convergents APERY --n-max 300 --format text", 0, "2da2a104222b7012397e94f3971c0c17ef0e3b7614750428fc48d0725005041f"),
     ("convergents APERY --n-max 300 --format json", 0, "a70183936ec2c4ff562089dc625f7bb9590f41d428a02cadcc8d194334edc070"),
     ("convergents APERY --n-max 300 --format csv", 0, "a9278ed3011752c230e8f1240a40291f2dbe4d4bac83401e78277510582f2024"),
+    ("verify-chain --format text", 0, "9f5fab7f7037935cd57798a04166ceaa64b2e6f8bb97e29002afc3b187f57dd0"),
+    ("verify-chain --format json", 0, "a4686421815594283b985170385081cc508ed613969ffa7a27bebdf31dd027bb"),
+    ("verify-chain --format csv", 0, "68b37a8453da1678fa9dde809934870ce9fb6d1b1257254c5dac8695fe90e8fd"),
+    ("catalog --format text", 0, "07df7d2256fb244bce96b32092196e40b9a96ac66a962973cc2c1c99ddbf8bd3"),
+    ("catalog --format json", 0, "d8646431e5d5c5229a4b0446d0055e16a85ee9e816392d1d2bb0f48b756df6c7"),
+    ("catalog --format csv", 0, "d44472dd74b9125a5427ca1d6166d893c555c22a697f1d68112919fc67a65e1d"),
+    ("verify-chain --hook-break-sigma W", 1, "f9859c5c7fbba30bd16d8c0f3bc0b89212f817d7a863f5d5de6dafce287da747"),
 )
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zeta3cf.engine import (
     DegenerateConvergent,
     InsufficientData,
+    InsufficientReferencePrecision,
     _product,
     _walk,
     convergents,
@@ -24,6 +25,8 @@ from zeta3cf.engine import (
     values_from_terms,
     zeta3_reference,
 )
+from zeta3cf import engine
+from zeta3cf.cli import MAX_REF_DIGITS
 from zeta3cf.mobius import PoleError, PolyMobius
 from zeta3cf.stages import FlatCF, Stage, Target, flatten, lookup, perturbed, stage_from_levels
 from zeta3cf.polynomial import K, Poly
@@ -340,6 +343,32 @@ def _deep_cf_by_convergents(digits: int) -> Fraction:
 def test_deep_cf_matches_convergent_loop():
     for digits in [*range(1, 301), 1000]:
         assert zeta3_reference(digits, "DEEP_CF").fraction == _deep_cf_by_convergents(digits), digits
+
+
+def test_deep_cf_certifies_at_first_depth_for_every_cli_precision():
+    # DEEP_CF tests one depth, digits/3 + 12, and raises if it fails; for
+    # Apery's fraction that depth passes at every precision `ref` accepts.
+    for digits in range(1, MAX_REF_DIGITS + 1):
+        zeta3_reference(digits, "DEEP_CF")
+
+
+SLOW_CONSTANT = stage_from_levels("C", [(10, 1)], PolyMobius(0, 1, 1, 0), Target.ZETA3)
+
+
+@pytest.mark.parametrize(
+    "stage, digits",
+    [
+        # Resolves ten digits at depth 12 but contracts ~6x per term, not 50x.
+        (lookup("N"), 1),
+        # Contracts ~100x per term but resolves ~93 of 106 digits at depth 45.
+        (SLOW_CONSTANT, 100),
+    ],
+    ids=["N-no-contraction", "constant-no-resolution"],
+)
+def test_deep_cf_uncertified_depth_raises(monkeypatch, stage, digits):
+    monkeypatch.setattr(engine, "lookup", lambda name: stage)
+    with pytest.raises(InsufficientReferencePrecision):
+        zeta3_reference(digits, "DEEP_CF")
 
 
 @pytest.mark.parametrize("oracle", ["SERIES", "DEEP_CF"])

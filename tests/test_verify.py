@@ -15,7 +15,6 @@ from zeta3cf.stages import Target, catalog, lookup, perturbed, substitution_chai
 from zeta3cf.verify import (
     DegenerateSigma,
     InvalidScale,
-    NoAlignmentFound,
     canonical_head,
     derive_stage,
     equivalence_scale,
@@ -343,13 +342,19 @@ def test_gutnik_unreduced_factors_reported(nes_flat, apery_flat):
 
 
 def test_gutnik_perturbed_fails(nes_flat, apery_flat):
-    broken = perturbed(apery_flat, 1, 1)
-    with pytest.raises(NoAlignmentFound):
-        gutnik_alignment(nes_flat, broken, 3)
+    # a_1 bumped: every Apery convergent changes, so every row of the
+    # fixed map (4v - 2, v) reports the mismatch.
+    report = gutnik_alignment(nes_flat, perturbed(apery_flat, 1, 1), 3)
+    assert (report.offset_nes, report.offset_apery) == (0, 0)
+    assert [(r.nes_index, r.apery_index) for r in report.entries] == [(2, 1), (6, 2), (10, 3)]
+    assert not any(r.equal for r in report.entries)
+    assert not report.all_equal
+    assert report.entries[0].nes_value == Fraction(12, 5)
+    assert report.entries[0].apery_value == Fraction(13, 5)
 
 
 def test_gutnik_unequal_rows_reduce_nesterenko_side(nes_flat, apery_flat):
-    # a_10 bumped: the Apery side changes from v = 10 on, after calibration.
+    # a_10 bumped: the Apery side changes from v = 10 on.
     report = gutnik_alignment(nes_flat, perturbed(apery_flat, 10, 1), 15)
     assert (report.offset_nes, report.offset_apery) == (0, 0)
     assert [r.v for r in report.entries] == list(range(1, 16))
@@ -369,12 +374,11 @@ def test_gutnik_rejects_bad_vmax(nes_flat, apery_flat):
 
 
 def test_gutnik_boundary_indices_skipped(nes_flat, apery_flat):
-    # Offsets that would push an index below zero are excluded rather than
-    # wrapped, so every reported row carries valid nonnegative indices.
+    # The fixed map puts row v at (4v - 2, v), so no row is skipped and
+    # the first one already carries valid nonnegative indices.
     report = gutnik_alignment(nes_flat, apery_flat, 1)
     assert len(report.entries) == 1
-    assert report.entries[0].nes_index >= 0
-    assert report.entries[0].apery_index >= 0
+    assert (report.entries[0].nes_index, report.entries[0].apery_index) == (2, 1)
 
 
 def test_canonical_head_scales_zeta3_targets():
