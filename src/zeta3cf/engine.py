@@ -21,6 +21,10 @@ matrix beside the unreduced one, so no row pays a gcd of the full p_n and
 q_n.  The matrix entries are plain ints: step-map entries and flattened
 term families are evaluated in integer Horner form (`Poly.value_at`,
 through `FlatCF.terms` for terms), so no Fraction arithmetic runs per step.
+The rate measurement walks one more column: for a limit L = L_n / L_d the
+residual r_n = L_d p_n - L_n q_n obeys the same recurrence, and
+|x_n - L| = |r_n| / (|q_n| L_d), so each row's error is read from bit
+lengths with no reduction.
 
 The reference value of zeta(3) comes from two independent oracles: the
 alternating central-binomial series zeta(3) = (5/2) * sum (-1)^(n-1) /
@@ -37,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .mobius import PoleError
-from .rational import log10_fraction, to_decimal
+from .rational import log10_fraction, log10_ratio, to_decimal
 from .stages import FlatCF, Stage, Target, flatten, lookup
 
 Terms = list[tuple[Fraction, Fraction]]  # [(a_n, b_n)] for n = 1, 2, ...
@@ -338,11 +342,14 @@ def error_curve(
 ) -> ErrorCurve:
     """Measure accuracy of the first n_max convergents against the reference.
 
-    Indices where x_n equals the reference exactly are omitted.  Before
-    measuring, a reference too short for the gap |x_n - x_{n-1}| of the
-    last two convergents (about the error of x_{n-1}) is extended to 20
-    digits past it; if the largest measured accuracy still comes within 10
-    guard digits of the reference precision, that is an error.
+    Each d_n = log10|q_n| + log10 L_d - log10|r_n| comes from the residual
+    column r_n = L_d p_n - L_n q_n, walked over the same terms as p_n and
+    q_n; only the last two convergents are reduced.  Indices where x_n
+    equals the reference exactly (r_n = 0) are omitted.  Before measuring,
+    a reference too short for the gap |x_n - x_{n-1}| of the last two
+    convergents (about the error of x_{n-1}) is extended to 20 digits past
+    it; if the largest measured accuracy still comes within 10 guard
+    digits of the reference precision, that is an error.
     """
     convs = convergents(flat, n_max)
     if len(convs) > 1:
@@ -350,12 +357,19 @@ def error_curve(
         need = int(-log10_fraction(gap)) + 20 if gap else 0
         if need > ref.digits:
             ref = zeta3_reference(need, ref.oracle_id)
+    # Seeded r_{-1} = L_d, r_0 = b_0 L_d - L_n; each row costs two
+    # big-by-small products and two bit-length logs, with no gcd.
     limit = ref.value(target)
-    points: list[tuple[int, float]] = []
-    for conv in convs:
-        err = abs(conv.value - limit)
-        if err:
-            points.append((conv.n, -log10_fraction(err)))
+    b0, terms = _integer_cf(flat, n_max)
+    seed = (b0 * limit.denominator - limit.numerator, limit.denominator)
+    walked = _walk(((b, a, 1, 0) for a, b in terms), seed)
+    residuals = [seed[0]] + [r for [(r, _)] in walked]
+    log_den = log10_ratio(limit.denominator, 1)
+    points = [
+        (conv.n, log10_ratio(abs(conv.q), abs(r)) + log_den)
+        for conv, r in zip(convs, residuals)
+        if r
+    ]
     max_d = max((d for _, d in points), default=0.0)
     if max_d > ref.digits - 10:
         raise InsufficientReferencePrecision(

@@ -66,9 +66,15 @@ def _log10_int(n: int) -> float:
 
 def log10_fraction(r: Fraction) -> float:
     """log10 of a positive rational, safe for arbitrarily large num/den."""
-    if r <= 0:
+    return log10_ratio(r.numerator, r.denominator)
+
+
+def log10_ratio(num: int, den: int) -> float:
+    """`log10_fraction` of num/den for positive ints, reduced or not, with
+    no Fraction built and no gcd taken."""
+    if num <= 0 or den <= 0:
         raise ValueError("log10 needs a positive value")
-    return _log10_int(r.numerator) - _log10_int(r.denominator)
+    return _log10_int(num) - _log10_int(den)
 
 
 def sci_string(r: Fraction, sig_digits: int = 3) -> str:

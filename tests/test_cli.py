@@ -281,6 +281,8 @@ def test_hooks_hidden_from_help():
 # shapes were recorded before the tables stopped reducing each row with a
 # full-size gcd.  The verify-chain and catalog shapes were recorded before
 # the Gutnik offset search and the DEEP_CF depth escalation were deleted.
+# The last four rate shapes were recorded before error_curve measured each
+# row from the residual column instead of reducing x_n - L.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "b8269a8791cfbd7de1e9c64f9416aab3d58fc3e4a2d475b5835873ea19b55c0d"),
     ("eval W --depth 300", 0, "574066261fc33592e50e169d7534070c1f8eee9b6272da772252cf29b423abdd"),
@@ -319,6 +321,10 @@ STDOUT_GOLDEN = (
     ("catalog --format json", 0, "d8646431e5d5c5229a4b0446d0055e16a85ee9e816392d1d2bb0f48b756df6c7"),
     ("catalog --format csv", 0, "d44472dd74b9125a5427ca1d6166d893c555c22a697f1d68112919fc67a65e1d"),
     ("verify-chain --hook-break-sigma W", 1, "f9859c5c7fbba30bd16d8c0f3bc0b89212f817d7a863f5d5de6dafce287da747"),
+    ("rate APERY --n-max 150 --ref-digits 495 --format json", 0, "72148efb4ba87073ca1f5dc6454a28933280b7a44ee5d8bba928907af3c995fc"),
+    ("rate N --n-max 531 --ref-digits 454 --format csv", 0, "31484994829a5f045cee5ec89da19c6f807fe956821bc5e21e66352f807578db"),
+    ("rate APERY --n-max 25 --window 5:25", 0, "4ea22b7ceb5a41c31ca43beda048add832ae7e716feb060d62215aff8fb9033d"),
+    ("rate N --n-max 300 --ref-digits 30", 0, "78f86b35aa64e5bf65746c7394603e3d19bad060b15b21d3a587a04de979f901"),
 )
 
 

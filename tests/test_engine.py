@@ -30,7 +30,7 @@ from zeta3cf.cli import MAX_REF_DIGITS
 from zeta3cf.mobius import PoleError, PolyMobius
 from zeta3cf.stages import FlatCF, Stage, Target, flatten, lookup, perturbed, stage_from_levels
 from zeta3cf.polynomial import K, Poly
-from zeta3cf.rational import truncate_float
+from zeta3cf.rational import log10_fraction, truncate_float
 
 from test_polynomial import fraction_horner
 
@@ -422,6 +422,58 @@ def test_error_curve_omits_exact_hits(apery_flat):
     indices = [n for n, _ in curve.points]
     assert 2 not in indices
     assert {0, 1, 3, 4} <= set(indices)
+
+
+@pytest.mark.parametrize("name, n_max", [("APERY", 150), ("N", 600)])
+def test_error_curve_residual_matches_fraction_errors(name, n_max):
+    # The residual column against the direct measurement: reduce each x_n,
+    # subtract the reference, take log10 of the exact error.
+    flat = flatten(lookup(name))
+    ref = zeta3_reference(520)
+    curve = error_curve(flat, Target.TWO_ZETA3, n_max, ref)
+    assert curve.ref_digits == 520
+    limit = ref.value(Target.TWO_ZETA3)
+    direct = {}
+    for c in convergents(flat, n_max):
+        err = abs(c.value - limit)
+        if err:
+            direct[c.n] = -log10_fraction(err)
+    assert [n for n, _ in curve.points] == sorted(direct)
+    for n, d in curve.points:
+        assert abs(d - direct[n]) < 1e-9, n
+
+
+def test_error_curve_degenerate_convergent_raises(ref40):
+    # b_1 = K(0) = 0 and a_1 = 1 give q_1 = 0 before any residual is walked.
+    flat = FlatCF("T", Fraction(1), Fraction(1), 1, (K,), (Poly.const(1),))
+    with pytest.raises(DegenerateConvergent, match=r"^q_1 = 0$"):
+        error_curve(flat, Target.ZETA3, 5, ref40)
+
+
+def test_error_curve_reduces_only_the_gap(monkeypatch, nes_flat, ref40):
+    # Each row is measured from the residual column; only the last two
+    # convergents are reduced, to size the reference.
+    reads = []
+    value = engine.Convergent.value
+
+    def counted(self):
+        reads.append(self.n)
+        return value.fget(self)
+
+    monkeypatch.setattr(engine.Convergent, "value", property(counted))
+    error_curve(nes_flat, Target.TWO_ZETA3, 400, ref40)
+    assert len(reads) <= 2
+
+
+# Apery's convergents gain 2 log10(1 + sqrt 2)**4 = 2 log10(17 + 12 sqrt 2)
+# digits per term; Nesterenko's N takes four terms for each of Apery's.
+APERY_RATE = 2 * math.log10(17 + 12 * math.sqrt(2))
+
+
+@pytest.mark.parametrize("name, n_max, rate", [("APERY", 100, APERY_RATE), ("N", 400, APERY_RATE / 4)])
+def test_slope_matches_rate_theory(name, n_max, rate, ref40):
+    curve = error_curve(flatten(lookup(name)), Target.TWO_ZETA3, n_max, ref40)
+    assert abs(digits_per_term(curve, n_max // 5 + 1, n_max) - rate) < 5e-4
 
 
 def test_slope_apery_window(apery_flat, ref120):

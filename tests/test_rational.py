@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from zeta3cf.rational import (
     log10_fraction,
+    log10_ratio,
     sci_string,
     to_decimal,
     truncate_float,
@@ -143,6 +144,28 @@ def test_canonical_form_randomized():
 def test_log10_fraction_large():
     r = Fraction(10**500 + 12345, 3)
     assert abs(log10_fraction(r) - (500 - log10_fraction(Fraction(3)))) < 1e-6
+
+
+def test_log10_ratio_is_log10_fraction_core():
+    rng = random.Random(31)
+    for _ in range(300):
+        r = Fraction(rng.randint(1, 10 ** rng.randint(1, 400)), rng.randint(1, 10 ** rng.randint(1, 400)))
+        assert log10_ratio(r.numerator, r.denominator) == log10_fraction(r)
+
+
+def test_log10_ratio_unreduced():
+    rng = random.Random(37)
+    for _ in range(100):
+        r = Fraction(rng.randint(1, 10**60), rng.randint(1, 10**60))
+        common = rng.getrandbits(10**4) | 1 << (10**4 - 1)
+        got = log10_ratio(r.numerator * common, r.denominator * common)
+        assert abs(got - log10_fraction(r)) < 1e-12
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (1, 0), (-3, 2), (3, -2), (-3, -2)])
+def test_log10_ratio_rejects_non_positive(num, den):
+    with pytest.raises(ValueError):
+        log10_ratio(num, den)
 
 
 def test_sci_string():
