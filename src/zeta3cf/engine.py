@@ -8,13 +8,13 @@ recurrence in exact integers:
 seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
 needs a tail seed while forward convergents do not.  Both, and the two
-oracles below, are products of 2x2 integer matrices.  Callers that need
-every intermediate column walk the product one step at a time in `_walk`:
-forward convergents (each row is reported) and backward truncation (each
-column is checked for a pole).  The oracles need only the last column and
-multiply their steps in a balanced product tree, `_product` (binary
-splitting; Haible & Papanikolaou, ANTS 1998), which turns n big-by-small
-products into O(log n) rounds of balanced big-by-big ones.  Tables that
+oracles below, are products of 2x2 integer matrices.  Callers that report
+every row walk them one step at a time in `_walk`: forward convergents and
+the rate measurement.  Backward evaluation and the oracles need only the
+last column and multiply their steps in a balanced product tree, `_product`
+(binary splitting; Haible & Papanikolaou, ANTS 1998), which turns n
+big-by-small products into O(log n) rounds of balanced big-by-big ones;
+backward evaluation tests only its final column for a pole.  Tables that
 print every reduced convergent (the `convergents` and `gutnik` commands)
 use `reduced_convergents`, which walks the primitive part of the state
 matrix beside the unreduced one, so no row pays a gcd of the full p_n and
@@ -158,8 +158,8 @@ def values_from_terms(b0: Fraction, terms: Terms) -> list[Fraction]:
 def eval_backward(stage: Stage, depth: int, seed: Fraction | int) -> Fraction:
     """Seed X_depth, apply the step maps down to X_0, then the head.
 
-    Exact; a pole along the descent propagates as PoleError with the
-    offending index.
+    Exact on the projective line: PoleError only when the final value is
+    infinite (x = "infinity") or some map met 0/0 (x = "0/0").
     """
     return _descend(stage, depth, depth, Fraction(seed).as_integer_ratio())
 
@@ -169,14 +169,15 @@ def truncation_value(stage: Stage, depth: int) -> Fraction:
 
     For a level-form stage this seeds the full block at k = depth with its
     own trailing term removed (the b-part rule for one-level stages).
+    Poles are as for `eval_backward`: only an infinite or 0/0 final value.
     """
     return _descend(stage, depth, depth + 1, (1, 0))
 
 
 def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fraction:
-    """Apply step_k for k = top-1 .. 0, then the head, to the column (x, y) = x/y.
-
-    (1, 0) is infinity.  PoleError carries the value entering the failing map.
+    """Apply step_k for k = top-1 .. 0, then the head, to the column (x, y) = x/y,
+    as one product: (1, 0) is infinity, and a column is never rescaled, so a
+    map's 0/0 stays (0, 0) and only the final column needs testing.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -184,12 +185,10 @@ def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fract
     mats = (
         (m.a.value_at(k), m.b.value_at(k), m.c.value_at(k), m.d.value_at(k)) for m, k in maps
     )
-    x = seed
-    for (_, k), (col,) in zip(maps, _walk(mats, seed)):
-        if col[1] == 0:
-            raise PoleError(k, Fraction(*x) if x[1] else "infinity")
-        x = col
-    return Fraction(*x)
+    [(x, y)] = next(_walk([_product(mats)], seed))
+    if y == 0:
+        raise PoleError(0, "infinity" if x else "0/0")
+    return Fraction(x, y)
 
 
 def _walk(mats: Iterable[tuple], *cols: tuple) -> Iterator[list[tuple]]:
@@ -351,23 +350,24 @@ def error_curve(
     it; if the largest measured accuracy still comes within 10 guard
     digits of the reference precision, that is an error.
     """
-    convs = convergents(flat, n_max)
-    if len(convs) > 1:
-        gap = abs(convs[-1].value - convs[-2].value)
+    b0, terms = _integer_cf(flat, n_max)
+    terms = list(terms)
+    pairs = convergents_from_terms(b0, terms)
+    if len(pairs) > 1:
+        gap = abs(Fraction(*pairs[-1]) - Fraction(*pairs[-2]))
         need = int(-log10_fraction(gap)) + 20 if gap else 0
         if need > ref.digits:
             ref = zeta3_reference(need, ref.oracle_id)
     # Seeded r_{-1} = L_d, r_0 = b_0 L_d - L_n; each row costs two
     # big-by-small products and two bit-length logs, with no gcd.
     limit = ref.value(target)
-    b0, terms = _integer_cf(flat, n_max)
     seed = (b0 * limit.denominator - limit.numerator, limit.denominator)
     walked = _walk(((b, a, 1, 0) for a, b in terms), seed)
     residuals = [seed[0]] + [r for [(r, _)] in walked]
     log_den = log10_ratio(limit.denominator, 1)
     points = [
-        (conv.n, log10_ratio(abs(conv.q), abs(r)) + log_den)
-        for conv, r in zip(convs, residuals)
+        (n, log10_ratio(abs(q), abs(r)) + log_den)
+        for n, ((_, q), r) in enumerate(zip(pairs, residuals))
         if r
     ]
     max_d = max((d for _, d in points), default=0.0)

@@ -28,7 +28,12 @@ class DegenerateMobius(ArithmeticError):
 
 
 class PoleError(ArithmeticError):
-    """Evaluation hit a zero denominator; carries the offending (k, x)."""
+    """Evaluation has no finite value; carries (k, x).
+
+    `PolyMobius.apply` raises it for a zero denominator at index k and
+    argument x.  Backward evaluation raises it only for its final value,
+    with k = 0 and x = "infinity" (infinite) or "0/0" (some map met 0/0).
+    """
 
     def __init__(self, k: int, x: object):
         super().__init__(f"pole at k={k}, x={x}")
