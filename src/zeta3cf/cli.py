@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from decimal import Decimal
+from json.encoder import encode_basestring_ascii
 
 from . import engine, stages, verify
-from .rational import ratio_to_decimal, sci_string, to_decimal, truncate_float
+from .rational import decimal_int_str, ratio_to_decimal, sci_string, to_decimal, truncate_float
 
 MAX_REF_DIGITS = 1000
 
@@ -80,8 +83,8 @@ def _cmd_convergents(args) -> tuple[str, dict, dict]:
     stage = _resolve_numeric_stage(args.stage)
     flat = stages.flatten(stage)
     rows = [
-        [c.n, c.p, c.q, _ratio_str(num, den), ratio_to_decimal(num, den, args.digits)[0]]
-        for c, num, den in engine.reduced_convergents(flat, args.n_max)
+        [n, p, q, _ratio_str(num, den), ratio_to_decimal(num, den, args.digits)[0]]
+        for n, p, q, num, den in engine.reduced_convergents(flat, args.n_max)
     ]
     payload = {"stage": stage.name, "target": stage.target.name, "n_max": args.n_max}
     tables = {"convergents": (["n", "p", "q", "value", "decimal"], rows)}
@@ -267,23 +270,76 @@ def _emit_text(command, status, payload, tables, out) -> None:
         if not rows:
             continue
         print(f"[{name}]", file=out)
-        cells = [[_plain(cell) for cell in row] for row in reversed(rows)]
+        # Decimal cells (p_n, q_n) are measured unrendered and rendered only
+        # as their row prints, so their long texts never all exist at once.
+        cells = [
+            [c if isinstance(c, Decimal) else _plain(c) for c in row] for row in reversed(rows)
+        ]
         widths = [
-            max(len(str(h)), max(len(r[i]) for r in cells))
+            max(len(str(h)), max(_width(r[i]) for r in cells))
             for i, h in enumerate(header)
         ]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)), file=out)
         while cells:  # pop each row as it prints, so its strings are freed
-            print("  ".join(c.ljust(w) for c, w in zip(cells.pop(), widths)), file=out)
+            print("  ".join(_plain(c).ljust(w) for c, w in zip(cells.pop(), widths)), file=out)
     print(f"status: {status}", file=out)
 
 
 def _emit_json(command, status, payload, tables, out) -> None:
+    """The envelope as json.dumps(doc, indent=2) would write it, with
+    Decimal cells as bare integers.  The whole text is built before anything
+    is written: an integer longer than this interpreter's int-str limit
+    raises CommandError first, since json.loads could not read it back."""
     body = dict(payload)
     for name, (header, rows) in tables.items():
         body[name] = [dict(zip(header, row)) for row in rows]
     doc = {"command": command, "format": "json", "status": status, "payload": body}
-    print(json.dumps(doc, indent=2), file=out)
+    # Python 3.10 builds before 3.10.7 have no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    chunks: list[str] = []
+    _json_chunks(doc, "\n", limit, chunks)
+    chunks.append("\n")
+    out.write("".join(chunks))
+
+
+def _json_chunks(value, pad: str, limit: int, chunks: list[str]) -> None:
+    """Append the text of `value` at the indentation `pad` (a newline and
+    two spaces per level) to `chunks`."""
+    if isinstance(value, dict) and value:
+        inner, sep = pad + "  ", "{"
+        for key, item in value.items():
+            chunks.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _json_chunks(item, inner, limit, chunks)
+            sep = ","
+        chunks.append(pad + "}")
+    elif isinstance(value, list) and value:
+        inner, sep = pad + "  ", "["
+        for item in value:
+            chunks.append(sep + inner)
+            _json_chunks(item, inner, limit, chunks)
+            sep = ","
+        chunks.append(pad + "]")
+    elif isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif isinstance(value, Decimal):
+        if limit and value.adjusted() >= limit:
+            raise CommandError(_too_long(limit))
+        chunks.append(decimal_int_str(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        try:
+            chunks.append(int.__repr__(value))
+        except ValueError as exc:
+            raise CommandError(_too_long(limit)) from exc
+    else:
+        chunks.append(json.dumps(value))
+
+
+def _too_long(limit: int) -> str:
+    return (
+        f"a JSON integer exceeds this interpreter's {limit}-digit int-str limit, so"
+        " json.loads could not read it; use --format text or csv, or set"
+        " PYTHONINTMAXSTRDIGITS=0"
+    )
 
 
 def _emit_csv(command, status, payload, tables, out) -> None:
@@ -330,9 +386,18 @@ def _print_table(header, rows, out) -> None:
         print(",".join(_plain(c) for c in row), file=out)
 
 
+def _width(cell) -> int:
+    """len(_plain(cell)) for a cell that is a str or an integral Decimal."""
+    if isinstance(cell, Decimal):
+        return cell.adjusted() + 1 + (cell < 0)
+    return len(cell)
+
+
 def _plain(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, Decimal):
+        return decimal_int_str(value)
     return str(value)
 
 
@@ -431,10 +496,24 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         status, payload, tables = _COMMANDS[command](args)
     except (CommandError, ValueError, KeyError, ArithmeticError) as exc:
-        _render(args, command, "error", {"error": str(exc)}, {}, out)
+        return _render_error(args, command, exc, out)
+    try:
+        _render(args, command, status, payload, tables, out)
+        out.flush()
+    except CommandError as exc:  # raised by _emit_json before it writes
+        return _render_error(args, command, exc, out)
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered raises nothing.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    _render(args, command, status, payload, tables, out)
     return 0 if status == "ok" else 1
+
+
+def _render_error(args, command, exc, out) -> int:
+    _render(args, command, "error", {"error": str(exc)}, {}, out)
+    return 2
 
 
 if __name__ == "__main__":

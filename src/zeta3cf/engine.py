@@ -18,9 +18,16 @@ backward evaluation tests only its final column for a pole.  Tables that
 print every reduced convergent (the `convergents` and `gutnik` commands)
 use `reduced_convergents`, which walks the primitive part of the state
 matrix beside the unreduced one, so no row pays a gcd of the full p_n and
-q_n.  The matrix entries are plain ints: step-map entries and flattened
-term families are evaluated in integer Horner form (`Poly.value_at`,
-through `FlatCF.terms` for terms), so no Fraction arithmetic runs per step.
+q_n.  The `convergents` table also prints every unreduced p_n and q_n in
+full, thousands of digits each, and CPython converts an int to text in
+time quadratic in its length: rendering binary columns cost far more than
+computing them.  So that walk carries p_n and q_n as integral Decimals,
+exact through `rational.EXACT`, which print in linear time and past the
+interpreter's int-to-text digit limit; the reduced num/den stay ints, as
+they need `math.gcd`, and `convergents` keeps int fields.  The matrix
+entries are plain ints: step-map entries and flattened term families are
+evaluated in integer Horner form (`Poly.value_at`, through `FlatCF.terms`
+for terms), so no Fraction arithmetic runs per step.
 The rate measurement walks one more column: for a limit L = L_n / L_d the
 residual r_n = L_d p_n - L_n q_n obeys the same recurrence, and
 |x_n - L| = |r_n| / (|q_n| L_d), so each row's error is read from bit
@@ -37,11 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .mobius import PoleError
-from .rational import log10_fraction, log10_ratio, to_decimal
+from .rational import EXACT, log10_fraction, log10_ratio, to_decimal
 from .stages import FlatCF, Stage, Target, flatten, lookup
 
 Terms = list[tuple[Fraction, Fraction]]  # [(a_n, b_n)] for n = 1, 2, ...
@@ -83,9 +91,13 @@ def convergents(flat: FlatCF, n_max: int) -> list[Convergent]:
     return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
 
 
-def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[tuple[Convergent, int, int]]:
-    """(x_n, num, den) for n = 0 .. n_max, lazily: the unreduced convergent
-    and num/den = p_n/q_n in lowest terms with den > 0.
+ReducedRow = tuple[int, Decimal, Decimal, int, int]  # (n, p_n, q_n, num, den)
+
+
+def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[ReducedRow]:
+    """(n, p_n, q_n, num, den) for n = 0 .. n_max, lazily: the unreduced
+    convergent as integral Decimals and num/den = p_n/q_n in lowest terms,
+    as ints with den > 0.
 
     Raises DegenerateConvergent(n) when row n is reached with q_n = 0.
     """
@@ -100,9 +112,7 @@ def _integer_cf(flat: FlatCF, n_max: int) -> tuple[int, Iterator[tuple[int, int]
     return int(flat.b0), _integer_terms(flat, n_max)
 
 
-def _reduced_walk(
-    b0: int, terms: Iterable[tuple[int, int]]
-) -> Iterator[tuple[Convergent, int, int]]:
+def _reduced_walk(b0: int, terms: Iterable[tuple[int, int]]) -> Iterator[ReducedRow]:
     # The state S_n = [[p_n, p_{n-1}], [q_n, q_{n-1}]] is h_n times a
     # primitive matrix with columns x = (x1, x2) and y = (y1, y2), where h_n
     # is the content (gcd of the four entries) of S_n.  A step multiplies on
@@ -112,13 +122,14 @@ def _reduced_walk(
     # h_n * gcd(x1, x2), so the one big gcd per row is taken on x alone.
     # Exactness needs only that c divides the content; taking all of it is
     # what keeps x about a third the size of p_n.
-    p, p1, q, q1 = b0, 1, 1, 0
+    fma, mul = EXACT.fma, EXACT.multiply
+    p, p1, q, q1 = Decimal(b0), Decimal(1), Decimal(1), Decimal(0)
     x1, x2, y1, y2 = b0, 1, 1, 0
     gx = gy = 1
-    yield Convergent(0, b0, 1), b0, 1
+    yield 0, p, q, b0, 1
     for n, (a, b) in enumerate(terms, start=1):
-        p, p1, q, q1 = b * p + a * p1, p, b * q + a * q1, q
-        if q == 0:
+        p, p1, q, q1 = fma(b, p, mul(a, p1)), p, fma(b, q, mul(a, q1)), q
+        if not q:
             raise DegenerateConvergent(n)
         x1, x2, y1, y2 = b * x1 + a * y1, b * x2 + a * y2, x1, x2
         c = math.gcd(gx, a * gy)
@@ -126,7 +137,7 @@ def _reduced_walk(
             x1, x2, y1, y2 = x1 // c, x2 // c, y1 // c, y2 // c
         gx, gy = math.gcd(x1, x2), gx // c
         num, den = (x1 // gx, x2 // gx) if gx != 1 else (x1, x2)
-        yield Convergent(n, p, q), (num if den > 0 else -num), abs(den)
+        yield n, p, q, (num if den > 0 else -num), abs(den)
 
 
 def _integer_terms(flat: FlatCF, n_max: int) -> Iterator[tuple[int, int]]:

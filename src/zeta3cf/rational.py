@@ -7,12 +7,43 @@ This module adds what Fraction does not provide: decimal rendering that
 truncates toward zero (never rounds), so printed digits do not depend on
 any rounding mode, plus a log10 that is safe for huge numerators and
 denominators and the scientific notation built on it.
+
+Integers that are only ever printed in full are carried as integral
+`decimal.Decimal` values instead, because CPython converts a binary int to
+decimal text in time quadratic in its length and a Decimal in linear time.
+Their arithmetic goes through explicit calls on `EXACT`, never through
+operators, so an ambient decimal context cannot round them.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
+
+# Exact integer arithmetic in base 10: EXACT.multiply and EXACT.fma never
+# round, and a result that would need rounding raises instead.  Only
+# methods called on this context are exact; `*` and `+` on Decimals use
+# the caller's context, which may round.
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
+
+def decimal_int_str(d: decimal.Decimal) -> str:
+    """str(int(d)) for an integral Decimal built by EXACT from ints, in time
+    linear in its length.  A signed zero (a negative term times zero) prints
+    as "0", never "-0"."""
+    return str(d) if d else "0"
 
 
 def to_decimal(r: Fraction, digits: int) -> tuple[str, bool]:

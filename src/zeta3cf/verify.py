@@ -383,7 +383,7 @@ def gutnik_alignment(nes: FlatCF, apery: FlatCF, v_max: int) -> AlignmentReport:
     if v_max < 1:
         raise ValueError("v_max must be >= 1")
     nes_convs = convergents(nes, 4 * v_max - 2)
-    apery_ratios = [(num, den) for _, num, den in reduced_convergents(apery, v_max)]
+    apery_ratios = [(num, den) for *_, num, den in reduced_convergents(apery, v_max)]
     rows = []
     for v in range(1, v_max + 1):
         i = 4 * v - 2

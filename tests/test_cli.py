@@ -1,11 +1,24 @@
 from __future__ import annotations
 
+import decimal
 import hashlib
 import io
 import json
+import subprocess
+import sys
+from decimal import Decimal
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zeta3cf import engine, stages
-from zeta3cf.cli import main
+from zeta3cf.cli import CommandError, _emit_csv, _emit_json, _emit_text, _plain, main
+from zeta3cf.polynomial import Poly
+
+from test_engine import _flat_from_families, random_integer_cfs
+
+INT_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run(argv):
@@ -282,7 +295,10 @@ def test_hooks_hidden_from_help():
 # full-size gcd.  The verify-chain and catalog shapes were recorded before
 # the Gutnik offset search and the DEEP_CF depth escalation were deleted.
 # The last four rate shapes were recorded before error_curve measured each
-# row from the residual column instead of reducing x_n - L.
+# row from the residual column instead of reducing x_n - L.  The
+# convergents N --n-max 1000 and APERY --n-max 500 shapes, the largest
+# tables the benchmark prints, were recorded before the printed p_n, q_n
+# columns were walked as Decimals and json.dumps gave way to _emit_json.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "b8269a8791cfbd7de1e9c64f9416aab3d58fc3e4a2d475b5835873ea19b55c0d"),
     ("eval W --depth 300", 0, "574066261fc33592e50e169d7534070c1f8eee9b6272da772252cf29b423abdd"),
@@ -325,6 +341,12 @@ STDOUT_GOLDEN = (
     ("rate N --n-max 531 --ref-digits 454 --format csv", 0, "31484994829a5f045cee5ec89da19c6f807fe956821bc5e21e66352f807578db"),
     ("rate APERY --n-max 25 --window 5:25", 0, "4ea22b7ceb5a41c31ca43beda048add832ae7e716feb060d62215aff8fb9033d"),
     ("rate N --n-max 300 --ref-digits 30", 0, "78f86b35aa64e5bf65746c7394603e3d19bad060b15b21d3a587a04de979f901"),
+    ("convergents N --n-max 1000 --format text", 0, "2036accaed4385512c814f404954b2d74659fd0df3180bbb5ae93239e98f97f3"),
+    ("convergents N --n-max 1000 --format json", 0, "7138795c751ea68b4515b38aa5c50753588d0a9005fa21a4b6656f827a2f283c"),
+    ("convergents N --n-max 1000 --format csv", 0, "9275b807224b82f27e58add75f1dc795718ee3cd415c033c44c7c303bd0d239f"),
+    ("convergents APERY --n-max 500 --format text", 0, "c8092eeb4ac2db688724bd6baa879d8626f0b0057a6f56e3fa606a0b6f6cb94d"),
+    ("convergents APERY --n-max 500 --format json", 0, "416929bfb0419e9361a6f282bf119c15ccfcb52ea768ceadaa183d4853bb1780"),
+    ("convergents APERY --n-max 500 --format csv", 0, "cbec634cef7586896449caa57d02e10ef8c5cc8643db4b39e690e48bd8c1f7ac"),
 )
 
 
@@ -338,3 +360,120 @@ def test_eval_digits_beyond_int_str_limit():
     code, text = run(["eval", "N", "--depth", "10", "--digits", "5000"])
     assert code == 0
     assert "Exceeds the limit" not in text
+
+
+def test_convergents_past_the_int_str_limit(apery_flat):
+    # Text and csv print p_n, q_n of any length.  JSON integers longer than
+    # the interpreter's limit would not load back: exit 2 with one error
+    # envelope and nothing written before it.
+    code, text = run(["convergents", "APERY", "--n-max", "600", "--format", "csv"])
+    assert code == 0
+    n, p, q = csv_rows(text)[-1][:3]
+    conv = engine.convergents(apery_flat, 600)[-1]
+    assert n == "600" and len(p) > 4300
+    assert (Decimal(p), Decimal(q)) == (conv.p, conv.q)
+    code, text = run(["convergents", "APERY", "--n-max", "600", "--format", "json"])
+    if 0 < INT_STR_LIMIT < len(p):
+        assert code == 2
+        doc = json.loads(text)
+        assert doc["status"] == "error"
+        assert "PYTHONINTMAXSTRDIGITS=0" in doc["payload"]["error"]
+    else:
+        assert code == 0
+
+
+@pytest.mark.skipif(not INT_STR_LIMIT, reason="no int-str digit limit")
+def test_emit_json_refuses_a_long_int_before_writing():
+    out = io.StringIO()
+    with pytest.raises(CommandError):
+        _emit_json("x", "ok", {"big": 10**INT_STR_LIMIT}, {}, out)
+    assert out.getvalue() == ""
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # The table is far larger than a pipe buffer, so the CLI is still
+    # writing when the reader closes its end after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zeta3cf.cli", "convergents", "N", "--n-max", "1000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"command: convergents\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert b"Traceback" not in err
+
+
+def test_convergents_table_ignores_the_ambient_decimal_context(apery_flat):
+    argv = ["convergents", "APERY", "--n-max", "200", "--format", "csv"]
+    _, want = run(argv)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        assert run(argv)[1] == want
+    with decimal.localcontext() as ctx:
+        ctx.clear_traps()
+        ctx.rounding = decimal.ROUND_FLOOR  # x + (-x) is -0 here
+        assert run(argv)[1] == want
+    # Negative control: plain operators under prec=5 round such a column.
+    p = next(c.p for c in engine.convergents(apery_flat, 200) if len(str(c.p)) >= 600)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        assert Decimal(p) * 1 + 0 != p
+
+
+json_scalars = (
+    st.text()
+    | st.text(st.characters(max_codepoint=0x1F) | st.characters(min_codepoint=0x80))
+    | st.booleans()
+    | st.none()
+    | st.integers()
+    | st.sampled_from([0, -1, 10**3000 + 7, -(10**2999) - 3])
+)
+json_tables = st.lists(st.text(), max_size=3).flatmap(
+    lambda header: st.tuples(
+        st.just(header),
+        st.lists(st.lists(json_scalars, min_size=len(header), max_size=len(header)), max_size=3),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(),
+    st.sampled_from(["ok", "fail", "error"]),
+    st.dictionaries(st.text(), json_scalars, max_size=4),
+    st.dictionaries(st.text(), json_tables, max_size=2),
+)
+def test_emit_json_matches_json_dumps(command, status, payload, tables):
+    body = dict(payload)
+    for name, (header, rows) in tables.items():
+        body[name] = [dict(zip(header, row)) for row in rows]
+    doc = {"command": command, "format": "json", "status": status, "payload": body}
+    out = io.StringIO()
+    _emit_json(command, status, payload, tables, out)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_integer_cfs, st.integers(0, 40))
+# b0 = 0, a_1 = 0 and b_2, a_2 < 0 give p_2 = (-2)(0) + (-1)(0) = Decimal("-0").
+@example(_flat_from_families(0, [(Poly([-1]), Poly([0])), (Poly([-2]), Poly([-1]))]), 6)
+def test_decimal_cells_render_as_ints(flat, n_max):
+    rows = []
+    try:
+        for n, p, q, _, _ in engine.reduced_convergents(flat, n_max):
+            rows.append([n, p, q])
+    except engine.DegenerateConvergent:
+        pass
+    ints = [[c.n, c.p, c.q] for c in engine.convergents(flat, len(rows) - 1)]
+    assert [[_plain(cell) for cell in row] for row in rows] == [
+        [str(cell) for cell in row] for row in ints
+    ]
+    header = ["n", "p", "q"]
+    for emit in (_emit_text, _emit_csv, _emit_json):
+        got, want = io.StringIO(), io.StringIO()
+        emit("convergents", "ok", {}, {"convergents": (header, rows)}, got)
+        emit("convergents", "ok", {}, {"convergents": (header, ints)}, want)
+        assert got.getvalue() == want.getvalue()

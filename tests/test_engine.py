@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -226,9 +227,10 @@ random_integer_cfs = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(random_integer_cfs, st.integers(0, 40))
 def test_reduced_convergents_match_fraction(flat, n_max):
-    # Each row is the unreduced convergent and Fraction(p, q)'s numerator and
-    # denominator; |q| / den is gcd(p, q).  A vanishing q_n raises at the
-    # same n as convergents(), after the same rows.
+    # Each row is n, the unreduced convergent as integral Decimals, and
+    # Fraction(p, q)'s numerator and denominator; |q| / den is gcd(p, q).
+    # A vanishing q_n raises at the same n as convergents(), after the same
+    # rows.
     rows = []
     try:
         for row in reduced_convergents(flat, n_max):
@@ -239,8 +241,10 @@ def test_reduced_convergents_match_fraction(flat, n_max):
         assert exc.n == expected.value.n == len(rows)
     else:
         assert len(rows) == n_max + 1
-    for conv, (got, num, den) in zip(convergents(flat, len(rows) - 1), rows):
-        assert got == conv
+    for conv, (n, p, q, num, den) in zip(convergents(flat, len(rows) - 1), rows):
+        assert isinstance(p, Decimal) and isinstance(q, Decimal)
+        assert (n, int(p), int(q)) == (conv.n, conv.p, conv.q)
+        assert p.as_tuple().exponent == q.as_tuple().exponent == 0
         value = Fraction(conv.p, conv.q)
         assert (num, den) == (value.numerator, value.denominator)
         g = abs(conv.q) // den
@@ -252,9 +256,9 @@ def test_reduced_convergents_match_fraction_at_table_sizes(nes_flat, apery_flat)
     for flat, n_max in ((apery_flat, 120), (nes_flat, 480)):
         convs = convergents(flat, n_max)
         rows = list(reduced_convergents(flat, n_max))
-        assert [c for c, _, _ in rows] == convs
-        assert [Fraction(num, den) for _, num, den in rows] == [c.value for c in convs]
-        assert all(den > 0 for _, _, den in rows)
+        assert [(n, int(p), int(q)) for n, p, q, _, _ in rows] == [(c.n, c.p, c.q) for c in convs]
+        assert [Fraction(num, den) for *_, num, den in rows] == [c.value for c in convs]
+        assert all(den > 0 for *_, den in rows)
 
 
 def test_reduced_convergents_checks_arguments_eagerly(nes_flat):
