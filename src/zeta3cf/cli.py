@@ -263,6 +263,7 @@ def _cmd_ref(args) -> tuple[str, dict, dict]:
 
 
 def _emit_text(command, status, payload, tables, out) -> None:
+    tables = _rendered(tables)
     print(f"command: {command}", file=out)
     for key, value in payload.items():
         print(f"{key}: {_plain(value)}", file=out)
@@ -270,11 +271,7 @@ def _emit_text(command, status, payload, tables, out) -> None:
         if not rows:
             continue
         print(f"[{name}]", file=out)
-        # Decimal cells (p_n, q_n) are measured unrendered and rendered only
-        # as their row prints, so their long texts never all exist at once.
-        cells = [
-            [c if isinstance(c, Decimal) else _plain(c) for c in row] for row in reversed(rows)
-        ]
+        cells = rows[::-1]
         widths = [
             max(len(str(h)), max(_width(r[i]) for r in cells))
             for i, h in enumerate(header)
@@ -345,6 +342,7 @@ def _too_long(limit: int) -> str:
 def _emit_csv(command, status, payload, tables, out) -> None:
     # One table per invocation; scalar payload entries fold into it so the
     # csv carries the same numeric content as the other formats.
+    tables = _rendered(tables)
     if command == "gutnik" and "alignment" in tables:
         header, rows = tables["alignment"]
         header = header + ["offset_nes", "offset_apery"]
@@ -384,6 +382,23 @@ def _print_table(header, rows, out) -> None:
     print(",".join(header), file=out)
     for row in rows:
         print(",".join(_plain(c) for c in row), file=out)
+
+
+def _rendered(tables: dict) -> dict:
+    """`tables` with every non-Decimal cell rendered before anything is
+    written, so an integer past the int-str limit raises CommandError first.
+    Decimal cells (p_n, q_n) never hit that limit and render only as their
+    row prints, so their long texts never all exist at once."""
+    try:
+        return {
+            name: (header, [[c if isinstance(c, Decimal) else _plain(c) for c in r] for r in rows])
+            for name, (header, rows) in tables.items()
+        }
+    except ValueError as exc:  # str() of an int raises it only past the limit
+        raise CommandError(
+            f"an integer exceeds this interpreter's {sys.get_int_max_str_digits()}-digit"
+            " int-str limit; set PYTHONINTMAXSTRDIGITS=0"
+        ) from exc
 
 
 def _width(cell) -> int:
@@ -500,7 +515,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         _render(args, command, status, payload, tables, out)
         out.flush()
-    except CommandError as exc:  # raised by _emit_json before it writes
+    except CommandError as exc:  # raised by an emitter before it writes
         return _render_error(args, command, exc, out)
     except BrokenPipeError:
         # The reader closed the pipe.  Point stdout at devnull so that the

@@ -11,11 +11,13 @@ needs a tail seed while forward convergents do not.  Both, and the two
 oracles below, are products of 2x2 integer matrices.  Callers that report
 every row walk them one step at a time in `_walk`: forward convergents and
 the rate measurement.  Backward evaluation and the oracles need only the
-last column and multiply their steps in a balanced product tree, `_product`
+last column and multiply their steps in a balanced product tree
 (binary splitting; Haible & Papanikolaou, ANTS 1998), which turns n
-big-by-small products into O(log n) rounds of balanced big-by-big ones;
-backward evaluation tests only its final column for a pole.  Tables that
-print every reduced convergent (the `convergents` and `gutnik` commands)
+big-by-small products into O(log n) rounds of balanced big-by-big ones.
+That tree is `mobius._product`, the package's one 2x2 matrix product; it
+also composes the polynomial maps of the stage chain.  Backward
+evaluation tests only its final column for a pole.  Tables that print
+every reduced convergent (the `convergents` and `gutnik` commands)
 use `reduced_convergents`, which walks the primitive part of the state
 matrix beside the unreduced one, so no row pays a gcd of the full p_n and
 q_n.  The `convergents` table also prints every unreduced p_n and q_n in
@@ -48,7 +50,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .mobius import PoleError
+from .mobius import PoleError, _product
 from .rational import EXACT, log10_fraction, log10_ratio, to_decimal
 from .stages import FlatCF, Stage, Target, flatten, lookup
 
@@ -208,21 +210,6 @@ def _walk(mats: Iterable[tuple], *cols: tuple) -> Iterator[list[tuple]]:
     for a, b, c, d in mats:
         cols = [(a * x + b * y, c * x + d * y) for x, y in cols]
         yield cols
-
-
-def _product(mats: Iterable[tuple]) -> tuple:
-    """The product M_n ... M_2 M_1 of the matrices (a, b, c, d) in the order
-    `_walk` applies them, so `_walk([_product(mats)], *cols)` yields the
-    last columns of `_walk(mats, *cols)`.  Adjacent pairs are multiplied in
-    rounds, a balanced product tree; the empty product is (1, 0, 0, 1)."""
-    mats = list(mats) or [(1, 0, 0, 1)]
-    while len(mats) > 1:
-        odd = mats[-1:] if len(mats) % 2 else []
-        mats = [
-            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            for (e, f, g, h), (a, b, c, d) in zip(mats[::2], mats[1::2])
-        ] + odd
-    return mats[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ map render identically: the four entries share no common rational content
 and no common polynomial factor of positive degree, and the first nonzero
 entry in (a, b, c, d) order has a positive leading coefficient.
 
-Composition of maps is matrix multiplication.  Equality of maps is
-projective -- equal up to a nonzero scalar -- and is decided by
-cross-multiplication of entries, never by division.
+Composition of maps is matrix multiplication, through `_product`: the
+package's one 2x2 matrix product, which serves these polynomial matrices
+and the integer matrices of the engine alike.  Equality of maps is
+projective -- equal up to a nonzero scalar -- and is decided by comparing
+normal forms: the form above is unique in each projective class over Q(k),
+and every map is an exact multiple of its normal form.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Iterable, Union
 
 from .polynomial import Poly, Scalar, _make, as_poly, poly_gcd
 
@@ -75,12 +78,7 @@ class PolyMobius:
 
     def compose(self, other: "PolyMobius") -> "PolyMobius":
         """Matrix product: (self o other) as maps."""
-        return PolyMobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return PolyMobius(*_product([other.entries, self.entries]))
 
     __matmul__ = compose
 
@@ -89,14 +87,9 @@ class PolyMobius:
         return PolyMobius(self.d, -self.b, -self.c, self.a)
 
     def proj_eq(self, other: "PolyMobius") -> bool:
-        """True iff self == lambda * other for some nonzero scalar lambda."""
-        mine = self.entries
-        theirs = other.entries
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if not (mine[i] * theirs[j] - mine[j] * theirs[i]).is_zero:
-                    return False
-        return True
+        """True iff self == lambda * other for some nonzero scalar lambda:
+        both are stored in the one normal form of their projective class."""
+        return self.entries == other.entries
 
     def shifted(self, offset: int) -> "PolyMobius":
         """Substitute k -> k + offset in every entry."""
@@ -126,6 +119,22 @@ class PolyMobius:
 
     def __repr__(self) -> str:
         return f"PolyMobius{self}"
+
+
+def _product(mats: Iterable[tuple]) -> tuple:
+    """The product M_n ... M_2 M_1 of the matrices (a, b, c, d), over ints or
+    Polys, in the order `engine._walk` applies them, so
+    `_walk([_product(mats)], *cols)` yields the last columns of
+    `_walk(mats, *cols)`.  Adjacent pairs are multiplied in rounds, a
+    balanced product tree; the empty product is (1, 0, 0, 1)."""
+    mats = list(mats) or [(1, 0, 0, 1)]
+    while len(mats) > 1:
+        odd = mats[-1:] if len(mats) % 2 else []
+        mats = [
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for (e, f, g, h), (a, b, c, d) in zip(mats[::2], mats[1::2])
+        ] + odd
+    return mats[0]
 
 
 def _normalize(entries: list[Poly]) -> list[Poly]:

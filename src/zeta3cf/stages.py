@@ -37,12 +37,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .mobius import DegenerateMobius, PolyMobius, level_map, scale_map, shift_map
+from .mobius import PolyMobius, _product, level_map, scale_map, shift_map
 from .polynomial import K, Poly, as_poly
-
-
-class DegenerateStep(ArithmeticError):
-    """A stage's collapsed step matrix is degenerate."""
 
 
 class HeadNotFlattenable(ValueError):
@@ -73,9 +69,6 @@ class Level:
         object.__setattr__(self, "a", as_poly(self.a))
         if self.a.is_zero:
             raise ValueError("a zero partial numerator truncates the fraction")
-
-    def matrix(self) -> PolyMobius:
-        return level_map(self.b, self.a)
 
 
 @dataclass(frozen=True)
@@ -175,12 +168,11 @@ def stage_from_levels(
 ) -> Stage:
     """Build a stage from a pure nested display (list of (b, a) pairs)."""
     lvls = tuple(Level(b, a) for b, a in levels)
-    try:
-        step = lvls[0].matrix()
-        for lv in lvls[1:]:
-            step = step @ lv.matrix()
-    except DegenerateMobius as exc:
-        raise DegenerateStep(f"stage {name}: {exc}") from exc
+    if not lvls:
+        raise ValueError(f"stage {name}: no levels")
+    # step = level_1 @ ... @ level_n, normalized once.  Each level [[b, a],
+    # [1, 0]] has determinant -a, nonzero, so the product is never degenerate.
+    step = PolyMobius(*_product((lv.b, lv.a, 1, 0) for lv in reversed(lvls)))
     return Stage(name, step, head, target, levels=lvls, kind=kind, note=note)
 
 

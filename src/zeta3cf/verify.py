@@ -192,17 +192,13 @@ class ChainReport:
 
 
 def _diff_stages(claimed: Stage, derived: Stage) -> tuple[tuple[str, str, str], ...]:
-    out: list[tuple[str, str, str]] = []
-    if not claimed.step.proj_eq(derived.step):
-        for label, cl, dv in zip(
-            ("step.a", "step.b", "step.c", "step.d"),
-            claimed.step.entries,
-            derived.step.entries,
-        ):
-            if cl != dv:
-                out.append((label, str(cl), str(dv)))
-    if not canonical_head(claimed).proj_eq(canonical_head(derived)):
-        out.append(("head", str(canonical_head(claimed)), str(canonical_head(derived))))
+    """The entries in which two normal forms differ: none iff the maps agree."""
+    labels = ("step.a", "step.b", "step.c", "step.d")
+    steps = zip(labels, claimed.step.entries, derived.step.entries)
+    out = [(label, str(cl), str(dv)) for label, cl, dv in steps if cl != dv]
+    head_cl, head_dv = canonical_head(claimed), canonical_head(derived)
+    if head_cl != head_dv:
+        out.append(("head", str(head_cl), str(head_dv)))
     return tuple(out)
 
 

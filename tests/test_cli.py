@@ -4,6 +4,7 @@ import decimal
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -388,6 +389,36 @@ def test_emit_json_refuses_a_long_int_before_writing():
     with pytest.raises(CommandError):
         _emit_json("x", "ok", {"big": 10**INT_STR_LIMIT}, {}, out)
     assert out.getvalue() == ""
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str limit")
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_gutnik_past_the_int_str_limit_prints_only_the_error_envelope(fmt):
+    # nes_gcd at v = 700 is longer than 4300 digits.  Every format ends in
+    # one exit-2 error envelope with nothing written before it.
+    result = subprocess.run(
+        [sys.executable, "-m", "zeta3cf.cli", "gutnik", "--v-max", "700", "--format", fmt],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    if fmt == "json":
+        doc = json.loads(result.stdout)
+        error = doc["payload"]["error"]
+        want = json.dumps(
+            {"command": "gutnik", "format": "json", "status": "error", "payload": {"error": error}},
+            indent=2,
+        )
+    elif fmt == "csv":
+        error = result.stdout.splitlines()[-1]
+        want = f"error\n{error}"
+    else:
+        error = result.stdout.splitlines()[1].removeprefix("error: ")
+        want = f"command: gutnik\nerror: {error}\nstatus: error"
+    assert "4300-digit int-str limit" in error
+    assert result.stdout == want + "\n"
 
 
 def test_closed_stdout_exits_2_without_traceback():

@@ -11,6 +11,7 @@ from zeta3cf.mobius import (
     DegenerateMobius,
     PoleError,
     PolyMobius,
+    _product,
     level_map,
     scale_map,
     shift_map,
@@ -152,6 +153,12 @@ def test_normalization_canonical_form():
     assert m == PolyMobius(1, 0, 0, 2 * (K + 2))
 
 
+def minors_vanish(e: tuple, f: tuple) -> bool:
+    """Reference for projective equality, on raw entries: e == lambda * f
+    for a nonzero lambda in Q(k) iff every 2x2 minor of the pairs vanishes."""
+    return all((e[i] * f[j] - e[j] * f[i]).is_zero for i in range(4) for j in range(i + 1, 4))
+
+
 small_polys = st.lists(st.integers(-9, 9), max_size=3).map(lambda cs: Poly(tuple(cs)))
 entry_quads = st.tuples(small_polys, small_polys, small_polys, small_polys).filter(
     lambda e: not (e[0] * e[3] - e[1] * e[2]).is_zero
@@ -164,12 +171,15 @@ entry_quads = st.tuples(small_polys, small_polys, small_polys, small_polys).filt
     other=entry_quads,
     lam=st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool),
     g=small_polys.filter(lambda p: not p.is_zero),
+    same=st.booleans(),
 )
-def test_normal_form_is_canonical(e, other, lam, g):
+def test_normal_form_is_canonical(e, other, lam, g, same):
     m = PolyMobius(*e)
-    assert PolyMobius(*(lam * g * x for x in e)) == m
-    n = PolyMobius(*other)
-    assert m.proj_eq(n) == (m == n)
+    scaled = tuple(lam * g * x for x in e)
+    assert PolyMobius(*scaled) == m
+    # proj_eq compares normal forms; the minors never look at them.
+    other = scaled if same else other
+    assert m.proj_eq(PolyMobius(*other)) == minors_vanish(e, other)
     first = next(x for x in m.entries if not x.is_zero)
     assert first.leading > 0
 
@@ -178,3 +188,14 @@ def test_builders():
     assert shift_map(5) == PolyMobius(1, 5, 0, 1)
     assert scale_map(K + 1) == PolyMobius(K + 1, 0, 0, 1)
     assert level_map(2, 1) == PolyMobius(2, 1, 1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(entry_quads, max_size=6))
+def test_product_of_polys_matches_compose_fold(quads):
+    # The balanced tree over raw Poly tuples, normalized once, is the left
+    # fold M_n @ ... @ M_1 of normalized products.
+    fold = PolyMobius.identity()
+    for quad in quads:
+        fold = PolyMobius(*quad) @ fold
+    assert PolyMobius(*_product(quads)) == fold

@@ -3,10 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeta3cf.engine import convergents, eval_backward
 from zeta3cf.mobius import PolyMobius, level_map
-from zeta3cf.polynomial import K
+from zeta3cf.polynomial import K, Poly
 from zeta3cf.stages import (
     CHAIN_ORDER,
     HeadNotFlattenable,
@@ -74,6 +76,28 @@ def test_step_matrix_n_is_level_product():
         @ level_map(2 * K + 2, (K + 1) * (K + 2))
     )
     assert lookup("N").step.proj_eq(expected)
+
+
+small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(lambda cs: Poly(tuple(cs)))
+nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+level_lists = st.lists(st.tuples(small_polys, nonzero_polys), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_lists)
+def test_step_is_left_fold_of_level_maps(levels):
+    # One product of the raw level matrices, normalized once, is the fold
+    # level_map(b_1, a_1) @ level_map(b_2, a_2) @ ... of normalized maps.
+    fold = PolyMobius.identity()
+    for b, a in levels:
+        fold = fold @ level_map(b, a)
+    stage = stage_from_levels("R", levels, PolyMobius(2, 1, 1, 0), Target.TWO_ZETA3)
+    assert stage.step == fold
+
+
+def test_stage_without_levels_raises():
+    with pytest.raises(ValueError):
+        stage_from_levels("R", [], PolyMobius(2, 1, 1, 0), Target.TWO_ZETA3)
 
 
 def test_step_matrix_single_level():
