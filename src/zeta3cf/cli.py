@@ -38,7 +38,7 @@ def _resolve_numeric_stage(name: str) -> stages.Stage:
     if name in ("APERY", "N"):
         return cat[name]
     if name in stages.CHAIN_ORDER:
-        return verify.derived_chain()[name]
+        return verify.derived_chain(stop=name)[name]
     return cat[name]
 
 
@@ -59,7 +59,7 @@ def _cmd_eval(args) -> tuple[str, dict, dict]:
     target_value = ref.value(stage.target)
     try:
         flat = stages.flatten(stage)
-        value = engine.convergents(flat, args.depth)[-1].value
+        value = engine.last_convergent(flat, args.depth).value
         method = "forward-convergent"
     except stages.HeadNotFlattenable:
         value = engine.truncation_value(stage, args.depth)
@@ -320,22 +320,24 @@ def _json_chunks(value, pad: str, limit: int, chunks: list[str]) -> None:
         chunks.append(encode_basestring_ascii(value))
     elif isinstance(value, Decimal):
         if limit and value.adjusted() >= limit:
-            raise CommandError(_too_long(limit))
+            raise CommandError(_too_long(limit, other_formats=True))
         chunks.append(decimal_int_str(value))
     elif isinstance(value, int) and not isinstance(value, bool):
         try:
             chunks.append(int.__repr__(value))
         except ValueError as exc:
-            raise CommandError(_too_long(limit)) from exc
+            raise CommandError(_too_long(limit, other_formats=False)) from exc
     else:
         chunks.append(json.dumps(value))
 
 
-def _too_long(limit: int) -> str:
+def _too_long(limit: int, other_formats: bool) -> str:
+    """The error for a JSON integer past the limit.  Only a Decimal cell
+    (p_n, q_n) prints in text and csv, so only its error names them."""
+    advice = " use --format text or csv, or" if other_formats else ""
     return (
         f"a JSON integer exceeds this interpreter's {limit}-digit int-str limit, so"
-        " json.loads could not read it; use --format text or csv, or set"
-        " PYTHONINTMAXSTRDIGITS=0"
+        f" json.loads could not read it;{advice} set PYTHONINTMAXSTRDIGITS=0"
     )
 
 

@@ -10,13 +10,17 @@ the nested recurrence is a cross-check, never the primary value, because it
 needs a tail seed while forward convergents do not.  Both, and the two
 oracles below, are products of 2x2 integer matrices.  Callers that report
 every row walk them one step at a time in `_walk`: forward convergents and
-the rate measurement.  Backward evaluation and the oracles need only the
-last column and multiply their steps in a balanced product tree
-(binary splitting; Haible & Papanikolaou, ANTS 1998), which turns n
-big-by-small products into O(log n) rounds of balanced big-by-big ones.
-That tree is `mobius._product`, the package's one 2x2 matrix product; it
-also composes the polynomial maps of the stage chain.  Backward
-evaluation tests only its final column for a pole.  Tables that print
+the rate measurement.  A single convergent (`last_convergent`), backward
+evaluation and the oracles need only the last column and multiply their
+steps in a balanced product tree (binary splitting; Haible &
+Papanikolaou, ANTS 1998), which turns n big-by-small products into
+O(log n) rounds of balanced big-by-big ones.  That tree is
+`mobius._product`, the package's one 2x2 matrix product; it also composes
+the polynomial maps of the stage chain.  Backward evaluation reads one
+column, so it applies the product column first (`_apply`): the earlier
+half of the maps acts on the seed column recursively and only the later
+half is multiplied out, so the largest products are matrix by column.  It
+tests only the final column for a pole.  Tables that print
 every reduced convergent (the `convergents` and `gutnik` commands)
 use `reduced_convergents`, which walks the primitive part of the state
 matrix beside the unreduced one, so no row pays a gcd of the full p_n and
@@ -94,6 +98,21 @@ def convergents(flat: FlatCF, n_max: int) -> list[Convergent]:
 
 
 ReducedRow = tuple[int, Decimal, Decimal, int, int]  # (n, p_n, q_n, num, den)
+
+
+def last_convergent(flat: FlatCF, n: int) -> Convergent:
+    """The convergent x_n alone, equal to `convergents(flat, n)[n]`, from one
+    product of the n steps applied to the seed columns (b_0, 1) and (1, 0).
+
+    Raises DegenerateConvergent(n) only when the final q_n is 0: an infinite
+    convergent on the way is a point of the projective line, not an error.
+    """
+    b0, terms = _integer_cf(flat, n)
+    steps = ((b, a, 1, 0) for a, b in terms)
+    [(p, _), (q, _)] = next(_walk([_product(steps)], (b0, 1), (1, 0)))
+    if q == 0:
+        raise DegenerateConvergent(n)
+    return Convergent(n, p, q)
 
 
 def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[ReducedRow]:
@@ -195,13 +214,24 @@ def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fract
     if depth < 0:
         raise ValueError("depth must be >= 0")
     maps = [(stage.step, k) for k in range(top - 1, -1, -1)] + [(stage.head, 0)]
-    mats = (
-        (m.a.value_at(k), m.b.value_at(k), m.c.value_at(k), m.d.value_at(k)) for m, k in maps
-    )
-    [(x, y)] = next(_walk([_product(mats)], seed))
+    mats = [(m.a.value_at(k), m.b.value_at(k), m.c.value_at(k), m.d.value_at(k)) for m, k in maps]
+    x, y = _apply(mats, seed)
     if y == 0:
         raise PoleError(0, "infinity" if x else "0/0")
     return Fraction(x, y)
+
+
+def _apply(mats: list[tuple], col: tuple) -> tuple:
+    """The column `next(_walk([_product(mats)], col))[0]`, computed column
+    first: the earlier half of `mats` is applied to `col` recursively, then
+    the product of the later half.  Each round's largest multiplication is
+    then a matrix by a column, four big products instead of eight."""
+    if len(mats) > 1:
+        half = len(mats) // 2
+        col = _apply(mats[:half], col)
+        mats = mats[half:]
+    [col] = next(_walk([_product(mats)], col))
+    return col
 
 
 def _walk(mats: Iterable[tuple], *cols: tuple) -> Iterator[list[tuple]]:

@@ -28,7 +28,7 @@ from .engine import (
     truncation_value,
     zeta3_reference,
 )
-from .mobius import DegenerateMobius, PolyMobius, scale_map
+from .mobius import DegenerateMobius, PolyMobius, _product, scale_map
 from .polynomial import Poly, poly_gcd
 from .rational import sci_string
 from .stages import (
@@ -131,8 +131,11 @@ def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:
     sigma = step.sigma
     assert sigma is not None
     _check_sigma(step)
+    adjugate = (sigma.d, -sigma.b, -sigma.c, sigma.a)
+    shifted = tuple(e.shift(1) for e in sigma.entries)
     try:
-        psi = sigma.inverse() @ source.step @ sigma.shifted(1)
+        # psi = sigma^-1 o phi o sigma(k+1) as one product, normalized once.
+        psi = PolyMobius(*_product([shifted, source.step.entries, adjugate]))
         head = source.head @ sigma.at_k(0)
     except DegenerateMobius as exc:
         raise ChainInconsistency(f"step {step.name}: {exc}") from exc
@@ -146,11 +149,14 @@ def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:
     )
 
 
-def derived_chain() -> dict[str, Stage]:
-    """All normative stages, re-derived from the Apery endpoint alone."""
+def derived_chain(stop: str | None = None) -> dict[str, Stage]:
+    """The normative stages, re-derived from the Apery endpoint alone: all
+    of them, or with `stop` named, those up to and including it."""
     stages: dict[str, Stage] = {"APERY": catalog()["APERY"]}
     current = stages["APERY"]
     for step in substitution_chain():
+        if stop in stages:
+            break
         current = derive_stage(current, step)
         stages[step.to_stage] = current
     return stages

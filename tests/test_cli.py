@@ -348,6 +348,13 @@ STDOUT_GOLDEN = (
     ("convergents APERY --n-max 500 --format text", 0, "c8092eeb4ac2db688724bd6baa879d8626f0b0057a6f56e3fa606a0b6f6cb94d"),
     ("convergents APERY --n-max 500 --format json", 0, "416929bfb0419e9361a6f282bf119c15ccfcb52ea768ceadaa183d4853bb1780"),
     ("convergents APERY --n-max 500 --format csv", 0, "cbec634cef7586896449caa57d02e10ef8c5cc8643db4b39e690e48bd8c1f7ac"),
+    ("eval G --depth 1377", 0, "45c3380041b65dc8880181e88e0db56e8067bdefa37033f0d8d24d0ea34526cc"),
+    ("eval A5 --depth 1001", 0, "8f50ca2cb4e5458e14b2f7b713b5ecd6c175f5d3d30223d6f1cc00a205c16077"),
+    ("eval Q --depth 0", 0, "3f2a3a4fe26e9c24a3ce4bc7c0256ed6a683e52a4fbb77a58e9aef8e86eeeb70"),
+    ("eval Q --depth 1", 0, "4b4cb9f4c1fb89ea586e937d0d124ad434feb169f4b18dd82a051d8c5341dc80"),
+    ("eval Q --depth 2", 0, "ee37e83235186459c70efd5eab2719a4142e7918198f8f5a0a3c1b851a1f9a9f"),
+    ("eval G16 --depth 400", 0, "19ab2133a89bfe50f5bdce447e1078d210024b7eed1bc6ed6dffcd8db16e9f6b"),
+    ("eval N --depth 1059 --digits 794 --format json", 0, "0242d56821b660e5955e080e1bfacb661c11dea26e6dc22dfe50cd4f782051a9"),
 )
 
 
@@ -389,6 +396,27 @@ def test_emit_json_refuses_a_long_int_before_writing():
     with pytest.raises(CommandError):
         _emit_json("x", "ok", {"big": 10**INT_STR_LIMIT}, {}, out)
     assert out.getvalue() == ""
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str limit")
+@pytest.mark.parametrize(
+    "argv, formats_print",
+    [(["gutnik", "--v-max", "700"], False), (["convergents", "APERY", "--n-max", "600"], True)],
+)
+def test_json_limit_error_names_other_formats_only_when_they_print(argv, formats_print):
+    # Only Decimal cells (p_n, q_n) print past the limit in text and csv; an
+    # int cell such as gutnik's nes_gcd fails there too, so its error names
+    # only the setting.
+    result = subprocess.run(
+        [sys.executable, "-m", "zeta3cf.cli", *argv, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+    )
+    assert result.returncode == 2
+    error = json.loads(result.stdout)["payload"]["error"]
+    assert "set PYTHONINTMAXSTRDIGITS=0" in error
+    assert ("use --format text or csv" in error) == formats_print
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str limit")

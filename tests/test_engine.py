@@ -13,6 +13,7 @@ from zeta3cf.engine import (
     DegenerateConvergent,
     InsufficientData,
     InsufficientReferencePrecision,
+    _apply,
     _product,
     _walk,
     convergents,
@@ -20,6 +21,7 @@ from zeta3cf.engine import (
     digits_per_term,
     error_curve,
     eval_backward,
+    last_convergent,
     oracles_agree,
     reduced_convergents,
     truncation_value,
@@ -279,6 +281,46 @@ def test_product_tree_matches_walk(mats, col, col2):
     for last in _walk(mats, col, col2):
         pass
     assert next(_walk([_product(mats)], col, col2)) == last
+
+
+@settings(max_examples=300, deadline=None)
+@example(mats=[(0, 0, 0, 0)], col=(1, 0))
+@example(mats=[(2, 4, 1, 2), (1, 0, 0, 1)], col=(0, 1))
+@given(
+    st.lists(st.tuples(*[small_ints | matrix_entries] * 4), max_size=12),
+    st.sampled_from([(1, 0), (0, 1)]) | st.tuples(matrix_entries, matrix_entries),
+)
+def test_column_first_matches_product(mats, col):
+    # Applying the earlier half to the column first, recursively, gives the
+    # column of the whole product, singular matrices and zero entries
+    # included; no matrices leave the column as given.
+    assert _apply(mats, col) == next(_walk([_product(mats)], col))[0]
+
+
+@pytest.mark.parametrize("name", ["APERY", "N", "G16", "G17"])
+def test_last_convergent_matches_convergents(name):
+    flat = flatten(lookup(name))
+    convs = convergents(flat, 1200)
+    for n in (0, 1, 2, 299, 1200):
+        last = last_convergent(flat, n)
+        assert last == convs[n]
+        assert last.value == convs[n].value
+
+
+def test_last_convergent_reads_only_the_final_denominator(apery_flat):
+    # APERY has b0 = 0, a1 = 12, b1 = 5, b2 = 117, a3 = -64, b3 = 535.
+    # a2 = -585 gives q_2 = 117 * 5 - 585 = 0: x_2 = 1404/0 is infinite, and
+    # x_3 = (535 * 1404 - 64 * 12) / (535 * 0 - 64 * 5) = 750372/-320.
+    flat = perturbed(apery_flat, 2, -584)
+    assert flat.a_term(2) == -585
+    with pytest.raises(DegenerateConvergent) as exc:
+        last_convergent(flat, 2)
+    assert exc.value.n == 2
+    last = last_convergent(flat, 3)
+    assert (last.p, last.q) == (750372, -320)
+    assert last.value == Fraction(-187593, 80)
+    with pytest.raises(DegenerateConvergent):
+        convergents(flat, 3)
 
 
 def test_product_tree_empty_is_identity():

@@ -7,20 +7,33 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zeta3cf.engine import convergents, convergents_from_terms
 from zeta3cf.mobius import PolyMobius, scale_map
 from zeta3cf.polynomial import K, Poly
-from zeta3cf.stages import Target, catalog, lookup, perturbed, substitution_chain
+from zeta3cf.stages import (
+    CHAIN_ORDER,
+    SubstitutionStep,
+    Target,
+    catalog,
+    lookup,
+    perturbed,
+    substitution_chain,
+)
 from zeta3cf.verify import (
     DegenerateSigma,
     InvalidScale,
     canonical_head,
     derive_stage,
+    derived_chain,
     equivalence_scale,
     gutnik_alignment,
     verify_chain,
 )
+
+from test_mobius import entry_quads
 
 
 def step_named(name):
@@ -52,6 +65,27 @@ def test_derive_n_from_g(chain):
     derived = derive_stage(chain["G"], step_named("N"))
     assert derived.step.proj_eq(lookup("N").step)
     assert canonical_head(derived).proj_eq(PolyMobius(2, 1, 1, 0))
+
+
+def test_stopped_derivation_matches_full_chain(chain):
+    for i, name in enumerate(CHAIN_ORDER):
+        prefix = derived_chain(stop=name)
+        assert tuple(prefix) == CHAIN_ORDER[: i + 1]
+        assert prefix[name] == chain[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry_quads, st.sampled_from(CHAIN_ORDER[:-1]))
+def test_one_product_psi_matches_composition(chain, quad, name):
+    # derive_stage multiplies adj(sigma), phi and sigma(k+1) as raw tuples and
+    # normalizes once; the normalized pairwise composition is the same map.
+    sigma = PolyMobius(*quad)
+    source = chain[name]
+    try:
+        derived = derive_stage(source, SubstitutionStep("X", name, "X", sigma))
+    except DegenerateSigma:
+        assume(False)
+    assert derived.step.proj_eq(sigma.inverse() @ source.step @ sigma.shifted(1))
 
 
 def step_report(report, name):
