@@ -160,8 +160,13 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
     if args.hook_perturb:
         apery = stages.perturbed(apery, 1, 1)
     report = verify.gutnik_alignment(nes, apery, args.v_max)
+    # nes_gcd is an integral Decimal, printed in linear time.  Past the
+    # int-str limit it goes to the emitters as an int, whose limit error
+    # fires in every format: a gcd prints in no format past the limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     rows = []
     for r in report.entries:
+        nes_gcd = int(r.nes_gcd) if limit and r.nes_gcd.adjusted() >= limit else r.nes_gcd
         nes_value = _ratio_str(*r.nes_ratio)
         apery_value = nes_value if r.equal else _ratio_str(*r.apery_ratio)
         rows.append(
@@ -172,7 +177,7 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
                 "true" if r.equal else "false",
                 nes_value,
                 apery_value,
-                r.nes_gcd,
+                nes_gcd,
             ]
         )
     payload = {
@@ -190,10 +195,10 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
 
 
 def _cmd_catalog(args) -> tuple[str, dict, dict]:
-    chain_report = verify.verify_chain()
-    derived = {r.step_name: r.derived for r in chain_report.steps}
-    match_by_name = {r.step_name: r.claimed_matches for r in chain_report.steps}
-    match_by_name.update({v.name: v.matches_derived for v in chain_report.variants})
+    # Status compares each claimed stage with the derived stage of its chain
+    # position, as verify-chain does, without that command's proofs.
+    derived = verify.derived_chain()
+    base_of = {name: base for base, names in stages.VARIANTS.items() for name in names}
     rows = []
     for stage in stages.catalog().values():
         if stage.levels is not None:
@@ -203,7 +208,8 @@ def _cmd_catalog(args) -> tuple[str, dict, dict]:
         if stage.kind == "normative":
             status = "normative"
         else:
-            status = "match" if match_by_name.get(stage.name) else "MISMATCH"
+            base = derived[base_of.get(stage.name, stage.name)]
+            status = "MISMATCH" if verify.diff_stages(stage, base) else "match"
         rows.append(
             [
                 stage.name,
@@ -217,9 +223,7 @@ def _cmd_catalog(args) -> tuple[str, dict, dict]:
             ]
         )
     for name in stages.CHAIN_ORDER[1:]:
-        stage = derived.get(name)
-        if stage is None:
-            continue
+        stage = derived[name]
         rows.append(
             [
                 f"{name}.derived",

@@ -8,32 +8,43 @@ recurrence in exact integers:
 seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
 needs a tail seed while forward convergents do not.  Both, and the two
-oracles below, are products of 2x2 integer matrices.  Callers that report
-every row walk them one step at a time in `_walk`: forward convergents and
-the rate measurement.  A single convergent (`last_convergent`), backward
-evaluation and the oracles need only the last column and multiply their
-steps in a balanced product tree (binary splitting; Haible &
-Papanikolaou, ANTS 1998), which turns n big-by-small products into
-O(log n) rounds of balanced big-by-big ones.  That tree is
-`mobius._product`, the package's one 2x2 matrix product; it also composes
-the polynomial maps of the stage chain.  Backward evaluation reads one
-column, so it applies the product column first (`_apply`): the earlier
-half of the maps acts on the seed column recursively and only the later
-half is multiplied out, so the largest products are matrix by column.  It
-tests only the final column for a pole.  Tables that print
-every reduced convergent (the `convergents` and `gutnik` commands)
-use `reduced_convergents`, which walks the primitive part of the state
-matrix beside the unreduced one, so no row pays a gcd of the full p_n and
-q_n.  The `convergents` table also prints every unreduced p_n and q_n in
-full, thousands of digits each, and CPython converts an int to text in
-time quadratic in its length: rendering binary columns cost far more than
-computing them.  So that walk carries p_n and q_n as integral Decimals,
-exact through `rational.EXACT`, which print in linear time and past the
-interpreter's int-to-text digit limit; the reduced num/den stay ints, as
-they need `math.gcd`, and `convergents` keeps int fields.  The matrix
-entries are plain ints: step-map entries and flattened term families are
-evaluated in integer Horner form (`Poly.value_at`, through `FlatCF.terms`
-for terms), so no Fraction arithmetic runs per step.
+oracles below, are products of 2x2 integer matrices, and three walks
+multiply them:
+
+- `_walk` applies one matrix after another to a few columns and yields
+  the columns after every step.  `convergents` and the rate measurement
+  (`error_curve`) use it, as they report every row.
+- `_reduced_walk` (through `reduced_convergents`, for the `convergents`
+  command) steps the same recurrence twice: the unreduced p_n and q_n,
+  which the table prints, and beside them the primitive part of the state
+  matrix, so that no row pays a gcd of the full p_n and q_n.
+- `_strided_walk` (through `reduced_at`, for the `gutnik` command) walks
+  only the primitive part and its content H, and stops only at the rows
+  it yields: the steps between two stops are one small product.  It gives
+  each stop's reduced value and gcd(p_n, q_n) without forming p_n or q_n.
+
+A single convergent (`last_convergent`), backward evaluation and the
+oracles need only the last column and multiply all their steps in a
+balanced product tree (binary splitting; Haible & Papanikolaou, ANTS
+1998), which turns n big-by-small products into O(log n) rounds of
+balanced big-by-big ones.  That tree is `mobius._product`, the package's
+one 2x2 matrix product; it also composes the polynomial maps of the stage
+chain.  Backward evaluation reads one column, so it applies the product
+column first (`_apply`): the earlier half of the maps acts on the seed
+column recursively and only the later half is multiplied out, so the
+largest products are matrix by column.  These product walks, like
+`_strided_walk`, test only the denominators they report: an infinite
+value on the way is a point of the projective line, not an error.
+
+Printed integers thousands of digits long are carried as integral
+Decimals, exact through `rational.EXACT`, because CPython converts an int
+to text in time quadratic in its length and a Decimal in linear time, past
+the interpreter's int-to-text digit limit too: the `convergents` table's
+p_n and q_n, and the content H and gcd of `_strided_walk`.  The reduced
+num/den stay ints, as they need `math.gcd`, and `convergents` keeps int
+fields.  The matrix entries are plain ints: step-map entries and flattened
+term families are evaluated in integer Horner form (`Poly.value_at`,
+through `FlatCF.terms` for terms), so no Fraction arithmetic runs per step.
 The rate measurement walks one more column: for a limit L = L_n / L_d the
 residual r_n = L_d p_n - L_n q_n obeys the same recurrence, and
 |x_n - L| = |r_n| / (|q_n| L_d), so each row's error is read from bit
@@ -52,7 +63,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .mobius import PoleError, _product
 from .rational import EXACT, log10_fraction, log10_ratio, to_decimal
@@ -125,6 +137,23 @@ def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[ReducedRow]:
     return _reduced_walk(*_integer_cf(flat, n_max))
 
 
+StopRow = tuple[int, tuple[int, int], Decimal]  # (n, (num, den), gcd(p_n, q_n))
+
+
+def reduced_at(flat: FlatCF, stops: Sequence[int]) -> Iterator[StopRow]:
+    """(n, (num, den), g) for each n in the increasing `stops`, lazily:
+    num/den = p_n/q_n in lowest terms as ints with den > 0, and g =
+    gcd(p_n, q_n) as an integral Decimal.
+
+    The steps between two stops are multiplied as one product, so only a
+    stop's q_n is tested: DegenerateConvergent(n) when q_n = 0 at a stop n.
+    A q_m = 0 at any other m is a point of the projective line, not an
+    error, as in `last_convergent`.
+    """
+    b0, terms = _integer_cf(flat, stops[-1] if stops else 0)
+    return _strided_walk(b0, terms, stops)
+
+
 def _integer_cf(flat: FlatCF, n_max: int) -> tuple[int, Iterator[tuple[int, int]]]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -159,6 +188,35 @@ def _reduced_walk(b0: int, terms: Iterable[tuple[int, int]]) -> Iterator[Reduced
         gx, gy = math.gcd(x1, x2), gx // c
         num, den = (x1 // gx, x2 // gx) if gx != 1 else (x1, x2)
         yield n, p, q, (num if den > 0 else -num), abs(den)
+
+
+def _strided_walk(
+    b0: int, terms: Iterator[tuple[int, int]], stops: Iterable[int]
+) -> Iterator[StopRow]:
+    # The state S_n = [[p_n, p_{n-1}], [q_n, q_{n-1}]] is H times a primitive
+    # X with rows (x1, y1) and (x2, y2), H the content of S_n, held as an
+    # integral Decimal.  The steps up to the next stop act on both rows as
+    # one product of small matrices.  At a stop, gx = gcd(x1, x2) is the
+    # one big gcd, on numbers about a third the size of p_n, as H holds
+    # nearly all of gcd(p_n, q_n) = H * gx; the content h of the new X is
+    # then gcd(gx, y1, y2), which is cheap, and moves from X into H.
+    mul = EXACT.multiply
+    x1, y1, x2, y2 = b0, 1, 1, 0
+    content = Decimal(1)
+    n = 0
+    for stop in stops:
+        steps = [(b, a, 1, 0) for a, b in islice(terms, stop - n)]
+        n = stop
+        [(x1, y1), (x2, y2)] = next(_walk([_product(steps)], (x1, y1), (x2, y2)))
+        if not x2:
+            raise DegenerateConvergent(n)
+        gx = math.gcd(x1, x2)
+        h = math.gcd(gx, y1, y2)
+        if h != 1:
+            x1, y1, x2, y2, gx = x1 // h, y1 // h, x2 // h, y2 // h, gx // h
+            content = mul(content, h)
+        num, den = x1 // gx, x2 // gx
+        yield n, ((num, den) if den > 0 else (-num, -den)), mul(content, gx)
 
 
 def _integer_terms(flat: FlatCF, n_max: int) -> Iterator[tuple[int, int]]:

@@ -18,13 +18,13 @@ convergents at index 4v-2 with reduced Apery convergents at index v.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 
 from .engine import (
     ReferenceValue,
     Terms,
-    convergents,
-    reduced_convergents,
+    reduced_at,
     truncation_value,
     zeta3_reference,
 )
@@ -197,7 +197,7 @@ class ChainReport:
         )
 
 
-def _diff_stages(claimed: Stage, derived: Stage) -> tuple[tuple[str, str, str], ...]:
+def diff_stages(claimed: Stage, derived: Stage) -> tuple[tuple[str, str, str], ...]:
     """The entries in which two normal forms differ: none iff the maps agree."""
     labels = ("step.a", "step.b", "step.c", "step.d")
     steps = zip(labels, claimed.step.entries, derived.step.entries)
@@ -251,7 +251,7 @@ def _verify_step(
             residual,
             error=f"ChainInconsistency: no claimed stage {step.to_stage!r} in catalog",
         )
-    mismatches = _diff_stages(claimed, derived)
+    mismatches = diff_stages(claimed, derived)
     return StepReport(step.name, symbolic, derived, not mismatches, mismatches, residual)
 
 
@@ -289,7 +289,7 @@ def verify_chain(
             variant = claimed.get(name)
             if variant is None:
                 continue
-            mism = _diff_stages(variant, derived_stage)
+            mism = diff_stages(variant, derived_stage)
             variant_reports.append(VariantReport(name, base, not mism, mism))
 
     final = derived_by_name.get("N")
@@ -347,7 +347,7 @@ class AlignmentRow:
     equal: bool
     nes_ratio: tuple[int, int]
     apery_ratio: tuple[int, int]
-    nes_gcd: int  # common factor of the unreduced Nesterenko p, q
+    nes_gcd: Decimal  # gcd of the unreduced Nesterenko p, q, an integral Decimal
 
     @property
     def nes_value(self) -> Fraction:
@@ -376,27 +376,25 @@ def gutnik_alignment(nes: FlatCF, apery: FlatCF, v_max: int) -> AlignmentReport:
     for v = 1 .. v_max with no search, so `offset_nes` and `offset_apery`
     are always 0.
 
-    Only the Apery side is reduced (`reduced_convergents`).  The unreduced
-    Nesterenko p/q equals the coprime num/den exactly when den divides |q|
-    and sign(q) * p = num * (|q| / den); the quotient |q| / den is then
-    gcd(p, q), which is `nes_gcd`.  An unequal row reduces p/q as a
-    Fraction, and `nes_gcd` is |q| over its denominator.
+    Both sides come from `engine.reduced_at` as coprime (num, den) pairs
+    with den > 0, the one form of each value, so a row is equal exactly
+    when the two pairs are, and no row divides one convergent by another.
+    The Nesterenko walk stops only at the printed rows 4v - 2, multiplying
+    each block n = 4v - 1 .. 4v + 2 as one product; its state is H * X with
+    X primitive and H the content, so gcd(p, q) = H * gcd(x1, x2) = H * gx
+    is `nes_gcd`, an integral Decimal, read without forming p or q.  As in
+    `engine.last_convergent`, a Nesterenko q_n = 0 off the printed rows is
+    a point of the projective line, not an error; q_{4v-2} = 0 raises
+    DegenerateConvergent(4v - 2).
     """
     if v_max < 1:
         raise ValueError("v_max must be >= 1")
-    nes_convs = convergents(nes, 4 * v_max - 2)
-    apery_ratios = [(num, den) for *_, num, den in reduced_convergents(apery, v_max)]
-    rows = []
-    for v in range(1, v_max + 1):
-        i = 4 * v - 2
-        p, q = nes_convs[i].p, nes_convs[i].q
-        num, den = apery_ratios[v]
-        g, rem = divmod(abs(q), den)
-        if rem == 0 and (p if q > 0 else -p) == num * g:
-            row = AlignmentRow(v, i, v, True, (num, den), (num, den), g)
-        else:
-            nv = Fraction(p, q)
-            ratio = (nv.numerator, nv.denominator)
-            row = AlignmentRow(v, i, v, False, ratio, (num, den), abs(q) // nv.denominator)
-        rows.append(row)
-    return AlignmentReport(0, 0, tuple(rows))
+    nes_rows = reduced_at(nes, range(2, 4 * v_max - 1, 4))
+    apery_rows = reduced_at(apery, range(1, v_max + 1))
+    rows = tuple(
+        AlignmentRow(v, i, v, nes_ratio == apery_ratio, nes_ratio, apery_ratio, g)
+        for v, (i, nes_ratio, g), (_, apery_ratio, _) in zip(
+            range(1, v_max + 1), nes_rows, apery_rows
+        )
+    )
+    return AlignmentReport(0, 0, rows)

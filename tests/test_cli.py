@@ -300,6 +300,8 @@ def test_hooks_hidden_from_help():
 # convergents N --n-max 1000 and APERY --n-max 500 shapes, the largest
 # tables the benchmark prints, were recorded before the printed p_n, q_n
 # columns were walked as Decimals and json.dumps gave way to _emit_json.
+# The last four gutnik shapes were recorded before the Nesterenko side
+# stopped only at the printed rows and nes_gcd became a Decimal.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "b8269a8791cfbd7de1e9c64f9416aab3d58fc3e4a2d475b5835873ea19b55c0d"),
     ("eval W --depth 300", 0, "574066261fc33592e50e169d7534070c1f8eee9b6272da772252cf29b423abdd"),
@@ -355,6 +357,10 @@ STDOUT_GOLDEN = (
     ("eval Q --depth 2", 0, "ee37e83235186459c70efd5eab2719a4142e7918198f8f5a0a3c1b851a1f9a9f"),
     ("eval G16 --depth 400", 0, "19ab2133a89bfe50f5bdce447e1078d210024b7eed1bc6ed6dffcd8db16e9f6b"),
     ("eval N --depth 1059 --digits 794 --format json", 0, "0242d56821b660e5955e080e1bfacb661c11dea26e6dc22dfe50cd4f782051a9"),
+    ("gutnik --v-max 476 --format json", 0, "aae3f002b678824aa78cff49d08f0428f2c11c855d112595d4d32af5f6aa8ccd"),
+    ("gutnik --v-max 300 --format csv", 0, "d9f0432529e1293c922888069b05e03d73ee8458df41071cc0056fc987a455b5"),
+    ("gutnik --hook-perturb --v-max 60", 1, "f0511c3fc33e0e7b85b5121e1d49df8692225ba172164fb6aff65be2aa19f0d3"),
+    ("gutnik --hook-perturb --v-max 60 --format json", 1, "99b6129a42e4cba220b14a754b5c7e76b78b7ff2b68010fffa5f184e06ad39c7"),
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zeta3cf.engine import convergents, convergents_from_terms
+from zeta3cf.engine import DegenerateConvergent, convergents, convergents_from_terms, last_convergent
 from zeta3cf.mobius import PolyMobius, scale_map
 from zeta3cf.polynomial import K, Poly
 from zeta3cf.stages import (
@@ -387,19 +387,54 @@ def test_gutnik_perturbed_fails(nes_flat, apery_flat):
     assert report.entries[0].apery_value == Fraction(13, 5)
 
 
-def test_gutnik_unequal_rows_reduce_nesterenko_side(nes_flat, apery_flat):
-    # a_10 bumped: the Apery side changes from v = 10 on.
-    report = gutnik_alignment(nes_flat, perturbed(apery_flat, 10, 1), 15)
+@pytest.mark.parametrize(
+    "position, v_max",
+    [
+        pytest.param(1, 6, id="a1"),
+        pytest.param(10, 15, id="a10"),
+        pytest.param(57, 62, id="a57"),
+        pytest.param(None, 200, id="unperturbed"),
+    ],
+)
+def test_gutnik_unequal_rows_reduce_nesterenko_side(nes_flat, apery_flat, position, v_max):
+    # a_position bumped: the Apery side changes from v = position on.  Every
+    # row's Nesterenko side is p/q and gcd(p, q) of the plain recurrence.
+    apery = apery_flat if position is None else perturbed(apery_flat, position, 1)
+    report = gutnik_alignment(nes_flat, apery, v_max)
     assert (report.offset_nes, report.offset_apery) == (0, 0)
-    assert [r.v for r in report.entries] == list(range(1, 16))
-    assert [r.equal for r in report.entries] == [v <= 9 for v in range(1, 16)]
-    nes_convs = convergents(nes_flat, 4 * 15 + 2)
+    assert [r.v for r in report.entries] == list(range(1, v_max + 1))
+    assert [r.equal for r in report.entries] == [
+        position is None or v < position for v in range(1, v_max + 1)
+    ]
+    nes_convs = convergents(nes_flat, 4 * v_max - 2)
     for r in report.entries:
         c = nes_convs[r.nes_index]
         assert type(r.nes_value) is Fraction and type(r.apery_value) is Fraction
         assert r.nes_value == Fraction(c.p, c.q)
         assert r.nes_gcd == math.gcd(c.p, c.q)
         assert (r.nes_value == r.apery_value) == r.equal
+
+
+def test_gutnik_tests_only_printed_nesterenko_denominators(nes_flat, apery_flat):
+    # N has b0 = 2 and (a_n, b_n) = (1, 2), (2, 4), (1, 3), (4, 2), (2, 4),
+    # (6, 6) for n = 1 .. 6.  a_3 = -15 gives q_3 = 3 * 10 - 15 * 2 = 0, an
+    # infinite x_3 off the printed rows 2 and 6; then p_6/q_6 = 2664/1200.
+    flat = perturbed(nes_flat, 3, -16)
+    with pytest.raises(DegenerateConvergent):
+        convergents(flat, 6)
+    report = gutnik_alignment(flat, apery_flat, 2)
+    assert [r.equal for r in report.entries] == [True, False]
+    row = report.entries[1]
+    assert (row.nes_ratio, row.nes_gcd) == ((111, 50), 24)
+    last = last_convergent(flat, 6)
+    assert (last.p, last.q) == (2664, 1200)
+    # a_2 = -8 gives q_2 = 4 * 2 - 8 * 1 = 0 on the printed row v = 1.
+    with pytest.raises(DegenerateConvergent) as exc:
+        gutnik_alignment(perturbed(nes_flat, 2, -10), apery_flat, 2)
+    assert exc.value.n == 2
+    # a_2 = -9 gives p_2/q_2 = (4 * 5 - 9 * 2)/(4 * 2 - 9 * 1) = 2/-1.
+    [row] = gutnik_alignment(perturbed(nes_flat, 2, -11), apery_flat, 1).entries
+    assert (row.nes_ratio, row.nes_gcd) == ((-2, 1), 1)
 
 
 def test_gutnik_rejects_bad_vmax(nes_flat, apery_flat):
