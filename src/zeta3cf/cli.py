@@ -21,11 +21,34 @@ from json.encoder import encode_basestring_ascii
 from . import engine, stages, verify
 from .rational import decimal_int_str, ratio_to_decimal, sci_string, to_decimal, truncate_float
 
+# Upper bounds on the size flags, so that no input runs without bound.  Each
+# admits every size the docs, tests and benchmark use; a run at the cap takes
+# seconds (README).  MAX_REF_DIGITS bounds both `ref --digits` and
+# `rate --ref-digits`; MAX_DIGITS bounds `--digits` for the other commands.
 MAX_REF_DIGITS = 1000
+MAX_DIGITS = 10_000
+MAX_DEPTH = 10_000
+MAX_N_MAX = 2_000
+MAX_V_MAX = 1_000
+_CAPS = {
+    "digits": MAX_DIGITS,
+    "depth": MAX_DEPTH,
+    "n_max": MAX_N_MAX,
+    "v_max": MAX_V_MAX,
+    "ref_digits": MAX_REF_DIGITS,
+}
 
 
 class CommandError(Exception):
     """Operational failure; rendered as a status=error envelope, exit 2."""
+
+
+def _check_caps(args) -> None:
+    for name, cap in _CAPS.items():
+        if args.command == "ref" and name == "digits":
+            continue  # _cmd_ref checks its own range
+        if getattr(args, name, 0) > cap:
+            raise CommandError(f"--{name.replace('_', '-')} must be at most {cap}")
 
 
 def _resolve_numeric_stage(name: str) -> stages.Stage:
@@ -180,11 +203,8 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
                 nes_gcd,
             ]
         )
-    payload = {
-        "offset_nes": report.offset_nes,
-        "offset_apery": report.offset_apery,
-        "rows_equal": report.all_equal,
-    }
+    # The index map (4v - 2, v) has no offset on either side.
+    payload = {"offset_nes": 0, "offset_apery": 0, "rows_equal": report.all_equal}
     tables = {
         "alignment": (
             ["v", "nes_index", "apery_index", "equal", "nes_value", "apery_value", "nes_gcd"],
@@ -201,41 +221,14 @@ def _cmd_catalog(args) -> tuple[str, dict, dict]:
     base_of = {name: base for base, names in stages.VARIANTS.items() for name in names}
     rows = []
     for stage in stages.catalog().values():
-        if stage.levels is not None:
-            levels = ";".join(f"(b={lv.b}|a={lv.a})" for lv in stage.levels)
-        else:
-            levels = "-"
         if stage.kind == "normative":
             status = "normative"
         else:
             base = derived[base_of.get(stage.name, stage.name)]
             status = "MISMATCH" if verify.diff_stages(stage, base) else "match"
-        rows.append(
-            [
-                stage.name,
-                stage.kind,
-                stage.target.name,
-                str(stage.head),
-                str(stage.step),
-                levels,
-                status,
-                stage.note or "-",
-            ]
-        )
+        rows.append(_catalog_row(stage.name, stage, stage.levels, status))
     for name in stages.CHAIN_ORDER[1:]:
-        stage = derived[name]
-        rows.append(
-            [
-                f"{name}.derived",
-                "derived",
-                stage.target.name,
-                str(stage.head),
-                str(stage.step),
-                "-",
-                "normative",
-                stage.note or "-",
-            ]
-        )
+        rows.append(_catalog_row(f"{name}.derived", derived[name], None, "normative"))
     payload = {"stages": len(rows)}
     tables = {
         "catalog": (
@@ -244,6 +237,12 @@ def _cmd_catalog(args) -> tuple[str, dict, dict]:
         )
     }
     return "ok", payload, tables
+
+
+def _catalog_row(name: str, stage: stages.Stage, levels, status: str) -> list:
+    levels = ";".join(f"(b={lv.b}|a={lv.a})" for lv in levels) if levels is not None else "-"
+    head, step = str(stage.head), str(stage.step)
+    return [name, stage.kind, stage.target.name, head, step, levels, status, stage.note or "-"]
 
 
 def _cmd_ref(args) -> tuple[str, dict, dict]:
@@ -515,6 +514,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args.digits = getattr(args, "digits", 12)
     command = args.command
     try:
+        _check_caps(args)
         status, payload, tables = _COMMANDS[command](args)
     except (CommandError, ValueError, KeyError, ArithmeticError) as exc:
         return _render_error(args, command, exc, out)

@@ -14,7 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeta3cf import engine, stages
-from zeta3cf.cli import CommandError, _emit_csv, _emit_json, _emit_text, _plain, main
+from zeta3cf.cli import (
+    _COMMANDS,
+    MAX_DEPTH,
+    MAX_DIGITS,
+    MAX_N_MAX,
+    MAX_REF_DIGITS,
+    MAX_V_MAX,
+    CommandError,
+    _emit_csv,
+    _emit_json,
+    _emit_text,
+    _plain,
+    main,
+)
 from zeta3cf.polynomial import Poly
 
 from test_engine import _flat_from_families, random_integer_cfs
@@ -182,6 +195,53 @@ def test_catalog_lists_all_stages():
     assert "T" in byname["W"]["note"]
 
 
+def test_catalog_status_agrees_with_verify_chain():
+    # catalog and verify-chain decide apart whether a transcription matches
+    # its derived stage; every non-normative stage gets one verdict from both.
+    _, cat_doc = run_json(["catalog"])
+    _, chain_doc = run_json(["verify-chain"])
+    chain = chain_doc["payload"]
+    verdicts = {s["step"]: s["claimed"] for s in chain["steps"]}
+    verdicts.update({v["variant"]: v["claimed"] for v in chain["variants"]})
+    status = {r["name"]: r["status"] for r in cat_doc["payload"]["catalog"]}
+    claimed = {name: s for name, s in status.items() if s != "normative"}
+    assert set(verdicts) - set(claimed) == {"N"} and status["N"] == "normative"
+    assert claimed == {name: verdicts[name] for name in claimed}
+    assert "MISMATCH" in claimed.values() and "match" in claimed.values()
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["eval", "N", "--depth"], MAX_DEPTH),
+        (["eval", "N", "--digits"], MAX_DIGITS),
+        (["convergents", "N", "--digits"], MAX_DIGITS),
+        (["convergents", "N", "--n-max"], MAX_N_MAX),
+        (["rate", "N", "--n-max"], MAX_N_MAX),
+        (["rate", "N", "--ref-digits"], MAX_REF_DIGITS),
+        (["gutnik", "--v-max"], MAX_V_MAX),
+    ],
+    ids=lambda x: "-".join(x) if isinstance(x, list) else None,
+)
+def test_size_flag_at_cap_plus_one_exits_2_before_the_command_runs(monkeypatch, argv, cap):
+    # A stub stands in for the command, so no run of either size starts: at
+    # the cap the stub runs, at cap + 1 the error envelope comes first.
+    started = []
+    monkeypatch.setitem(_COMMANDS, argv[0], lambda args: started.append(args) or ("ok", {}, {}))
+    assert run([*argv, str(cap)])[0] == 0
+    code, doc = run_json([*argv, str(cap + 1)])
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["error"] == f"{argv[-1]} must be at most {cap}"
+    assert len(started) == 1
+
+
+def test_caps_admit_every_size_in_use():
+    # The largest sizes that the docs, the golden digests, CI and the
+    # benchmark ask for.
+    caps = (MAX_DIGITS, MAX_DEPTH, MAX_N_MAX, MAX_V_MAX, MAX_REF_DIGITS)
+    assert all(cap >= used for cap, used in zip(caps, (5000, 1600, 1000, 700, 510)))
+
+
 def test_format_equivalence_eval():
     _, text = run(["eval", "N", "--depth", "6", "--digits", "10"])
     _, doc = run_json(["eval", "N", "--depth", "6", "--digits", "10"])
@@ -301,7 +361,10 @@ def test_hooks_hidden_from_help():
 # tables the benchmark prints, were recorded before the printed p_n, q_n
 # columns were walked as Decimals and json.dumps gave way to _emit_json.
 # The last four gutnik shapes were recorded before the Nesterenko side
-# stopped only at the printed rows and nes_gcd became a Decimal.
+# stopped only at the printed rows and nes_gcd became a Decimal.  The four
+# verify-chain shapes were re-recorded when the residual reference grew from
+# 40 to 100 digits: each residual cell used to print the reference's own
+# error, 2.15e-45, and now prints the stage's; no other byte changed.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "b8269a8791cfbd7de1e9c64f9416aab3d58fc3e4a2d475b5835873ea19b55c0d"),
     ("eval W --depth 300", 0, "574066261fc33592e50e169d7534070c1f8eee9b6272da772252cf29b423abdd"),
@@ -333,13 +396,13 @@ STDOUT_GOLDEN = (
     ("convergents APERY --n-max 300 --format text", 0, "2da2a104222b7012397e94f3971c0c17ef0e3b7614750428fc48d0725005041f"),
     ("convergents APERY --n-max 300 --format json", 0, "a70183936ec2c4ff562089dc625f7bb9590f41d428a02cadcc8d194334edc070"),
     ("convergents APERY --n-max 300 --format csv", 0, "a9278ed3011752c230e8f1240a40291f2dbe4d4bac83401e78277510582f2024"),
-    ("verify-chain --format text", 0, "9f5fab7f7037935cd57798a04166ceaa64b2e6f8bb97e29002afc3b187f57dd0"),
-    ("verify-chain --format json", 0, "a4686421815594283b985170385081cc508ed613969ffa7a27bebdf31dd027bb"),
-    ("verify-chain --format csv", 0, "68b37a8453da1678fa9dde809934870ce9fb6d1b1257254c5dac8695fe90e8fd"),
+    ("verify-chain --format text", 0, "36cf249748a32859f580f1755f8706cd4f59e725c0a730d31f9301d0e9645f9d"),
+    ("verify-chain --format json", 0, "ad764a52a90cea6fc6df8442771bdbb38ecade2120fca8ad1f1280d82d9abb82"),
+    ("verify-chain --format csv", 0, "720d223423429cbb78a0c0f06dd5aaa8c35f4b38030a9f27ac49cc7d5108ae2b"),
     ("catalog --format text", 0, "07df7d2256fb244bce96b32092196e40b9a96ac66a962973cc2c1c99ddbf8bd3"),
     ("catalog --format json", 0, "d8646431e5d5c5229a4b0446d0055e16a85ee9e816392d1d2bb0f48b756df6c7"),
     ("catalog --format csv", 0, "d44472dd74b9125a5427ca1d6166d893c555c22a697f1d68112919fc67a65e1d"),
-    ("verify-chain --hook-break-sigma W", 1, "f9859c5c7fbba30bd16d8c0f3bc0b89212f817d7a863f5d5de6dafce287da747"),
+    ("verify-chain --hook-break-sigma W", 1, "c3b2eb6be7672dbc44273725896fcaaa7cbf26dd475adc270828ac7a71ef1360"),
     ("rate APERY --n-max 150 --ref-digits 495 --format json", 0, "72148efb4ba87073ca1f5dc6454a28933280b7a44ee5d8bba928907af3c995fc"),
     ("rate N --n-max 531 --ref-digits 454 --format csv", 0, "31484994829a5f045cee5ec89da19c6f807fe956821bc5e21e66352f807578db"),
     ("rate APERY --n-max 25 --window 5:25", 0, "4ea22b7ceb5a41c31ca43beda048add832ae7e716feb060d62215aff8fb9033d"),
