@@ -12,11 +12,9 @@ violation; 2 = usage or operational error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from decimal import Decimal
-from json.encoder import encode_basestring_ascii
 
 from . import engine, stages, verify
 from .rational import decimal_int_str, ratio_to_decimal, sci_string, to_decimal, truncate_float
@@ -184,12 +182,12 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
         apery = stages.perturbed(apery, 1, 1)
     report = verify.gutnik_alignment(nes, apery, args.v_max)
     # nes_gcd is an integral Decimal, printed in linear time.  Past the
-    # int-str limit it goes to the emitters as an int, whose limit error
-    # fires in every format: a gcd prints in no format past the limit.
+    # int-str limit it prints in no format, with the error of an int cell.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(r.nes_gcd.adjusted() >= limit for r in report.entries):
+        raise CommandError(_too_long(limit, args.format))
     rows = []
     for r in report.entries:
-        nes_gcd = int(r.nes_gcd) if limit and r.nes_gcd.adjusted() >= limit else r.nes_gcd
         nes_value = _ratio_str(*r.nes_ratio)
         apery_value = nes_value if r.equal else _ratio_str(*r.apery_ratio)
         rows.append(
@@ -200,7 +198,7 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
                 "true" if r.equal else "false",
                 nes_value,
                 apery_value,
-                nes_gcd,
+                r.nes_gcd,
             ]
         )
     # The index map (4v - 2, v) has no offset on either side.
@@ -290,6 +288,10 @@ def _emit_json(command, status, payload, tables, out) -> None:
     Decimal cells as bare integers.  The whole text is built before anything
     is written: an integer longer than this interpreter's int-str limit
     raises CommandError first, since json.loads could not read it back."""
+    # Imported here, so that only json output pays for importing json.
+    from json import dumps
+    from json.encoder import encode_basestring_ascii
+
     body = dict(payload)
     for name, (header, rows) in tables.items():
         body[name] = [dict(zip(header, row)) for row in rows]
@@ -297,47 +299,53 @@ def _emit_json(command, status, payload, tables, out) -> None:
     # Python 3.10 builds before 3.10.7 have no limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     chunks: list[str] = []
-    _json_chunks(doc, "\n", limit, chunks)
+    _json_chunks(doc, "\n", limit, chunks, encode_basestring_ascii, dumps)
     chunks.append("\n")
     out.write("".join(chunks))
 
 
-def _json_chunks(value, pad: str, limit: int, chunks: list[str]) -> None:
+def _json_chunks(value, pad: str, limit: int, chunks: list[str], quote, dumps) -> None:
     """Append the text of `value` at the indentation `pad` (a newline and
-    two spaces per level) to `chunks`."""
+    two spaces per level) to `chunks`; `quote` and `dumps` are json's."""
     if isinstance(value, dict) and value:
         inner, sep = pad + "  ", "{"
         for key, item in value.items():
-            chunks.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _json_chunks(item, inner, limit, chunks)
+            chunks.append(f"{sep}{inner}{quote(key)}: ")
+            _json_chunks(item, inner, limit, chunks, quote, dumps)
             sep = ","
         chunks.append(pad + "}")
     elif isinstance(value, list) and value:
         inner, sep = pad + "  ", "["
         for item in value:
             chunks.append(sep + inner)
-            _json_chunks(item, inner, limit, chunks)
+            _json_chunks(item, inner, limit, chunks, quote, dumps)
             sep = ","
         chunks.append(pad + "]")
     elif isinstance(value, str):
-        chunks.append(encode_basestring_ascii(value))
+        chunks.append(quote(value))
     elif isinstance(value, Decimal):
         if limit and value.adjusted() >= limit:
-            raise CommandError(_too_long(limit, other_formats=True))
+            raise CommandError(_too_long(limit, "json", decimal=True))
         chunks.append(decimal_int_str(value))
     elif isinstance(value, int) and not isinstance(value, bool):
         try:
             chunks.append(int.__repr__(value))
         except ValueError as exc:
-            raise CommandError(_too_long(limit, other_formats=False)) from exc
+            raise CommandError(_too_long(limit, "json")) from exc
     else:
-        chunks.append(json.dumps(value))
+        chunks.append(dumps(value))
 
 
-def _too_long(limit: int, other_formats: bool) -> str:
-    """The error for a JSON integer past the limit.  Only a Decimal cell
-    (p_n, q_n) prints in text and csv, so only its error names them."""
-    advice = " use --format text or csv, or" if other_formats else ""
+def _too_long(limit: int, fmt: str, decimal: bool = False) -> str:
+    """The error for an integer past the int-str limit in the format `fmt`.
+    Only a Decimal cell (p_n, q_n) prints in text and csv, so only its json
+    error names them."""
+    if fmt != "json":
+        return (
+            f"an integer exceeds this interpreter's {limit}-digit int-str limit;"
+            " set PYTHONINTMAXSTRDIGITS=0"
+        )
+    advice = " use --format text or csv, or" if decimal else ""
     return (
         f"a JSON integer exceeds this interpreter's {limit}-digit int-str limit, so"
         f" json.loads could not read it;{advice} set PYTHONINTMAXSTRDIGITS=0"
@@ -400,10 +408,7 @@ def _rendered(tables: dict) -> dict:
             for name, (header, rows) in tables.items()
         }
     except ValueError as exc:  # str() of an int raises it only past the limit
-        raise CommandError(
-            f"an integer exceeds this interpreter's {sys.get_int_max_str_digits()}-digit"
-            " int-str limit; set PYTHONINTMAXSTRDIGITS=0"
-        ) from exc
+        raise CommandError(_too_long(sys.get_int_max_str_digits(), "text")) from exc
 
 
 def _width(cell) -> int:

@@ -60,11 +60,11 @@ every reported digit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
 
 from .mobius import PoleError, _product
 from .rational import EXACT, log10_fraction, log10_ratio, to_decimal
@@ -89,14 +89,11 @@ class InsufficientReferencePrecision(ValueError):
     """Reference digits cannot resolve the smallest measured error."""
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(namedtuple("Convergent", "n p q")):
     """Unreduced p/q from the three-term recurrence; `value` reduces it on
     each access."""
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ()
 
     @property
     def value(self) -> Fraction:
@@ -305,18 +302,14 @@ def _walk(mats: Iterable[tuple], *cols: tuple) -> Iterator[list[tuple]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReferenceValue:
+class ReferenceValue(namedtuple("ReferenceValue", "digits decimal oracle_id fraction")):
     """zeta(3) to `digits` truncated digits, tagged with the oracle used.
 
     `fraction` approximates zeta(3) with |error| < 10**-(digits + 3); the
     decimal string is its truncation to `digits` digits.
     """
 
-    digits: int
-    decimal: str
-    oracle_id: str
-    fraction: Fraction
+    __slots__ = ()
 
     def value(self, target: Target) -> Fraction:
         return target.scale * self.fraction
@@ -413,13 +406,12 @@ def oracles_agree(digits: int) -> tuple[bool, ReferenceValue, ReferenceValue]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrorCurve:
-    """Decimal-digits-of-accuracy d_n = -log10|x_n - L| per index."""
+class ErrorCurve(namedtuple("ErrorCurve", "points target ref_digits")):
+    """Decimal-digits-of-accuracy d_n = -log10|x_n - L| per index: `points`
+    holds the pairs (n, d_n), measured against a `ref_digits`-digit
+    reference for `target`."""
 
-    points: tuple[tuple[int, float], ...]
-    target: Target
-    ref_digits: int
+    __slots__ = ()
 
 
 def error_curve(

@@ -25,13 +25,12 @@ Build polynomials with the exported indeterminate K and ordinary operators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class ZeroDivisor(ZeroDivisionError):
@@ -42,8 +41,35 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Poly:
+class Frozen:
+    """Base of the immutable value types.  The constructor sets the fields in
+    the instance dict, once; assigning or deleting one raises AttributeError.
+    Equality, hash and repr go by the fields in the order the constructor set
+    them, as a frozen dataclass's do."""
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes: object) -> Frozen:
+        """A copy with the named fields changed, built by the constructor."""
+        return type(self)(**{**vars(self), **changes})
+
+
+class Poly(Frozen):
     nums: tuple[int, ...]
     den: int
 
@@ -117,7 +143,7 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __add__(self, other: Poly | Scalar) -> "Poly":
         o = as_poly(other)
         den = lcm(self.den, o.den)
         sa, so = den // self.den, den // o.den
@@ -125,7 +151,7 @@ class Poly:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __sub__(self, other: Poly | Scalar) -> "Poly":
         return self + (-as_poly(other))
 
     def __rsub__(self, other: Scalar) -> "Poly":
@@ -134,7 +160,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         return _make([-n for n in self.nums], self.den)
 
-    def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __mul__(self, other: Poly | Scalar) -> "Poly":
         o = as_poly(other)
         out = [0] * (len(self.nums) + len(o.nums) - 1)
         for i, a in enumerate(self.nums):
@@ -268,7 +294,7 @@ def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"({f})"
 
 
-def as_poly(x: Union[Poly, Scalar]) -> Poly:
+def as_poly(x: Poly | Scalar) -> Poly:
     """Coerce an int or Fraction to a constant polynomial."""
     if isinstance(x, Poly):
         return x

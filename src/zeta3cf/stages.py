@@ -32,13 +32,13 @@ three-term recurrence for convergents starts at p_0/q_0 = b_0/1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
 
-from .mobius import PolyMobius, _product, level_map, scale_map, shift_map
-from .polynomial import K, Poly, as_poly
+from .mobius import Entry, PolyMobius, _product, level_map, scale_map, shift_map
+from .polynomial import Frozen, K, Poly, as_poly
 
 
 class HeadNotFlattenable(ValueError):
@@ -57,22 +57,19 @@ class Target(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(namedtuple("Level", "b a")):
     """One nesting depth: contributes b + a/(next level) to the fraction."""
 
-    b: Poly
-    a: Poly
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", as_poly(self.b))
-        object.__setattr__(self, "a", as_poly(self.a))
-        if self.a.is_zero:
+    def __new__(cls, b: Entry, a: Entry) -> Level:
+        level = super().__new__(cls, as_poly(b), as_poly(a))
+        if level.a.is_zero:
             raise ValueError("a zero partial numerator truncates the fraction")
+        return level
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Frozen):
     """Named tail recurrence with a head transform and target constant.
 
     `step` is the one-index map X_k = step_k(X_{k+1}); when the stage came
@@ -82,36 +79,26 @@ class Stage:
     produced by the substitution chain.
     """
 
-    name: str
-    step: PolyMobius
-    head: PolyMobius
-    target: Target
-    levels: tuple[Level, ...] | None = None
-    kind: str = "claimed"
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.head.is_constant:
-            raise ValueError(f"stage {self.name}: head entries must be constant")
+    def __init__(self, name: str, step: PolyMobius, head: PolyMobius, target: Target,
+                 levels: tuple[Level, ...] | None = None, kind: str = "claimed", note: str = ""):
+        if not head.is_constant:
+            raise ValueError(f"stage {name}: head entries must be constant")
+        vars(self).update(name=name, step=step, head=head, target=target, levels=levels,
+                          kind=kind, note=note)
 
 
-@dataclass(frozen=True)
-class SubstitutionStep:
+class SubstitutionStep(namedtuple("SubstitutionStep", "name from_stage to_stage sigma note",
+                                  defaults=("",))):
     """Chain link: X^{from}_k = sigma_k(X^{to}_k); sigma None marks the head peel."""
 
-    name: str
-    from_stage: str
-    to_stage: str
-    sigma: PolyMobius | None
-    note: str = ""
+    __slots__ = ()
 
     @property
     def is_peel(self) -> bool:
         return self.sigma is None
 
 
-@dataclass(frozen=True)
-class FlatCF:
+class FlatCF(Frozen):
     """Periodic flattened fraction b0 + a1/(b1 + a2/(b2 + ...)).
 
     For n >= 1 the terms follow period-`period` polynomial families in the
@@ -125,13 +112,10 @@ class FlatCF:
     `b_term` return the same values as Fractions.
     """
 
-    name: str
-    b0: Fraction
-    a1: Fraction
-    period: int
-    b_fam: tuple[Poly, ...]
-    a_fam: tuple[Poly, ...]
-    exceptions: dict[int, Fraction] = field(default_factory=dict)
+    def __init__(self, name: str, b0: Fraction, a1: Fraction, period: int, b_fam: tuple[Poly, ...],
+                 a_fam: tuple[Poly, ...], exceptions: dict[int, Fraction] | None = None):
+        vars(self).update(name=name, b0=b0, a1=a1, period=period, b_fam=b_fam, a_fam=a_fam,
+                          exceptions={} if exceptions is None else exceptions)
 
     def b_term(self, n: int) -> Fraction:
         if n < 1:
@@ -480,4 +464,4 @@ def perturbed(flat: FlatCF, n: int, delta: Fraction | int) -> FlatCF:
     """Copy of a flat CF with a_n bumped by delta (negative-control hook)."""
     exc = dict(flat.exceptions)
     exc[n] = flat.a_term(n) + Fraction(delta)
-    return replace(flat, exceptions=exc)
+    return flat._replace(exceptions=exc)

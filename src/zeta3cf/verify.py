@@ -17,8 +17,7 @@ convergents at index 4v-2 with reduced Apery convergents at index v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from decimal import Decimal
+from collections import namedtuple
 from fractions import Fraction
 
 from .engine import (
@@ -162,37 +161,27 @@ def derived_chain(stop: str | None = None) -> dict[str, Stage]:
     return stages
 
 
-@dataclass(frozen=True)
-class StepReport:
-    step_name: str
-    symbolic_pass: bool
-    derived: Stage
-    mismatches: tuple[tuple[str, str, str], ...]  # (entry, claimed, derived)
-    numeric_residual: str
-    error: str | None = None
+class StepReport(namedtuple("StepReport", "step_name symbolic_pass derived mismatches "
+                            "numeric_residual error", defaults=(None,))):
+    """One chain step: `mismatches` holds (entry, claimed, derived) texts."""
+
+    __slots__ = ()
 
     @property
     def claimed_matches(self) -> bool:
         return self.error is None and not self.mismatches
 
 
-@dataclass(frozen=True)
-class VariantReport:
-    name: str
-    base: str
-    mismatches: tuple[tuple[str, str, str], ...]
+class VariantReport(namedtuple("VariantReport", "name base mismatches")):
+    __slots__ = ()
 
     @property
     def matches_derived(self) -> bool:
         return not self.mismatches
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    steps: tuple[StepReport, ...]
-    variants: tuple[VariantReport, ...]
-    final_matches_n: bool
-    final_head_ok: bool
+class ChainReport(namedtuple("ChainReport", "steps variants final_matches_n final_head_ok")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -265,7 +254,7 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
     current = claimed["APERY"]
     for step in substitution_chain():
         if sigma_override and step.name in sigma_override:
-            step = replace(step, sigma=sigma_override[step.name])
+            step = step._replace(sigma=sigma_override[step.name])
         report = _verify_step(current, step, ref)
         reports.append(report)
         current = report.derived
@@ -319,17 +308,13 @@ def flat_prefix(flat: FlatCF, length: int) -> Terms:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlignmentRow:
-    """One aligned pair; each value is held as its reduced (num, den), den > 0."""
+class AlignmentRow(namedtuple("AlignmentRow", "v nes_index apery_index equal nes_ratio "
+                              "apery_ratio nes_gcd")):
+    """One aligned pair; each value is held as its reduced (num, den), den > 0,
+    and `nes_gcd` is the gcd of the unreduced Nesterenko p, q, an integral
+    Decimal."""
 
-    v: int
-    nes_index: int
-    apery_index: int
-    equal: bool
-    nes_ratio: tuple[int, int]
-    apery_ratio: tuple[int, int]
-    nes_gcd: Decimal  # gcd of the unreduced Nesterenko p, q, an integral Decimal
+    __slots__ = ()
 
     @property
     def nes_value(self) -> Fraction:
@@ -340,9 +325,8 @@ class AlignmentRow:
         return Fraction(*self.apery_ratio)
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
-    entries: tuple[AlignmentRow, ...]
+class AlignmentReport(namedtuple("AlignmentReport", "entries")):
+    __slots__ = ()
 
     @property
     def all_equal(self) -> bool:

@@ -1,6 +1,17 @@
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
 import zeta3cf
+from zeta3cf import K, Convergent, FlatCF, Level, Poly, PolyMobius, Stage, Target, flatten, lookup
+from zeta3cf.stages import perturbed
 
 
 def test_all_names_resolve():
@@ -13,3 +24,65 @@ def test_star_import():
     namespace: dict = {}
     exec("from zeta3cf import *", namespace)
     assert set(zeta3cf.__all__) <= set(namespace)
+
+
+def test_cli_and_catalog_import_no_dataclasses_typing_or_json():
+    # Every CLI call pays for the import graph, so it leaves out these
+    # modules; only json output imports json.
+    script = (
+        "import io, sys\n"
+        "import zeta3cf.cli\n"
+        "from zeta3cf import stages\n"
+        "stages.catalog()\n"
+        "heavy = {'dataclasses', 'inspect', 'typing', 'json'}\n"
+        "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
+        "argv = ['ref', '--digits', '5', '--format', 'json']\n"
+        "assert zeta3cf.cli.main(argv, out=io.StringIO()) == 0\n"
+        "assert heavy & set(sys.modules) == {'json'}, heavy & set(sys.modules)\n"
+    )
+    src = str(Path(zeta3cf.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_value_types_keep_repr_equality_and_invariants():
+    # Each expected text and outcome was recorded with the dataclass-based
+    # types these replaced.
+    assert repr(Convergent(3, 5, 7)) == "Convergent(n=3, p=5, q=7)"
+    assert repr(Level(K + 1, 2)) == "Level(b=Poly(k+1), a=Poly(2))"
+    assert repr(PolyMobius(2 * K, 4, 0, 2)) == "PolyMobius[[k, 2], [0, 1]]"
+    first = Stage("S", PolyMobius(K, 1, 1, 0), PolyMobius(2, 1, 1, 0), Target.ZETA3, note="x")
+    second = Stage("S", PolyMobius(2 * K, 2, 2, 0), PolyMobius(4, 2, 2, 0), Target.ZETA3, note="x")
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != Stage("S", first.step, first.head, Target.ZETA3, note="y")
+    assert pickle.loads(pickle.dumps(first)) == first
+    assert repr(first) == (
+        "Stage(name='S', step=PolyMobius[[k, 1], [1, 0]], head=PolyMobius[[2, 1], [1, 0]],"
+        " target=<Target.ZETA3: 1>, levels=None, kind='claimed', note='x')"
+    )
+    for value, field in ((K, "nums"), (first, "note"), (first.step, "a")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    with pytest.raises(ValueError, match="zero partial numerator"):
+        Level(K, 0)
+    with pytest.raises(ValueError, match="head entries must be constant"):
+        Stage("bad", PolyMobius(K, 1, 1, 0), PolyMobius(K, 1, 1, 0), Target.ZETA3)
+
+
+def test_perturbed_leaves_the_original_exceptions_unchanged():
+    flat = flatten(lookup("APERY"))
+    assert repr(flat) == (
+        "FlatCF(name='APERY', b0=Fraction(0, 1), a1=Fraction(12, 1), period=1,"
+        " b_fam=(Poly(34k^3+51k^2+27k+5),), a_fam=(Poly(-k^6),), exceptions={1: Fraction(12, 1)})"
+    )
+    bumped = perturbed(flat, 1, 1)
+    assert flat.exceptions == {1: 12} and bumped.exceptions == {1: 13}
+    assert bumped != flat and bumped._replace(exceptions={1: 12}) == flat
+    # No shared default map: each fraction built without exceptions has its own.
+    plain = [FlatCF("T", Fraction(1), Fraction(1), 1, (K,), (Poly.const(1),)) for _ in range(2)]
+    assert plain[0].exceptions == {} and plain[0].exceptions is not plain[1].exceptions

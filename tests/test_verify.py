@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -126,7 +125,7 @@ def test_verify_substitution_wrong_sigma_negative_control():
 def test_sigma_degenerate_at_large_root_reported(chain):
     # det = k - 10**12 vanishes only far out; the check still finds it fast.
     sigma = scale_map(K - 10**12)
-    step = replace(step_named("U"), sigma=sigma)
+    step = step_named("U")._replace(sigma=sigma)
     with pytest.raises(DegenerateSigma, match="k = 1000000000000$"):
         derive_stage(chain["W"], step)
     report = step_report(verify_chain(sigma_override={"U": sigma}), "U")
@@ -170,7 +169,7 @@ def test_sigma_check_cost_independent_of_constant_size(chain, monkeypatch):
     report = step_report(verify_chain(sigma_override={"U": sigma}), "U")
     assert report.error is None and report.symbolic_pass
     calls = _count_evaluations(monkeypatch)
-    derive_stage(chain["W"], replace(step_named("U"), sigma=sigma))
+    derive_stage(chain["W"], step_named("U")._replace(sigma=sigma))
     assert len(calls) <= _sigma_check_budget(sigma)
 
 
@@ -179,7 +178,7 @@ def test_sigma_degree_two_root_far_out_reported(chain, monkeypatch):
     sigma = scale_map((K - 10**15) * (K + 3))
     calls = _count_evaluations(monkeypatch)
     with pytest.raises(DegenerateSigma, match="k = 1000000000000000$"):
-        derive_stage(chain["W"], replace(step_named("U"), sigma=sigma))
+        derive_stage(chain["W"], step_named("U")._replace(sigma=sigma))
     assert len(calls) <= _sigma_check_budget(sigma)
 
 
@@ -188,9 +187,9 @@ def test_sigma_smallest_integer_root_reported(chain):
     # a double root alone is found too.
     det = (K - 7) ** 2 * (K - 3) * (2 * K - 1) * (K**2 + 1)
     with pytest.raises(DegenerateSigma, match="k = 3$"):
-        derive_stage(chain["W"], replace(step_named("U"), sigma=scale_map(det)))
+        derive_stage(chain["W"], step_named("U")._replace(sigma=scale_map(det)))
     with pytest.raises(DegenerateSigma, match="k = 7$"):
-        derive_stage(chain["W"], replace(step_named("U"), sigma=scale_map((K - 7) ** 2 * (K + 1))))
+        derive_stage(chain["W"], step_named("U")._replace(sigma=scale_map((K - 7) ** 2 * (K + 1))))
 
 
 def test_step_equivalence_a5_a6():
