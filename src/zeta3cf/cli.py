@@ -64,7 +64,11 @@ def _resolve_numeric_stage(name: str) -> stages.Stage:
 
 
 def _ratio_str(num: int, den: int) -> str:
-    return f"{num}/{den}" if den != 1 else str(num)
+    try:
+        return f"{num}/{den}" if den != 1 else str(num)
+    except ValueError as exc:  # str() of an int raises it only past the limit
+        # The cell is a string in every format, so the error names no format.
+        raise CommandError(_too_long(sys.get_int_max_str_digits(), "text")) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,11 @@ multiply them:
   matrix, so that no row pays a gcd of the full p_n and q_n.
 - `_strided_walk` (through `reduced_at`, for the `gutnik` command) walks
   only the primitive part and its content H, and stops only at the rows
-  it yields: the steps between two stops are one small product.  It gives
-  each stop's reduced value and gcd(p_n, q_n) without forming p_n or q_n.
+  it yields: the steps between two stops are one small matrix, for a whole
+  period of the fraction one evaluation of its block matrix over Z[m],
+  built once per call.  It gives each stop's reduced value and
+  gcd(p_n, q_n) without forming p_n or q_n, and a right guess of the
+  reduced value spares the stop its one big gcd.
 
 A single convergent (`last_convergent`), backward evaluation and the
 oracles need only the last column and multiply all their steps in a
@@ -43,8 +46,9 @@ the interpreter's int-to-text digit limit too: the `convergents` table's
 p_n and q_n, and the content H and gcd of `_strided_walk`.  The reduced
 num/den stay ints, as they need `math.gcd`, and `convergents` keeps int
 fields.  The matrix entries are plain ints: step-map entries and flattened
-term families are evaluated in integer Horner form (`Poly.value_at`,
-through `FlatCF.terms` for terms), so no Fraction arithmetic runs per step.
+term families and block matrices are evaluated in integer Horner form
+(`Poly.value_at`, through `FlatCF.terms` for terms), so no Fraction
+arithmetic runs per step.
 The rate measurement walks one more column: for a limit L = L_n / L_d the
 residual r_n = L_d p_n - L_n q_n obeys the same recurrence, and
 |x_n - L| = |r_n| / (|q_n| L_d), so each row's error is read from bit
@@ -64,9 +68,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
 
 from .mobius import PoleError, _product
+from .polynomial import Poly
 from .rational import EXACT, log10_fraction, log10_ratio, to_decimal
 from .stages import FlatCF, Stage, Target, flatten, lookup
 
@@ -137,7 +141,9 @@ def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[ReducedRow]:
 StopRow = tuple[int, tuple[int, int], Decimal]  # (n, (num, den), gcd(p_n, q_n))
 
 
-def reduced_at(flat: FlatCF, stops: Sequence[int]) -> Iterator[StopRow]:
+def reduced_at(
+    flat: FlatCF, stops: Sequence[int], candidates: Iterable[tuple[int, int]] | None = None
+) -> Iterator[StopRow]:
     """(n, (num, den), g) for each n in the increasing `stops`, lazily:
     num/den = p_n/q_n in lowest terms as ints with den > 0, and g =
     gcd(p_n, q_n) as an integral Decimal.
@@ -146,9 +152,13 @@ def reduced_at(flat: FlatCF, stops: Sequence[int]) -> Iterator[StopRow]:
     stop's q_n is tested: DegenerateConvergent(n) when q_n = 0 at a stop n.
     A q_m = 0 at any other m is a point of the projective line, not an
     error, as in `last_convergent`.
+
+    `candidates`, one pair per stop, may guess each row's reduced value.
+    A right guess spares that row its one big gcd; any other pair is
+    detected, and the row is computed as without it.
     """
-    b0, terms = _integer_cf(flat, stops[-1] if stops else 0)
-    return _strided_walk(b0, terms, stops)
+    b0, _ = _integer_cf(flat, stops[-1] if stops else 0)
+    return _strided_walk(flat, b0, stops, candidates)
 
 
 def _integer_cf(flat: FlatCF, n_max: int) -> tuple[int, Iterator[tuple[int, int]]]:
@@ -188,26 +198,47 @@ def _reduced_walk(b0: int, terms: Iterable[tuple[int, int]]) -> Iterator[Reduced
 
 
 def _strided_walk(
-    b0: int, terms: Iterator[tuple[int, int]], stops: Iterable[int]
+    flat: FlatCF, b0: int, stops: Iterable[int], candidates: Iterable[tuple[int, int]] | None
 ) -> Iterator[StopRow]:
     # The state S_n = [[p_n, p_{n-1}], [q_n, q_{n-1}]] is H times a primitive
     # X with rows (x1, y1) and (x2, y2), H the content of S_n, held as an
     # integral Decimal.  The steps up to the next stop act on both rows as
-    # one product of small matrices.  At a stop, gx = gcd(x1, x2) is the
+    # one small matrix B = (a, b, c, d).  At a stop, gx = gcd(x1, x2) is the
     # one big gcd, on numbers about a third the size of p_n, as H holds
     # nearly all of gcd(p_n, q_n) = H * gx; the content h of the new X is
     # then gcd(gx, y1, y2), which is cheap, and moves from X into H.
+    # A candidate with x = k * (num, den) gives gx = |k| instead, once
+    # gcd(num, den) = 1 is shown in small numbers: a prime of gx divides
+    # det X' or both a and b (adj(X') x = det(X') (a, b) for the previous
+    # X'), hence some det B so far, and `radix` keeps one copy of those.
     mul = EXACT.multiply
     x1, y1, x2, y2 = b0, 1, 1, 0
     content = Decimal(1)
     n = 0
+    # A block matrix needs integer-valued families, as a polynomial of
+    # degree d is when it is at d + 1 consecutive integers.
+    fams = flat.a_fam + flat.b_fam
+    blocks = {} if all(type(f.value_at(m)) is int for f in fams for m in range(f.degree + 1)) else None
+    guesses, radix = (None if candidates is None else iter(candidates)), 1
     for stop in stops:
-        steps = [(b, a, 1, 0) for a, b in islice(terms, stop - n)]
+        if stop < n:
+            raise ValueError(f"stops must not decrease: {stop} after {n}")
+        a, b, c, d = _interval(flat, n, stop, blocks)
         n = stop
-        [(x1, y1), (x2, y2)] = next(_walk([_product(steps)], (x1, y1), (x2, y2)))
+        x1, y1, x2, y2 = a * x1 + b * y1, c * x1 + d * y1, a * x2 + b * y2, c * x2 + d * y2
         if not x2:
             raise DegenerateConvergent(n)
-        gx = math.gcd(x1, x2)
+        gx = 0
+        if guesses is not None:
+            det = abs(a * d - b * c)
+            while det and (g := math.gcd(det, radix)) != 1:
+                det //= g
+            radix *= det
+            num, den = next(guesses, (0, 0))
+            k, r = divmod(x2, den) if den else (0, 1)
+            if k and not r and x1 == k * num and math.gcd(radix, num, den) == 1:
+                gx = abs(k)
+        gx = gx or math.gcd(x1, x2)
         h = math.gcd(gx, y1, y2)
         if h != 1:
             x1, y1, x2, y2, gx = x1 // h, y1 // h, x2 // h, y2 // h, gx // h
@@ -216,8 +247,31 @@ def _strided_walk(
         yield n, ((num, den) if den > 0 else (-num, -den)), mul(content, gx)
 
 
-def _integer_terms(flat: FlatCF, n_max: int) -> Iterator[tuple[int, int]]:
-    for n, (a, b) in enumerate(flat.terms(n_max), start=1):
+def _interval(flat: FlatCF, n: int, stop: int, blocks: dict | None) -> Sequence[int]:
+    """The product of the steps n+1 .. stop: the block at offset n % period
+    (cached in `blocks`) for one period with no exception in it, if blocks
+    are allowed, else the product of the terms."""
+    period = flat.period
+    if blocks is not None and stop - n == period and not any(n < e <= stop for e in flat.exceptions):
+        m, j = divmod(n, period)
+        if j not in blocks:
+            blocks[j] = _block(flat, j)
+        return [e.value_at(m) for e in blocks[j]]
+    return _product((b, a, 1, 0) for a, b in _integer_terms(flat, stop, n + 1))
+
+
+def _block(flat: FlatCF, j: int) -> tuple[Poly, Poly, Poly, Poly]:
+    """The steps n = period*m + j + 1 .. period*(m + 1) + j as one product over
+    Z[m]: step period*m + i + 1 is family i % period at m + i // period."""
+    p, one, zero = flat.period, Poly.const(1), Poly.zero()
+    return _product(
+        (flat.b_fam[i % p].shift(i // p), flat.a_fam[i % p].shift(i // p), one, zero)
+        for i in range(j, j + p)
+    )
+
+
+def _integer_terms(flat: FlatCF, n_max: int, start: int = 1) -> Iterator[tuple[int, int]]:
+    for n, (a, b) in enumerate(flat.terms(n_max, start), start):
         if a.denominator != 1 or b.denominator != 1:
             raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
         yield int(a), int(b)

@@ -127,9 +127,9 @@ class FlatCF(Frozen):
             raise IndexError("partial numerators start at n = 1")
         return Fraction(self._a(n))
 
-    def terms(self, n_max: int) -> Iterator[tuple[int | Fraction, int | Fraction]]:
-        """(a_n, b_n) for n = 1 .. n_max, lazily."""
-        return ((self._a(n), self._b(n)) for n in range(1, n_max + 1))
+    def terms(self, n_max: int, start: int = 1) -> Iterator[tuple[int | Fraction, int | Fraction]]:
+        """(a_n, b_n) for n = start .. n_max, lazily."""
+        return ((self._a(n), self._b(n)) for n in range(start, n_max + 1))
 
     def _a(self, n: int) -> int | Fraction:
         if n in self.exceptions:

@@ -342,18 +342,24 @@ def gutnik_alignment(nes: FlatCF, apery: FlatCF, v_max: int) -> AlignmentReport:
     Both sides come from `engine.reduced_at` as coprime (num, den) pairs
     with den > 0, the one form of each value, so a row is equal exactly
     when the two pairs are, and no row divides one convergent by another.
-    The Nesterenko walk stops only at the printed rows 4v - 2, multiplying
-    each block n = 4v - 1 .. 4v + 2 as one product; its state is H * X with
-    X primitive and H the content, so gcd(p, q) = H * gcd(x1, x2) = H * gx
-    is `nes_gcd`, an integral Decimal, read without forming p or q.  As in
+    The Nesterenko walk stops only at the printed rows 4v - 2, each block
+    n = 4v - 1 .. 4v + 2 one evaluation of a block matrix over Z[m]; its
+    state is H * X with X primitive and H the content, so gcd(p, q) =
+    H * gcd(x1, x2) = H * gx is `nes_gcd`, an integral Decimal, read
+    without forming p or q.  The Apery rows are its candidates: on an
+    equal row x = k * (num, den), and gx = |k| follows from one division,
+    one product and a gcd of small numbers, so the row's one big gcd is
+    the Apery side's.  Nothing assumes that the rows are equal: an unequal
+    row takes its own gcd.  As in
     `engine.last_convergent`, a Nesterenko q_n = 0 off the printed rows is
     a point of the projective line, not an error; q_{4v-2} = 0 raises
     DegenerateConvergent(4v - 2).
     """
     if v_max < 1:
         raise ValueError("v_max must be >= 1")
-    nes_rows = reduced_at(nes, range(2, 4 * v_max - 1, 4))
-    apery_rows = reduced_at(apery, range(1, v_max + 1))
+    apery_rows = list(reduced_at(apery, range(1, v_max + 1)))
+    guesses = (ratio for _, ratio, _ in apery_rows)
+    nes_rows = reduced_at(nes, range(2, 4 * v_max - 1, 4), guesses)
     rows = tuple(
         AlignmentRow(v, i, v, nes_ratio == apery_ratio, nes_ratio, apery_ratio, g)
         for v, (i, nes_ratio, g), (_, apery_ratio, _) in zip(

@@ -459,6 +459,26 @@ def test_convergents_past_the_int_str_limit(apery_flat):
         assert code == 0
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str limit")
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv", [["eval", "APERY", "--depth", "300"], ["convergents", "APERY", "--n-max", "300"]]
+)
+def test_long_fraction_cells_name_the_setting_a_user_can_change(argv, fmt):
+    # The fraction (eval) and value (convergents) cells are strings in every
+    # format; past the limit they end in an exit-2 envelope naming
+    # PYTHONINTMAXSTRDIGITS=0, not CPython's advice to call a function.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, text = run(argv + ["--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    error = "an integer exceeds this interpreter's 640-digit int-str limit; set PYTHONINTMAXSTRDIGITS=0"
+    assert error in text and "set_int_max_str_digits" not in text
+
+
 @pytest.mark.skipif(not INT_STR_LIMIT, reason="no int-str digit limit")
 def test_emit_json_refuses_a_long_int_before_writing():
     out = io.StringIO()

@@ -268,6 +268,164 @@ def test_reduced_convergents_checks_arguments_eagerly(nes_flat):
         reduced_convergents(nes_flat, -1)
 
 
+# Stops as a start and positive gaps: a gap of one period takes the block
+# matrix, any other gap (and any interval holding a_1) the product of terms.
+stop_lists = st.builds(
+    lambda start, gaps: [start + sum(gaps[:i]) for i in range(len(gaps) + 1)],
+    st.integers(0, 9),
+    st.lists(st.sampled_from([1, 2, 3, 4, 4, 4, 5, 8]), max_size=24),
+)
+# k(k+1)/2 + 1 has a denominator and integer values, so it takes the blocks.
+TRIANGULAR = FlatCF("T", Fraction(1), Fraction(1), 2, (Poly([1, Fraction(1, 2), Fraction(1, 2)]), K + 3),
+                    (Poly.const(1), K + 2))
+
+
+def _reduced_at_flats():
+    nes, apery = flatten(lookup("N")), flatten(lookup("APERY"))
+    return {"N": nes, "APERY": apery, "G": flatten(lookup("G")), "N a7+1": perturbed(nes, 7, 1),
+            "APERY a3+5": perturbed(apery, 3, 5), "T": TRIANGULAR}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_reduced_at_flats())), stop_lists, st.booleans())
+def test_reduced_at_matches_convergents(name, stops, guess):
+    # Each row is (n, p_n/q_n in lowest terms with den > 0, gcd(p_n, q_n)),
+    # with or without the right reduced values offered as candidates.
+    flat = _reduced_at_flats()[name]
+    convs = convergents(flat, stops[-1])
+    values = [convs[n].value for n in stops]
+    candidates = [(v.numerator, v.denominator) for v in values] if guess else None
+    rows = list(engine.reduced_at(flat, stops, candidates))
+    assert [n for n, _, _ in rows] == stops
+    for (n, (num, den), g), value in zip(rows, values):
+        assert (num, den) == (value.numerator, value.denominator)
+        assert isinstance(g, Decimal) and g == math.gcd(convs[n].p, convs[n].q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_integer_cfs, stop_lists)
+def test_reduced_at_matches_last_convergent_on_random_fractions(flat, stops):
+    # Zero and negative terms: a stop raises DegenerateConvergent exactly
+    # when last_convergent does, after the same rows; a vanishing q between
+    # two stops raises nothing.
+    rows = engine.reduced_at(flat, stops)
+    for n in stops:
+        try:
+            last = last_convergent(flat, n)
+        except DegenerateConvergent:
+            with pytest.raises(DegenerateConvergent) as exc:
+                next(rows)
+            assert exc.value.n == n
+            return
+        value = Fraction(last.p, last.q)
+        assert next(rows) == (n, (value.numerator, value.denominator), math.gcd(last.p, last.q))
+
+
+@pytest.mark.parametrize("name", ["N", "APERY", "G", "G16", "T"])
+def test_block_matrix_is_the_product_of_its_steps(name):
+    # For every period offset j, the block over Z[m] evaluated at m is the
+    # product of the steps n = period*m + j + 1 .. period*(m + 1) + j.
+    flat = _reduced_at_flats().get(name) or flatten(lookup(name))
+    plain = flat._replace(exceptions={})
+    for j in range(flat.period):
+        block = engine._block(flat, j)
+        for m in range(12):
+            n = flat.period * m + j
+            steps = [(b, a, 1, 0) for a, b in engine._integer_terms(plain, n + flat.period, n + 1)]
+            assert tuple(e.value_at(m) for e in block) == _product(steps)
+
+
+def test_reduced_at_raises_at_a_stop_with_q_zero():
+    # b_n = 0 and a_n = 1: q_n = 0 for every odd n, on the block path.
+    flat = FlatCF("Z", Fraction(0), Fraction(1), 1, (Poly.zero(),), (Poly.const(1),))
+    assert flat.exceptions == {}
+    rows = engine.reduced_at(flat, [2, 3])
+    assert next(rows) == (2, (0, 1), 1)
+    with pytest.raises(DegenerateConvergent) as exc:
+        next(rows)
+    assert exc.value.n == 3
+    with pytest.raises(ValueError, match="stops must not decrease"):
+        list(engine.reduced_at(flat, [2, 0]))
+
+
+def test_reduced_at_wrong_candidates_change_no_row(nes_flat, apery_flat):
+    # The Apery rows are the right guesses for the Nesterenko rows 4v - 2.
+    # A pair off by a sign, a pair with a common factor 2 (each
+    # gcd(x1, x2) of these rows is even, so 2 divides it), a coprime pair of
+    # another value and (0, 1) give the rows of a call without candidates.
+    stops = range(2, 4 * 60 - 1, 4)
+    plain = list(engine.reduced_at(nes_flat, stops))
+    right = [ratio for _, ratio, _ in engine.reduced_at(apery_flat, range(1, 61))]
+    assert [ratio for _, ratio, _ in plain] == right
+    wrong = [
+        [(-num, -den) for num, den in right],
+        [(2 * num, 2 * den) for num, den in right],
+        [(num + den, den) for num, den in right],
+        [(0, 1)] * 60,
+        right[:30],
+    ]
+    for guesses in [right] + wrong:
+        assert list(engine.reduced_at(nes_flat, stops, guesses)) == plain
+
+
+def test_right_candidates_spare_every_big_gcd(monkeypatch, nes_flat, apery_flat):
+    # gcd(x1, x2) is the only gcd whose arguments are all big; the coprimality
+    # test on a candidate has one small argument.
+    sizes = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def gcd(*args):
+            sizes.append(min(abs(x).bit_length() for x in args))
+            return math.gcd(*args)
+
+    monkeypatch.setattr(engine, "math", CountingMath())
+    stops = range(2, 4 * 60 - 1, 4)
+    right = [ratio for _, ratio, _ in engine.reduced_at(apery_flat, range(1, 61))]
+    sizes.clear()
+    list(engine.reduced_at(nes_flat, stops))
+    assert sum(size > 300 for size in sizes) > 20
+    sizes.clear()
+    list(engine.reduced_at(nes_flat, stops, right))
+    assert max(sizes) < 300
+
+
+def test_reduced_at_rejects_non_integer_terms():
+    # (k + 2)/2 is not integer-valued, so no block is built: the terms are
+    # tested one by one, and b_2 = 3/2 raises as in `convergents`.
+    flat = FlatCF("F", Fraction(1), Fraction(1), 1, (Poly([1, Fraction(1, 2)]),), (Poly.const(1),))
+    rows = engine.reduced_at(flat, [1, 2, 3])
+    assert next(rows) == (1, (2, 1), 1)
+    with pytest.raises(ValueError, match=r"^non-integer term at n=2: "):
+        next(rows)
+    with pytest.raises(ValueError, match=r"^non-integer term at n=2: "):
+        convergents(flat, 3)
+
+
+def test_apery_convergents_are_van_der_poortens_sums(apery_flat):
+    # A third certificate besides the recurrence and Gutnik's rows:
+    # q_n = (n!)^3 b_n and p_n = 2 (n!)^3 a_n with b_n = sum_k C(n,k)^2 C(n+k,k)^2
+    # and a_n = sum_k C(n,k)^2 C(n+k,k)^2 c_{n,k}, c_{n,k} = sum_{m<=n} 1/m^3 +
+    # sum_{m<=k} (-1)^(m-1) / (2 m^3 C(n,m) C(n+m,m))  (van der Poorten, "A
+    # proof that Euler missed", Math. Intelligencer 1, 1979).
+    convs = convergents(apery_flat, 200)
+    harmonic3 = Fraction(0)
+    for n in range(201):
+        harmonic3 += Fraction(1, n**3) if n else 0
+        b = a = tail = 0
+        for k in range(n + 1):
+            if k:
+                tail += Fraction((-1) ** (k - 1), 2 * k**3 * math.comb(n, k) * math.comb(n + k, k))
+            weight = math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2
+            b += weight
+            a += weight * (harmonic3 + tail)
+        cube = math.factorial(n) ** 3
+        assert (convs[n].q, convs[n].p) == (cube * b, 2 * cube * a)
+
+
 matrix_entries = st.integers(-(10**6), 10**6) | st.sampled_from([0, 1, -1])
 matrix_streams = st.lists(st.tuples(*[matrix_entries] * 4), max_size=64)
 
