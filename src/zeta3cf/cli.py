@@ -35,6 +35,9 @@ _CAPS = {
     "v_max": MAX_V_MAX,
     "ref_digits": MAX_REF_DIGITS,
 }
+# Lower bounds, below which a size means nothing; `rate` lifts any
+# `--ref-digits` below 30 to 30, so that flag has none.
+_FLOORS = {"digits": 1, "depth": 0, "n_max": 0, "v_max": 1}
 
 
 class CommandError(Exception):
@@ -43,10 +46,14 @@ class CommandError(Exception):
 
 def _check_caps(args) -> None:
     for name, cap in _CAPS.items():
-        if args.command == "ref" and name == "digits":
+        value = getattr(args, name, None)
+        if value is None or (args.command == "ref" and name == "digits"):
             continue  # _cmd_ref checks its own range
-        if getattr(args, name, 0) > cap:
-            raise CommandError(f"--{name.replace('_', '-')} must be at most {cap}")
+        flag = "--" + name.replace("_", "-")
+        if value > cap:
+            raise CommandError(f"{flag} must be at most {cap}")
+        if name in _FLOORS and value < _FLOORS[name]:
+            raise CommandError(f"{flag} must be at least {_FLOORS[name]}")
 
 
 def _resolve_numeric_stage(name: str) -> stages.Stage:

@@ -8,23 +8,21 @@ recurrence in exact integers:
 seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
 needs a tail seed while forward convergents do not.  Both, and the two
-oracles below, are products of 2x2 integer matrices, and three walks
+oracles below, are products of 2x2 integer matrices, and two walks
 multiply them:
 
 - `_walk` applies one matrix after another to a few columns and yields
   the columns after every step.  `convergents` and the rate measurement
   (`error_curve`) use it, as they report every row.
-- `_reduced_walk` (through `reduced_convergents`, for the `convergents`
-  command) steps the same recurrence twice: the unreduced p_n and q_n,
-  which the table prints, and beside them the primitive part of the state
-  matrix, so that no row pays a gcd of the full p_n and q_n.
-- `_strided_walk` (through `reduced_at`, for the `gutnik` command) walks
-  only the primitive part and its content H, and stops only at the rows
-  it yields: the steps between two stops are one small matrix, for a whole
-  period of the fraction one evaluation of its block matrix over Z[m],
-  built once per call.  It gives each stop's reduced value and
+- `_primitive_walk` walks only the primitive part of the state matrix and
+  the content it sheds, so it gives each row's reduced value and
   gcd(p_n, q_n) without forming p_n or q_n, and a right guess of the
-  reduced value spares the stop its one big gcd.
+  reduced value spares the row its one big gcd.  `reduced_convergents`
+  (the `convergents` command) feeds it every step and steps the printed
+  p_n and q_n beside it.  `reduced_at` (the `gutnik` command) feeds it
+  only the rows it yields: the steps between two stops are one small
+  matrix, for a whole period of the fraction one evaluation of its block
+  matrix over Z[m], built once per call.
 
 A single convergent (`last_convergent`), backward evaluation and the
 oracles need only the last column and multiply all their steps in a
@@ -36,14 +34,14 @@ chain.  Backward evaluation reads one column, so it applies the product
 column first (`_apply`): the earlier half of the maps acts on the seed
 column recursively and only the later half is multiplied out, so the
 largest products are matrix by column.  These product walks, like
-`_strided_walk`, test only the denominators they report: an infinite
+`reduced_at`, test only the denominators they report: an infinite
 value on the way is a point of the projective line, not an error.
 
 Printed integers thousands of digits long are carried as integral
 Decimals, exact through `rational.EXACT`, because CPython converts an int
 to text in time quadratic in its length and a Decimal in linear time, past
 the interpreter's int-to-text digit limit too: the `convergents` table's
-p_n and q_n, and the content H and gcd of `_strided_walk`.  The reduced
+p_n and q_n, and the content H and gcd of `reduced_at`.  The reduced
 num/den stay ints, as they need `math.gcd`, and `convergents` keeps int
 fields.  The matrix entries are plain ints: step-map entries and flattened
 term families and block matrices are evaluated in integer Horner form
@@ -68,6 +66,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, pairwise, tee
 
 from .mobius import PoleError, _product
 from .polynomial import Poly
@@ -135,7 +134,11 @@ def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[ReducedRow]:
 
     Raises DegenerateConvergent(n) when row n is reached with q_n = 0.
     """
-    return _reduced_walk(*_integer_cf(flat, n_max))
+    b0, terms = _integer_cf(flat, n_max)
+    # Step 0 takes S_{-1} = I to S_0 = [[b0, 1], [1, 0]], as if a_0 = 1.
+    walked, terms = tee(chain([(1, b0)], terms))
+    mats = ((b, a, 1, 0) for a, b in walked)
+    return _table_rows(terms, _primitive_walk((1, 0, 0, 1), range(n_max + 1), mats))
 
 
 StopRow = tuple[int, tuple[int, int], Decimal]  # (n, (num, den), gcd(p_n, q_n))
@@ -158,7 +161,12 @@ def reduced_at(
     detected, and the row is computed as without it.
     """
     b0, _ = _integer_cf(flat, stops[-1] if stops else 0)
-    return _strided_walk(flat, b0, stops, candidates)
+    # A block matrix needs integer-valued families, as a polynomial of
+    # degree d is when it is at d + 1 consecutive integers.
+    fams = flat.a_fam + flat.b_fam
+    blocks = {} if all(type(f.value_at(m)) is int for f in fams for m in range(f.degree + 1)) else None
+    mats = (_interval(flat, n, stop, blocks) for n, stop in pairwise(chain([0], stops)))
+    return _gcd_rows(_primitive_walk((b0, 1, 1, 0), stops, mats, candidates))
 
 
 def _integer_cf(flat: FlatCF, n_max: int) -> tuple[int, Iterator[tuple[int, int]]]:
@@ -169,62 +177,25 @@ def _integer_cf(flat: FlatCF, n_max: int) -> tuple[int, Iterator[tuple[int, int]
     return int(flat.b0), _integer_terms(flat, n_max)
 
 
-def _reduced_walk(b0: int, terms: Iterable[tuple[int, int]]) -> Iterator[ReducedRow]:
-    # The state S_n = [[p_n, p_{n-1}], [q_n, q_{n-1}]] is h_n times a
-    # primitive matrix with columns x = (x1, x2) and y = (y1, y2), where h_n
-    # is the content (gcd of the four entries) of S_n.  A step multiplies on
-    # the right by [[b, 1], [a, 0]], giving [b x + a y, x]; as gcd(x) = gx
-    # divides x, its content is c = gcd(gx, a * gy) with gy = gcd(y).  Both
-    # are small, since h_n holds nearly all of gcd(p_n, q_n) =
-    # h_n * gcd(x1, x2), so the one big gcd per row is taken on x alone.
-    # Exactness needs only that c divides the content; taking all of it is
-    # what keeps x about a third the size of p_n.
-    fma, mul = EXACT.fma, EXACT.multiply
-    p, p1, q, q1 = Decimal(b0), Decimal(1), Decimal(1), Decimal(0)
-    x1, x2, y1, y2 = b0, 1, 1, 0
-    gx = gy = 1
-    yield 0, p, q, b0, 1
-    for n, (a, b) in enumerate(terms, start=1):
-        p, p1, q, q1 = fma(b, p, mul(a, p1)), p, fma(b, q, mul(a, q1)), q
-        if not q:
-            raise DegenerateConvergent(n)
-        x1, x2, y1, y2 = b * x1 + a * y1, b * x2 + a * y2, x1, x2
-        c = math.gcd(gx, a * gy)
-        if c != 1:
-            x1, x2, y1, y2 = x1 // c, x2 // c, y1 // c, y2 // c
-        gx, gy = math.gcd(x1, x2), gx // c
-        num, den = (x1 // gx, x2 // gx) if gx != 1 else (x1, x2)
-        yield n, p, q, (num if den > 0 else -num), abs(den)
-
-
-def _strided_walk(
-    flat: FlatCF, b0: int, stops: Iterable[int], candidates: Iterable[tuple[int, int]] | None
-) -> Iterator[StopRow]:
+def _primitive_walk(
+    x: Sequence[int], rows: Iterable[int], mats: Iterable[Sequence[int]],
+    candidates: Iterable[tuple[int, int]] | None = None,
+) -> Iterator[tuple[int, tuple[int, int], int, int]]:
     # The state S_n = [[p_n, p_{n-1}], [q_n, q_{n-1}]] is H times a primitive
-    # X with rows (x1, y1) and (x2, y2), H the content of S_n, held as an
-    # integral Decimal.  The steps up to the next stop act on both rows as
-    # one small matrix B = (a, b, c, d).  At a stop, gx = gcd(x1, x2) is the
-    # one big gcd, on numbers about a third the size of p_n, as H holds
-    # nearly all of gcd(p_n, q_n) = H * gx; the content h of the new X is
-    # then gcd(gx, y1, y2), which is cheap, and moves from X into H.
+    # X with rows (x1, y1) and (x2, y2), H the content of S_n.  X starts at
+    # `x`; the matrix B = (a, b, c, d) of the steps up to each of the `rows`
+    # n acts on both its rows.  At row n, gx = gcd(x1, x2) is the one big
+    # gcd, on numbers about a third the size of p_n, as H holds nearly all
+    # of gcd(p_n, q_n) = H * gx; the content h of the new X is then
+    # gcd(gx, y1, y2), which is cheap, and moves from X into H.  Yields
+    # (n, reduced value, h, gx), all ints.
     # A candidate with x = k * (num, den) gives gx = |k| instead, once
     # gcd(num, den) = 1 is shown in small numbers: a prime of gx divides
     # det X' or both a and b (adj(X') x = det(X') (a, b) for the previous
     # X'), hence some det B so far, and `radix` keeps one copy of those.
-    mul = EXACT.multiply
-    x1, y1, x2, y2 = b0, 1, 1, 0
-    content = Decimal(1)
-    n = 0
-    # A block matrix needs integer-valued families, as a polynomial of
-    # degree d is when it is at d + 1 consecutive integers.
-    fams = flat.a_fam + flat.b_fam
-    blocks = {} if all(type(f.value_at(m)) is int for f in fams for m in range(f.degree + 1)) else None
+    x1, y1, x2, y2 = x
     guesses, radix = (None if candidates is None else iter(candidates)), 1
-    for stop in stops:
-        if stop < n:
-            raise ValueError(f"stops must not decrease: {stop} after {n}")
-        a, b, c, d = _interval(flat, n, stop, blocks)
-        n = stop
+    for n, (a, b, c, d) in zip(rows, mats):
         x1, y1, x2, y2 = a * x1 + b * y1, c * x1 + d * y1, a * x2 + b * y2, c * x2 + d * y2
         if not x2:
             raise DegenerateConvergent(n)
@@ -242,15 +213,35 @@ def _strided_walk(
         h = math.gcd(gx, y1, y2)
         if h != 1:
             x1, y1, x2, y2, gx = x1 // h, y1 // h, x2 // h, y2 // h, gx // h
-            content = mul(content, h)
         num, den = x1 // gx, x2 // gx
-        yield n, ((num, den) if den > 0 else (-num, -den)), mul(content, gx)
+        yield n, ((num, den) if den > 0 else (-num, -den)), h, gx
+
+
+def _table_rows(terms: Iterable[tuple[int, int]], rows: Iterator) -> Iterator[ReducedRow]:
+    # p_n and q_n as integral Decimals, stepped from S_{-1} = I by the same
+    # terms the walk takes, which never forms them.
+    fma, mul = EXACT.fma, EXACT.multiply
+    p, p1, q, q1 = Decimal(1), Decimal(0), Decimal(0), Decimal(1)
+    for (a, b), (n, (num, den), _, _) in zip(terms, rows):
+        p, p1, q, q1 = fma(b, p, mul(a, p1)), p, fma(b, q, mul(a, q1)), q
+        yield n, p, q, num, den
+
+
+def _gcd_rows(rows: Iterator) -> Iterator[StopRow]:
+    # gcd(p_n, q_n) = H * gx, with the content H kept as an integral Decimal.
+    mul, content = EXACT.multiply, Decimal(1)
+    for n, ratio, h, gx in rows:
+        if h != 1:
+            content = mul(content, h)
+        yield n, ratio, mul(content, gx)
 
 
 def _interval(flat: FlatCF, n: int, stop: int, blocks: dict | None) -> Sequence[int]:
     """The product of the steps n+1 .. stop: the block at offset n % period
     (cached in `blocks`) for one period with no exception in it, if blocks
     are allowed, else the product of the terms."""
+    if stop < n:
+        raise ValueError(f"stops must not decrease: {stop} after {n}")
     period = flat.period
     if blocks is not None and stop - n == period and not any(n < e <= stop for e in flat.exceptions):
         m, j = divmod(n, period)

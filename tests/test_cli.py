@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from zeta3cf import engine, stages
 from zeta3cf.cli import (
     _COMMANDS,
+    _FLOORS,
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_N_MAX,
@@ -220,19 +221,27 @@ def test_catalog_status_agrees_with_verify_chain():
         (["rate", "N", "--n-max"], MAX_N_MAX),
         (["rate", "N", "--ref-digits"], MAX_REF_DIGITS),
         (["gutnik", "--v-max"], MAX_V_MAX),
+        (["gutnik", "--digits"], MAX_DIGITS),
+        (["catalog", "--digits"], MAX_DIGITS),
     ],
     ids=lambda x: "-".join(x) if isinstance(x, list) else None,
 )
 def test_size_flag_at_cap_plus_one_exits_2_before_the_command_runs(monkeypatch, argv, cap):
     # A stub stands in for the command, so no run of either size starts: at
-    # the cap the stub runs, at cap + 1 the error envelope comes first.
+    # the cap and at the floor the stub runs, at cap + 1 and at floor - 1 the
+    # error envelope comes first.
     started = []
     monkeypatch.setitem(_COMMANDS, argv[0], lambda args: started.append(args) or ("ok", {}, {}))
-    assert run([*argv, str(cap)])[0] == 0
-    code, doc = run_json([*argv, str(cap + 1)])
-    assert code == 2 and doc["status"] == "error"
-    assert doc["payload"]["error"] == f"{argv[-1]} must be at most {cap}"
-    assert len(started) == 1
+    floor = _FLOORS.get(argv[-1][2:].replace("-", "_"))
+    bounds = [(cap, cap + 1, "at most")]
+    if floor is not None:
+        bounds.append((floor, floor - 1, "at least"))
+    for bound, past, word in bounds:
+        assert run([*argv, str(bound)])[0] == 0
+        code, doc = run_json([*argv, str(past)])
+        assert code == 2 and doc["status"] == "error"
+        assert doc["payload"]["error"] == f"{argv[-1]} must be {word} {bound}"
+    assert len(started) == len(bounds)
 
 
 def test_caps_admit_every_size_in_use():

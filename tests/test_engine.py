@@ -393,14 +393,41 @@ def test_right_candidates_spare_every_big_gcd(monkeypatch, nes_flat, apery_flat)
     assert max(sizes) < 300
 
 
+def test_table_pays_one_big_gcd_per_row(monkeypatch, nes_flat, apery_flat):
+    # gcd(x1, x2) is the one gcd per row on big numbers; the content step
+    # takes its gcd with gx first, which is small.
+    sizes = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def gcd(*args):
+            sizes.append(min(abs(x).bit_length() for x in args))
+            return math.gcd(*args)
+
+    monkeypatch.setattr(engine, "math", CountingMath())
+    for flat, n_max in ((nes_flat, 480), (apery_flat, 200)):
+        sizes.clear()
+        assert len(list(reduced_convergents(flat, n_max))) == n_max + 1
+        assert sum(size > 300 for size in sizes) <= n_max + 1
+
+
 def test_reduced_at_rejects_non_integer_terms():
     # (k + 2)/2 is not integer-valued, so no block is built: the terms are
-    # tested one by one, and b_2 = 3/2 raises as in `convergents`.
+    # tested one by one, and b_2 = 3/2 raises as in `convergents`.  The
+    # table reads its terms lazily too: rows 0 and 1 come first.
     flat = FlatCF("F", Fraction(1), Fraction(1), 1, (Poly([1, Fraction(1, 2)]),), (Poly.const(1),))
     rows = engine.reduced_at(flat, [1, 2, 3])
     assert next(rows) == (1, (2, 1), 1)
     with pytest.raises(ValueError, match=r"^non-integer term at n=2: "):
         next(rows)
+    table = reduced_convergents(flat, 3)
+    first = [next(table), next(table)]
+    assert [(n, int(p), num, den) for n, p, _, num, den in first] == [(0, 1, 1, 1), (1, 2, 2, 1)]
+    with pytest.raises(ValueError, match=r"^non-integer term at n=2: "):
+        next(table)
     with pytest.raises(ValueError, match=r"^non-integer term at n=2: "):
         convergents(flat, 3)
 
