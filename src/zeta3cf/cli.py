@@ -35,9 +35,9 @@ _CAPS = {
     "v_max": MAX_V_MAX,
     "ref_digits": MAX_REF_DIGITS,
 }
-# Lower bounds, below which a size means nothing; `rate` lifts any
-# `--ref-digits` below 30 to 30, so that flag has none.
-_FLOORS = {"digits": 1, "depth": 0, "n_max": 0, "v_max": 1}
+# Lower bounds, below which a size means nothing; `rate` lifts a
+# `--ref-digits` from 1 to 29 to 30.
+_FLOORS = {"digits": 1, "depth": 0, "n_max": 0, "v_max": 1, "ref_digits": 1}
 
 
 class CommandError(Exception):
@@ -47,8 +47,9 @@ class CommandError(Exception):
 def _check_caps(args) -> None:
     for name, cap in _CAPS.items():
         value = getattr(args, name, None)
-        if value is None or (args.command == "ref" and name == "digits"):
-            continue  # _cmd_ref checks its own range
+        if value is None:
+            continue
+        cap = MAX_REF_DIGITS if (name, args.command) == ("digits", "ref") else cap
         flag = "--" + name.replace("_", "-")
         if value > cap:
             raise CommandError(f"{flag} must be at most {cap}")
@@ -255,8 +256,6 @@ def _catalog_row(name: str, stage: stages.Stage, levels, status: str) -> list:
 
 
 def _cmd_ref(args) -> tuple[str, dict, dict]:
-    if args.digits < 1 or args.digits > MAX_REF_DIGITS:
-        raise CommandError(f"digits must be in 1..{MAX_REF_DIGITS}")
     agree, series, deep = engine.oracles_agree(args.digits)
     payload = {
         "digits": args.digits,

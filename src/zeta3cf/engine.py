@@ -8,21 +8,22 @@ recurrence in exact integers:
 seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
 needs a tail seed while forward convergents do not.  Both, and the two
-oracles below, are products of 2x2 integer matrices, and two walks
-multiply them:
+oracles below, are products of 2x2 integer matrices.  The forward ones
+read theirs from one stream, `_steps`: step 0 is (b_0, 1, 1, 0) and step
+n is (b_n, a_n, 1, 0), so the product of steps 0 .. n is the state S_n =
+(p_n, q_n, p_{n-1}, q_{n-1}).  `convergents` and the rate measurement
+(`error_curve`) step the literal recurrence over it, as they report every
+row.
 
-- `_walk` applies one matrix after another to a few columns and yields
-  the columns after every step.  `convergents` and the rate measurement
-  (`error_curve`) use it, as they report every row.
-- `_primitive_walk` walks only the primitive part of the state matrix and
-  the content it sheds, so it gives each row's reduced value and
-  gcd(p_n, q_n) without forming p_n or q_n, and a right guess of the
-  reduced value spares the row its one big gcd.  `reduced_convergents`
-  (the `convergents` command) feeds it every step and steps the printed
-  p_n and q_n beside it.  `reduced_at` (the `gutnik` command) feeds it
-  only the rows it yields: the steps between two stops are one small
-  matrix, for a whole period of the fraction one evaluation of its block
-  matrix over Z[m], built once per call.
+`_primitive_walk` walks only the primitive part of the state matrix and
+the content it sheds, so it gives each row's reduced value and
+gcd(p_n, q_n) without forming p_n or q_n, and a right guess of the
+reduced value spares the row its one big gcd.  `reduced_convergents`
+(the `convergents` command) feeds it every step and steps the printed
+p_n and q_n beside it.  `reduced_at` (the `gutnik` command) feeds it
+only the rows it yields: the steps between two stops are one small
+matrix, for a whole period of the fraction one evaluation of its block
+matrix over Z[m], built once per call.
 
 A single convergent (`last_convergent`), backward evaluation and the
 oracles need only the last column and multiply all their steps in a
@@ -105,7 +106,8 @@ class Convergent(namedtuple("Convergent", "n p q")):
 
 def convergents(flat: FlatCF, n_max: int) -> list[Convergent]:
     """Exact convergents x_0 .. x_{n_max} of a flattened fraction."""
-    pairs = convergents_from_terms(*_integer_cf(flat, n_max))
+    steps = _steps(flat, n_max)
+    pairs = convergents_from_terms(next(steps)[0], ((a, b) for b, a, _, _ in steps))
     return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
 
 
@@ -114,14 +116,12 @@ ReducedRow = tuple[int, Decimal, Decimal, int, int]  # (n, p_n, q_n, num, den)
 
 def last_convergent(flat: FlatCF, n: int) -> Convergent:
     """The convergent x_n alone, equal to `convergents(flat, n)[n]`, from one
-    product of the n steps applied to the seed columns (b_0, 1) and (1, 0).
+    product of the steps 0 .. n.
 
     Raises DegenerateConvergent(n) only when the final q_n is 0: an infinite
     convergent on the way is a point of the projective line, not an error.
     """
-    b0, terms = _integer_cf(flat, n)
-    steps = ((b, a, 1, 0) for a, b in terms)
-    [(p, _), (q, _)] = next(_walk([_product(steps)], (b0, 1), (1, 0)))
+    p, q, _, _ = _product(_steps(flat, n))
     if q == 0:
         raise DegenerateConvergent(n)
     return Convergent(n, p, q)
@@ -134,11 +134,8 @@ def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[ReducedRow]:
 
     Raises DegenerateConvergent(n) when row n is reached with q_n = 0.
     """
-    b0, terms = _integer_cf(flat, n_max)
-    # Step 0 takes S_{-1} = I to S_0 = [[b0, 1], [1, 0]], as if a_0 = 1.
-    walked, terms = tee(chain([(1, b0)], terms))
-    mats = ((b, a, 1, 0) for a, b in walked)
-    return _table_rows(terms, _primitive_walk((1, 0, 0, 1), range(n_max + 1), mats))
+    walked, steps = tee(_steps(flat, n_max))
+    return _table_rows(steps, _primitive_walk((1, 0, 0, 1), range(n_max + 1), walked))
 
 
 StopRow = tuple[int, tuple[int, int], Decimal]  # (n, (num, den), gcd(p_n, q_n))
@@ -160,40 +157,53 @@ def reduced_at(
     A right guess spares that row its one big gcd; any other pair is
     detected, and the row is computed as without it.
     """
-    b0, _ = _integer_cf(flat, stops[-1] if stops else 0)
+    steps = _steps(flat, stops[-1] if stops else 0)
     # A block matrix needs integer-valued families, as a polynomial of
     # degree d is when it is at d + 1 consecutive integers.
     fams = flat.a_fam + flat.b_fam
     blocks = {} if all(type(f.value_at(m)) is int for f in fams for m in range(f.degree + 1)) else None
     mats = (_interval(flat, n, stop, blocks) for n, stop in pairwise(chain([0], stops)))
-    return _gcd_rows(_primitive_walk((b0, 1, 1, 0), stops, mats, candidates))
+    return _gcd_rows(_primitive_walk(next(steps), stops, mats, candidates))
 
 
-def _integer_cf(flat: FlatCF, n_max: int) -> tuple[int, Iterator[tuple[int, int]]]:
+def _steps(flat: FlatCF, n_max: int, start: int = 0) -> Iterator[tuple[int, int, int, int]]:
+    """The int steps start .. n_max, lazily: (b_0, 1, 1, 0), then (b_n, a_n,
+    1, 0).  n_max and b_0 are checked at the call; a non-integer term
+    raises when the stream reaches it."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if flat.b0.denominator != 1:
         raise ValueError(f"non-integer leading term b0 = {flat.b0}")
-    return int(flat.b0), _integer_terms(flat, n_max)
+    first = max(start, 1)
+
+    def stream():
+        if start == 0:
+            yield int(flat.b0), 1, 1, 0
+        for n, (a, b) in enumerate(flat.terms(n_max, first), first):
+            if a.denominator != 1 or b.denominator != 1:
+                raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
+            yield int(b), int(a), 1, 0
+
+    return stream()
 
 
 def _primitive_walk(
     x: Sequence[int], rows: Iterable[int], mats: Iterable[Sequence[int]],
     candidates: Iterable[tuple[int, int]] | None = None,
 ) -> Iterator[tuple[int, tuple[int, int], int, int]]:
-    # The state S_n = [[p_n, p_{n-1}], [q_n, q_{n-1}]] is H times a primitive
-    # X with rows (x1, y1) and (x2, y2), H the content of S_n.  X starts at
-    # `x`; the matrix B = (a, b, c, d) of the steps up to each of the `rows`
-    # n acts on both its rows.  At row n, gx = gcd(x1, x2) is the one big
-    # gcd, on numbers about a third the size of p_n, as H holds nearly all
-    # of gcd(p_n, q_n) = H * gx; the content h of the new X is then
-    # gcd(gx, y1, y2), which is cheap, and moves from X into H.  Yields
-    # (n, reduced value, h, gx), all ints.
+    # The state S_n is H times a primitive X = (x1, x2, y1, y2), H the
+    # content of S_n.  X starts at `x`; the matrix B = (a, b, c, d) of the
+    # steps up to each of the `rows` n acts on its columns (x1, y1) and
+    # (x2, y2).  At row n, gx = gcd(x1, x2) is the one big gcd, on numbers
+    # about a third the size of p_n, as H holds nearly all of gcd(p_n, q_n)
+    # = H * gx; the content h of the new X is then gcd(gx, y1, y2), which
+    # is cheap, and moves from X into H.  Yields (n, reduced value, h, gx),
+    # all ints.
     # A candidate with x = k * (num, den) gives gx = |k| instead, once
     # gcd(num, den) = 1 is shown in small numbers: a prime of gx divides
-    # det X' or both a and b (adj(X') x = det(X') (a, b) for the previous
-    # X'), hence some det B so far, and `radix` keeps one copy of those.
-    x1, y1, x2, y2 = x
+    # det X' or both a and b ((x1, x2) adj(X') = det(X') (a, b) for the
+    # previous X'), hence some det B so far, and `radix` keeps one copy of those.
+    x1, x2, y1, y2 = x
     guesses, radix = (None if candidates is None else iter(candidates)), 1
     for n, (a, b, c, d) in zip(rows, mats):
         x1, y1, x2, y2 = a * x1 + b * y1, c * x1 + d * y1, a * x2 + b * y2, c * x2 + d * y2
@@ -217,12 +227,12 @@ def _primitive_walk(
         yield n, ((num, den) if den > 0 else (-num, -den)), h, gx
 
 
-def _table_rows(terms: Iterable[tuple[int, int]], rows: Iterator) -> Iterator[ReducedRow]:
+def _table_rows(steps: Iterable[tuple[int, ...]], rows: Iterator) -> Iterator[ReducedRow]:
     # p_n and q_n as integral Decimals, stepped from S_{-1} = I by the same
-    # terms the walk takes, which never forms them.
+    # steps the walk takes, which never forms them.
     fma, mul = EXACT.fma, EXACT.multiply
     p, p1, q, q1 = Decimal(1), Decimal(0), Decimal(0), Decimal(1)
-    for (a, b), (n, (num, den), _, _) in zip(terms, rows):
+    for (b, a, _, _), (n, (num, den), _, _) in zip(steps, rows):
         p, p1, q, q1 = fma(b, p, mul(a, p1)), p, fma(b, q, mul(a, q1)), q
         yield n, p, q, num, den
 
@@ -248,7 +258,7 @@ def _interval(flat: FlatCF, n: int, stop: int, blocks: dict | None) -> Sequence[
         if j not in blocks:
             blocks[j] = _block(flat, j)
         return [e.value_at(m) for e in blocks[j]]
-    return _product((b, a, 1, 0) for a, b in _integer_terms(flat, stop, n + 1))
+    return _product(_steps(flat, stop, n + 1))
 
 
 def _block(flat: FlatCF, j: int) -> tuple[Poly, Poly, Poly, Poly]:
@@ -261,22 +271,16 @@ def _block(flat: FlatCF, j: int) -> tuple[Poly, Poly, Poly, Poly]:
     )
 
 
-def _integer_terms(flat: FlatCF, n_max: int, start: int = 1) -> Iterator[tuple[int, int]]:
-    for n, (a, b) in enumerate(flat.terms(n_max, start), start):
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
-        yield int(a), int(b)
-
-
 def convergents_from_terms(b0: Fraction, terms: Iterable[tuple]) -> list[tuple]:
     """(p_n, q_n) pairs from the three-term recurrence over explicit terms.
 
     Exact in the terms' own type: integer terms give integer pairs, Fraction
     terms give Fraction pairs.  Terms are consumed lazily, one per step.
     """
-    out = [(b0, 1)]
-    steps = ((b, a, 1, 0) for a, b in terms)
-    for n, ((p, _), (q, _)) in enumerate(_walk(steps, (b0, 1), (1, 0)), start=1):
+    p, q, p1, q1 = b0, 1, 1, 0
+    out = [(p, q)]
+    for n, (a, b) in enumerate(terms, start=1):
+        p, q, p1, q1 = b * p + a * p1, b * q + a * q1, p, q
         if q == 0:
             raise DegenerateConvergent(n)
         out.append((p, q))
@@ -322,24 +326,16 @@ def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fract
 
 
 def _apply(mats: list[tuple], col: tuple) -> tuple:
-    """The column `next(_walk([_product(mats)], col))[0]`, computed column
-    first: the earlier half of `mats` is applied to `col` recursively, then
-    the product of the later half.  Each round's largest multiplication is
-    then a matrix by a column, four big products instead of eight."""
+    """The column `_product(mats)` times `col`, computed column first: the
+    earlier half of `mats` is applied to `col` recursively, then the product
+    of the later half.  Each round's largest multiplication is then a matrix
+    by a column, four big products instead of eight."""
     if len(mats) > 1:
         half = len(mats) // 2
         col = _apply(mats[:half], col)
         mats = mats[half:]
-    [col] = next(_walk([_product(mats)], col))
-    return col
-
-
-def _walk(mats: Iterable[tuple], *cols: tuple) -> Iterator[list[tuple]]:
-    """Left-multiply the columns (x, y) by each matrix (a, b, c, d) in turn;
-    yield the columns after every step."""
-    for a, b, c, d in mats:
-        cols = [(a * x + b * y, c * x + d * y) for x, y in cols]
-        yield cols
+    (a, b, c, d), (x, y) = _product(mats), col
+    return a * x + b * y, c * x + d * y
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +380,13 @@ def _series_stop(digits: int) -> int:
 def _series_fraction(digits: int) -> Fraction:
     # t_n = (-1)^(n-1) / (n^3 C(2n,n)) has t_1 = 1/2 and t_{n+1} = t_n * u/v with
     # u = -n^3, v = 2(n+1)^2(2n+1).  Over a common denominator D the columns
-    # (S*D, t*D) and (D, 0) times (v, v, 0, u) carry S + t_n and t_{n+1}.
+    # (S*D, t*D) and (D, 0) times (v, v, 0, u) carry S + t_n and t_{n+1}; the
+    # seed (0, 2, 1, 0) has the columns (0, 1) and (2, 0), S = 0 and t_1.
     # Steps 1 .. m-1 sum t_1 .. t_{m-1}, for the first m with |t_m| below
     # 10**-(digits+5).
     m = _series_stop(digits)
     steps = ((v, v, 0, -(n**3)) for n in range(1, m) for v in [2 * (n + 1) ** 2 * (2 * n + 1)])
-    [(total, _), (denom, _)] = next(_walk([_product(steps)], (0, 1), (2, 0)))
+    total, denom, _, _ = _product(chain([(0, 2, 1, 0)], steps))
     # Alternating with decreasing terms: tail bounded by the first omitted
     # term, so |zeta3 - value| < (5/2) * 10**-(digits+5).
     return Fraction(5 * total, 2 * denom)
@@ -403,12 +400,10 @@ def _deep_cf_fraction(digits: int) -> Fraction:
     # Both are tested; if either fails the oracle raises, never going deeper.
     flat = flatten(lookup("APERY"))
     depth = int(digits / 3) + 12
-    # Columns (p_n, p_{n-1}) and (q_n, q_{n-1}) of the forward recurrence:
-    # the tree reaches n = depth, two walked steps go on.
-    steps = [(b, a, 1, 0) for a, b in _integer_terms(flat, depth + 2)]
-    cols = next(_walk([_product(steps[:depth])], (int(flat.b0), 1), (1, 0)))
-    [(p0, _), (q0, _)] = cols
-    [(p1, _), (q1, _)], [(p2, _), (q2, _)] = _walk(steps[depth:], *cols)
+    # The tree gives S_{depth+1}, and one literal step goes on.
+    *steps, (b, a, _, _) = _steps(flat, depth + 2)
+    p1, q1, p0, q0 = _product(steps)
+    p2, q2 = b * p1 + a * p0, b * q1 + a * q0
     # gap_n = |x_{n+1} - x_n| = |p_{n+1} q_n - p_n q_{n+1}| / |q_n q_{n+1}|.
     # Demand that gap2 already resolves the requested digits and keeps
     # contracting, gap2 * 50 < gap1, so the limit is within ~1.01 * gap2
@@ -473,20 +468,20 @@ def error_curve(
     it; if the largest measured accuracy still comes within 10 guard
     digits of the reference precision, that is an error.
     """
-    b0, terms = _integer_cf(flat, n_max)
-    terms = list(terms)
-    pairs = convergents_from_terms(b0, terms)
+    steps = list(_steps(flat, n_max))
+    pairs = convergents_from_terms(steps[0][0], [(a, b) for b, a, _, _ in steps[1:]])
     if len(pairs) > 1:
         gap = abs(Fraction(*pairs[-1]) - Fraction(*pairs[-2]))
         need = int(-log10_fraction(gap)) + 20 if gap else 0
         if need > ref.digits:
             ref = zeta3_reference(need, ref.oracle_id)
-    # Seeded r_{-1} = L_d, r_0 = b_0 L_d - L_n; each row costs two
+    # Seeded r_{-1} = L_d, r_{-2} = -L_n from S_{-1} = I; each row costs two
     # big-by-small products and two bit-length logs, with no gcd.
     limit = ref.value(target)
-    seed = (b0 * limit.denominator - limit.numerator, limit.denominator)
-    walked = _walk(((b, a, 1, 0) for a, b in terms), seed)
-    residuals = [seed[0]] + [r for [(r, _)] in walked]
+    r, r1, residuals = limit.denominator, -limit.numerator, []
+    for b, a, _, _ in steps:
+        r, r1 = b * r + a * r1, r
+        residuals.append(r)
     log_den = log10_ratio(limit.denominator, 1)
     points = [
         (n, log10_ratio(abs(q), abs(r)) + log_den)

@@ -125,11 +125,10 @@ class PolyMobius(Frozen):
 
 
 def _product(mats: Iterable[tuple]) -> tuple:
-    """The product M_n ... M_2 M_1 of the matrices (a, b, c, d), over ints or
-    Polys, in the order `engine._walk` applies them, so
-    `_walk([_product(mats)], *cols)` yields the last columns of
-    `_walk(mats, *cols)`.  Adjacent pairs are multiplied in rounds, a
-    balanced product tree; the empty product is (1, 0, 0, 1)."""
+    """The product M_n ... M_2 M_1 of the matrices M_i = (a, b, c, d) =
+    [[a, b], [c, d]], over ints or Polys: the first matrix acts first on a
+    column.  Adjacent pairs are multiplied in rounds, a balanced product
+    tree; the empty product is (1, 0, 0, 1)."""
     mats = list(mats) or [(1, 0, 0, 1)]
     while len(mats) > 1:
         odd = mats[-1:] if len(mats) % 2 else []

@@ -223,6 +223,7 @@ def test_catalog_status_agrees_with_verify_chain():
         (["gutnik", "--v-max"], MAX_V_MAX),
         (["gutnik", "--digits"], MAX_DIGITS),
         (["catalog", "--digits"], MAX_DIGITS),
+        (["ref", "--digits"], MAX_REF_DIGITS),
     ],
     ids=lambda x: "-".join(x) if isinstance(x, list) else None,
 )

@@ -15,7 +15,6 @@ from zeta3cf.engine import (
     InsufficientReferencePrecision,
     _apply,
     _product,
-    _walk,
     convergents,
     convergents_from_terms,
     digits_per_term,
@@ -36,6 +35,14 @@ from zeta3cf.polynomial import K, Poly
 from zeta3cf.rational import log10_fraction, truncate_float
 
 from test_polynomial import fraction_horner
+
+
+def _walk(mats, *cols):
+    """The reference walk: left-multiply the columns (x, y) by each matrix
+    (a, b, c, d) in turn and yield the columns after every step."""
+    for a, b, c, d in mats:
+        cols = [(a * x + b * y, c * x + d * y) for x, y in cols]
+        yield cols
 
 
 def test_convergents_hand_values_n_stage(nes_flat):
@@ -263,6 +270,35 @@ def test_reduced_convergents_match_fraction_at_table_sizes(nes_flat, apery_flat)
         assert all(den > 0 for *_, den in rows)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["N", "APERY"]).map(lambda name: flatten(lookup(name))) | random_integer_cfs,
+       st.integers(0, 40))
+def test_steps_product_is_the_state(flat, n_max):
+    # The product of steps 0 .. n is S_n = (p_n, q_n, p_{n-1}, q_{n-1}), with
+    # S_{-1} = I, for every n before a vanishing q_n.
+    try:
+        convs = convergents(flat, n_max)
+    except DegenerateConvergent as exc:
+        convs = convergents(flat, exc.n - 1)
+    prev = (1, 0)
+    for conv in convs:
+        assert _product(engine._steps(flat, conv.n)) == (conv.p, conv.q, *prev)
+        prev = (conv.p, conv.q)
+
+
+def test_steps_check_at_the_call_and_raise_at_the_term():
+    # a_2 = 3/2: the stream yields steps 0 and 1 before it raises.
+    flat = FlatCF("F", Fraction(1), Fraction(1), 1, (Poly.const(1),), (Poly([1, Fraction(1, 2)]),))
+    with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+        engine._steps(flat, -1)
+    with pytest.raises(ValueError, match=r"^non-integer leading term b0 = 1/2$"):
+        engine._steps(flat._replace(b0=Fraction(1, 2)), 3)
+    steps = engine._steps(flat, 3)
+    assert [next(steps), next(steps)] == [(1, 1, 1, 0), (1, 1, 1, 0)]
+    with pytest.raises(ValueError, match=r"^non-integer term at n=2: a=3/2, b=1$"):
+        next(steps)
+
+
 def test_reduced_convergents_checks_arguments_eagerly(nes_flat):
     with pytest.raises(ValueError):
         reduced_convergents(nes_flat, -1)
@@ -331,7 +367,7 @@ def test_block_matrix_is_the_product_of_its_steps(name):
         block = engine._block(flat, j)
         for m in range(12):
             n = flat.period * m + j
-            steps = [(b, a, 1, 0) for a, b in engine._integer_terms(plain, n + flat.period, n + 1)]
+            steps = list(engine._steps(plain, n + flat.period, n + 1))
             assert tuple(e.value_at(m) for e in block) == _product(steps)
 
 
@@ -477,9 +513,12 @@ def test_product_tree_matches_walk(mats, col, col2):
 )
 def test_column_first_matches_product(mats, col):
     # Applying the earlier half to the column first, recursively, gives the
-    # column of the whole product, singular matrices and zero entries
+    # column of the step-by-step walk, singular matrices and zero entries
     # included; no matrices leave the column as given.
-    assert _apply(mats, col) == next(_walk([_product(mats)], col))[0]
+    last = [col]
+    for last in _walk(mats, col):
+        pass
+    assert _apply(mats, col) == last[0]
 
 
 @pytest.mark.parametrize("name", ["APERY", "N", "G16", "G17"])
