@@ -53,11 +53,11 @@ residual r_n = L_d p_n - L_n q_n obeys the same recurrence, and
 |x_n - L| = |r_n| / (|q_n| L_d), so each row's error is read from bit
 lengths with no reduction.
 
-The reference value of zeta(3) comes from two independent oracles: the
-alternating central-binomial series zeta(3) = (5/2) * sum (-1)^(n-1) /
-(n^3 C(2n,n)), summed in exact rationals with the alternating-series tail
-bound, and a deep convergent of the Apery fraction.  Both must agree on
-every reported digit.
+The reference value of zeta(3) comes from two independent oracles:
+Amdeberhan's series zeta(3) = (1/4) sum (-1)^(n-1) (56n^2 - 32n + 5) /
+((2n-1)^2 n^3 C(2n,n) C(3n,n)), summed exactly with the alternating-series
+tail bound and floored once to a decimal fraction, and a deep convergent of
+the Apery fraction.  Both must agree on every reported digit.
 """
 
 from __future__ import annotations
@@ -346,7 +346,8 @@ def _apply(mats: list[tuple], col: tuple) -> tuple:
 class ReferenceValue(namedtuple("ReferenceValue", "digits decimal oracle_id fraction")):
     """zeta(3) to `digits` truncated digits, tagged with the oracle used.
 
-    `fraction` approximates zeta(3) with |error| < 10**-(digits + 3); the
+    `fraction` approximates zeta(3) with |error| < 10**-(digits + 3) (SERIES:
+    its sum floored over 10**e, e = digits + 5, within 1.25 * 10**-e); the
     decimal string is its truncation to `digits` digits.
     """
 
@@ -361,35 +362,38 @@ class ReferenceValue(namedtuple("ReferenceValue", "digits decimal oracle_id frac
 
 
 def _series_stop(digits: int) -> int:
-    """The first m with |t_m| = 1/(m^3 C(2m, m)) below 10**-(digits + 5).
-
-    The float seed log_4 10**(digits+5) is just above m, as C(2m, m) grows
-    like 4^m; exact integer comparisons decide, stepping C(2m, m) by ratios.
-    """
+    """The first m with |t_m| = P(m) / ((2m-1)^2 m^3 c_m) below 10**-(digits+5),
+    P(m) = 56m^2 - 32m + 5 and c_m = C(2m,m) C(3m,m): from the float seed
+    log_27 10**(digits+5), as c_m grows like 27^m, exact integer comparisons
+    decide, stepping c_m by its ratios."""
     bound = 10 ** (digits + 5)
-    m = max(2, math.ceil((digits + 5) * math.log(10) / math.log(4)))
-    c = math.comb(2 * m, m)
-    while m**3 * c <= bound:
-        c = c * 2 * (2 * m + 1) // (m + 1)
-        m += 1
-    while m > 2 and (m - 1) ** 3 * (down := c * m // (2 * (2 * m - 1))) > bound:
+
+    def small(m: int, c: int) -> bool:  # |t_m| < 10**-(digits+5), given c = c_m
+        return (2 * m - 1) ** 2 * m**3 * c > (56 * m * m - 32 * m + 5) * bound
+
+    m = max(1, math.ceil((digits + 5) * math.log(10) / math.log(27)))
+    c = math.comb(2 * m, m) * math.comb(3 * m, m)
+    while not small(m, c):
+        c, m = c * 3 * (3 * m + 1) * (3 * m + 2) // (m + 1) ** 2, m + 1
+    while m > 1 and small(m - 1, down := c * m * m // (3 * (3 * m - 1) * (3 * m - 2))):
         c, m = down, m - 1
     return m
 
 
 def _series_fraction(digits: int) -> Fraction:
-    # t_n = (-1)^(n-1) / (n^3 C(2n,n)) has t_1 = 1/2 and t_{n+1} = t_n * u/v with
-    # u = -n^3, v = 2(n+1)^2(2n+1).  Over a common denominator D the columns
-    # (S*D, t*D) and (D, 0) times (v, v, 0, u) carry S + t_n and t_{n+1}; the
-    # seed (0, 2, 1, 0) has the columns (0, 1) and (2, 0), S = 0 and t_1.
-    # Steps 1 .. m-1 sum t_1 .. t_{m-1}, for the first m with |t_m| below
-    # 10**-(digits+5).
-    m = _series_stop(digits)
-    steps = ((v, v, 0, -(n**3)) for n in range(1, m) for v in [2 * (n + 1) ** 2 * (2 * n + 1)])
-    total, denom, _, _ = _product(chain([(0, 2, 1, 0)], steps))
-    # Alternating with decreasing terms: tail bounded by the first omitted
-    # term, so |zeta3 - value| < (5/2) * 10**-(digits+5).
-    return Fraction(5 * total, 2 * denom)
+    # Amdeberhan's series, zeta(3) = (1/4) sum P(n) s_n: s_n = (-1)^(n-1) /
+    # ((2n-1)^2 n^3 C(2n,n) C(3n,n)) has s_1 = 1/6 and s_{n+1} = s_n * u/v, u =
+    # -(2n-1)^2 n^3, v = 3(2n+1)^2 (n+1)(3n+1)(3n+2).  Over a common denominator
+    # D the columns (S*D, s_n*D) and (D, 0) times (v, v*P(n), 0, u) carry
+    # S + P(n) s_n and s_{n+1}; the seed (0, 6, 1, 0) holds S = 0 and s_1.
+    m, e = _series_stop(digits), digits + 5
+    steps = ((v, v * (56 * n * n - 32 * n + 5), 0, -((2 * n - 1) ** 2) * n**3) for n in range(1, m)
+             for v in [3 * (2 * n + 1) ** 2 * (n + 1) * (3 * n + 1) * (3 * n + 2)])
+    total, denom, _, _ = _product(chain([(0, 6, 1, 0)], steps))
+    # Steps 1 .. m-1 sum the terms before the first below 10**-e.  Alternating
+    # and decreasing, the tail is under a quarter of that term, and the floor
+    # adds under 10**-e: |zeta3 - value| < 1.25 * 10**-e.
+    return Fraction(total * 10**e // (4 * denom), 10**e)
 
 
 def _deep_cf_fraction(digits: int) -> Fraction:
@@ -421,12 +425,10 @@ def zeta3_reference(digits: int, oracle: str = "SERIES") -> ReferenceValue:
     """zeta(3) correct to `digits` truncated digits from the named oracle."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if oracle == "SERIES":
-        frac = _series_fraction(digits)
-    elif oracle == "DEEP_CF":
-        frac = _deep_cf_fraction(digits)
-    else:
+    oracles = {"SERIES": _series_fraction, "DEEP_CF": _deep_cf_fraction}
+    if oracle not in oracles:
         raise ValueError(f"unknown oracle {oracle!r}")
+    frac = oracles[oracle](digits)
     text, _ = to_decimal(frac, digits)
     return ReferenceValue(digits, text, oracle, frac)
 
@@ -435,10 +437,8 @@ def oracles_agree(digits: int) -> tuple[bool, ReferenceValue, ReferenceValue]:
     """Compare the two oracles digit-for-digit at the requested precision."""
     series = zeta3_reference(digits, "SERIES")
     deep = zeta3_reference(digits, "DEEP_CF")
-    agree = series.decimal == deep.decimal and abs(
-        series.fraction - deep.fraction
-    ) < Fraction(1, 10 ** (digits + 2))
-    return agree, series, deep
+    close = abs(series.fraction - deep.fraction) < Fraction(1, 10 ** (digits + 2))
+    return series.decimal == deep.decimal and close, series, deep
 
 
 # ---------------------------------------------------------------------------

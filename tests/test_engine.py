@@ -32,7 +32,7 @@ from zeta3cf.cli import MAX_REF_DIGITS
 from zeta3cf.mobius import PoleError, PolyMobius
 from zeta3cf.stages import FlatCF, Stage, Target, flatten, lookup, perturbed, stage_from_levels
 from zeta3cf.polynomial import K, Poly
-from zeta3cf.rational import log10_fraction, truncate_float
+from zeta3cf.rational import log10_fraction, to_decimal, truncate_float
 
 from test_polynomial import fraction_horner
 
@@ -595,7 +595,9 @@ def test_oracles_agree_200_digits():
 
 
 def _series_reference(digits: int) -> Fraction:
-    # The alternating central-binomial sum term by term in Fractions.
+    # The alternating central-binomial sum (5/2) sum (-1)^(n-1) / (n^3
+    # C(2n,n)) term by term in Fractions, within (5/2) * 10**-(digits+5): a
+    # series independent of the SERIES oracle's.
     threshold = Fraction(1, 10 ** (digits + 5))
     total = Fraction(0)
     n = 1
@@ -609,8 +611,40 @@ def _series_reference(digits: int) -> Fraction:
 
 
 def test_series_oracle_matches_fraction_sum():
+    # The two bounds, 5/4 and 5/2 times 10**-(digits+5), put the values within
+    # 15/4 * 10**-(digits+5), well inside the 2 * 10**-(digits+3) that
+    # ReferenceValue documents for two references, and both truncate alike.
     for digits in [*range(1, 401), 1000]:
-        assert zeta3_reference(digits).fraction == _series_reference(digits), digits
+        new, old = zeta3_reference(digits), _series_reference(digits)
+        assert abs(new.fraction - old) < Fraction(15, 4 * 10 ** (digits + 5)), digits
+        assert new.decimal == to_decimal(old, digits)[0], digits
+
+
+def _amdeberhan_term(n: int) -> Fraction:
+    # |t_n| = P(n) / ((2n-1)^2 n^3 C(2n,n) C(3n,n)), P(n) = 56n^2 - 32n + 5.
+    return Fraction(56 * n * n - 32 * n + 5, (2 * n - 1) ** 2 * n**3 * math.comb(2 * n, n) * math.comb(3 * n, n))
+
+
+def test_amdeberhan_terms_decrease_from_the_first():
+    # |t_{n+1}| / |t_n| = (2n-1)^2 n^3 P(n+1) / (v P(n)), v = 3(2n+1)^2 (n+1)
+    # (3n+1)(3n+2), so |t_{n+1}| < |t_n| iff v P(n) - (2n-1)^2 n^3 P(n+1) > 0;
+    # at n = j + 1 every coefficient is positive, so it is for every n >= 1,
+    # and the alternating tail is below its first term.
+    p = 56 * K**2 - 32 * K + 5
+    v = 3 * (2 * K + 1) ** 2 * (K + 1) * (3 * K + 1) * (3 * K + 2)
+    gap = (v * p - (2 * K - 1) ** 2 * K**3 * p.shift(1)).shift(1)
+    assert gap.nums == (31155, 184755, 457396, 612862, 480736, 221176, 55360, 5824)
+    assert all(_amdeberhan_term(n + 1) < _amdeberhan_term(n) for n in range(1, 60))
+
+
+def test_series_stop_is_the_first_small_term():
+    # |t_m| < 10**-(digits+5) <= |t_{m-1}|: the sum stops at the first
+    # small term, and stopping one term earlier would leave a term the tail
+    # bound does not cover.
+    for digits in range(1, 1001):
+        m, threshold = engine._series_stop(digits), Fraction(1, 10 ** (digits + 5))
+        assert _amdeberhan_term(m) < threshold, digits
+        assert _amdeberhan_term(m - 1) >= threshold, digits
 
 
 def _deep_cf_by_convergents(digits: int) -> Fraction:
@@ -669,6 +703,17 @@ def test_reference_matches_mpmath(oracle):
             scaled = int(mpmath.floor(mpmath.zeta(3) * mpmath.mpf(10) ** digits))
         text = str(scaled)
         assert zeta3_reference(digits, oracle).decimal == f"{text[:1]}.{text[1:]}", digits
+
+
+def test_series_error_within_its_bound():
+    # The floor of the partial sum over 10**e, e = digits + 5, is within
+    # 1.25 * 10**-e of zeta(3).
+    mpmath = pytest.importorskip("mpmath")
+    for digits in (32, 356, 617, 1000):
+        with mpmath.workdps(digits + 30):
+            zeta3 = Fraction(mpmath.nstr(mpmath.zeta(3), digits + 25, strip_zeros=False))
+        error = abs(zeta3_reference(digits).fraction - zeta3)
+        assert error < Fraction(5, 4 * 10 ** (digits + 5)), digits
 
 
 def test_series_tail_bound():
