@@ -126,7 +126,12 @@ def _cmd_convergents(args) -> tuple[str, dict, dict]:
 
 def _cmd_verify_chain(args) -> tuple[str, dict, dict]:
     override = None
-    if args.hook_break_sigma:
+    if args.hook_break_sigma is not None:
+        # The names of substitution_chain()'s steps, without building it.
+        steps = stages.CHAIN_ORDER[1:]
+        if args.hook_break_sigma not in steps:
+            known = ", ".join(steps)
+            raise CommandError(f"unknown step {args.hook_break_sigma!r}; chain steps: {known}")
         override = {args.hook_break_sigma: verify.PolyMobius(1, 1, 0, 1)}
     report = verify.verify_chain(sigma_override=override)
     rows = []
@@ -274,7 +279,10 @@ def _cmd_ref(args) -> tuple[str, dict, dict]:
 
 
 def _emit_text(command, status, payload, tables, out) -> None:
-    tables = _rendered(tables)
+    """The payload as `key: value` lines, then each table with its columns
+    padded to their widest cell.  Each cell renders once to print and, unless
+    it is a Decimal, once more to be measured; a Decimal's width is read off
+    its exponent, so the long p_n, q_n texts exist one row at a time."""
     print(f"command: {command}", file=out)
     for key, value in payload.items():
         print(f"{key}: {_plain(value)}", file=out)
@@ -282,22 +290,19 @@ def _emit_text(command, status, payload, tables, out) -> None:
         if not rows:
             continue
         print(f"[{name}]", file=out)
-        cells = rows[::-1]
-        widths = [
-            max(len(str(h)), max(_width(r[i]) for r in cells))
-            for i, h in enumerate(header)
-        ]
+        widths = [max(len(h), max(_width(r[i]) for r in rows)) for i, h in enumerate(header)]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)), file=out)
-        while cells:  # pop each row as it prints, so its strings are freed
-            print("  ".join(_plain(c).ljust(w) for c, w in zip(cells.pop(), widths)), file=out)
+        for row in rows:
+            print("  ".join(_plain(c).ljust(w) for c, w in zip(row, widths)), file=out)
     print(f"status: {status}", file=out)
 
 
 def _emit_json(command, status, payload, tables, out) -> None:
     """The envelope as json.dumps(doc, indent=2) would write it, with
     Decimal cells as bare integers.  The whole text is built before anything
-    is written: an integer longer than this interpreter's int-str limit
-    raises CommandError first, since json.loads could not read it back."""
+    is written: a Decimal cell longer than this interpreter's int-str limit
+    raises CommandError first, since json.loads could not read it back.  An
+    int cell is an index or a capped size, far inside the lowest limit."""
     # Imported here, so that only json output pays for importing json.
     from json import dumps
     from json.encoder import encode_basestring_ascii
@@ -338,10 +343,7 @@ def _json_chunks(value, pad: str, limit: int, chunks: list[str], quote, dumps) -
             raise CommandError(_too_long(limit, "json", decimal=True))
         chunks.append(decimal_int_str(value))
     elif isinstance(value, int) and not isinstance(value, bool):
-        try:
-            chunks.append(int.__repr__(value))
-        except ValueError as exc:
-            raise CommandError(_too_long(limit, "json")) from exc
+        chunks.append(int.__repr__(value))
     else:
         chunks.append(dumps(value))
 
@@ -365,7 +367,6 @@ def _too_long(limit: int, fmt: str, decimal: bool = False) -> str:
 def _emit_csv(command, status, payload, tables, out) -> None:
     # One table per invocation; scalar payload entries fold into it so the
     # csv carries the same numeric content as the other formats.
-    tables = _rendered(tables)
     if command == "gutnik" and "alignment" in tables:
         header, rows = tables["alignment"]
         header = header + ["offset_nes", "offset_apery"]
@@ -407,25 +408,11 @@ def _print_table(header, rows, out) -> None:
         print(",".join(_plain(c) for c in row), file=out)
 
 
-def _rendered(tables: dict) -> dict:
-    """`tables` with every non-Decimal cell rendered before anything is
-    written, so an integer past the int-str limit raises CommandError first.
-    Decimal cells (p_n, q_n) never hit that limit and render only as their
-    row prints, so their long texts never all exist at once."""
-    try:
-        return {
-            name: (header, [[c if isinstance(c, Decimal) else _plain(c) for c in r] for r in rows])
-            for name, (header, rows) in tables.items()
-        }
-    except ValueError as exc:  # str() of an int raises it only past the limit
-        raise CommandError(_too_long(sys.get_int_max_str_digits(), "text")) from exc
-
-
 def _width(cell) -> int:
-    """len(_plain(cell)) for a cell that is a str or an integral Decimal."""
+    """len(_plain(cell)), read off the exponent for an integral Decimal."""
     if isinstance(cell, Decimal):
         return cell.adjusted() + 1 + (cell < 0)
-    return len(cell)
+    return len(_plain(cell))
 
 
 def _plain(value) -> str:

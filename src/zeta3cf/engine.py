@@ -31,12 +31,12 @@ balanced product tree (binary splitting; Haible & Papanikolaou, ANTS
 1998), which turns n big-by-small products into O(log n) rounds of
 balanced big-by-big ones.  That tree is `mobius._product`, the package's
 one 2x2 matrix product; it also composes the polynomial maps of the stage
-chain.  Backward evaluation reads one column, so it applies the product
-column first (`_apply`): the earlier half of the maps acts on the seed
-column recursively and only the later half is multiplied out, so the
-largest products are matrix by column.  These product walks, like
-`reduced_at`, test only the denominators they report: an infinite
-value on the way is a point of the projective line, not an error.
+chain.  Backward evaluation reads one column, so it seeds its product
+with that column as the first matrix, (x, 0, y, 0), as SERIES seeds its
+own with (0, 6, 1, 0); the product's first column is the value.  These
+product walks, like `reduced_at`, test only the denominators they
+report: an infinite value on the way is a point of the projective line,
+not an error.
 
 Printed integers thousands of digits long are carried as integral
 Decimals, exact through `rational.EXACT`, because CPython converts an int
@@ -319,23 +319,10 @@ def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fract
         raise ValueError("depth must be >= 0")
     maps = [(stage.step, k) for k in range(top - 1, -1, -1)] + [(stage.head, 0)]
     mats = [(m.a.value_at(k), m.b.value_at(k), m.c.value_at(k), m.d.value_at(k)) for m, k in maps]
-    x, y = _apply(mats, seed)
+    x, _, y, _ = _product([(seed[0], 0, seed[1], 0), *mats])
     if y == 0:
         raise PoleError(0, "infinity" if x else "0/0")
     return Fraction(x, y)
-
-
-def _apply(mats: list[tuple], col: tuple) -> tuple:
-    """The column `_product(mats)` times `col`, computed column first: the
-    earlier half of `mats` is applied to `col` recursively, then the product
-    of the later half.  Each round's largest multiplication is then a matrix
-    by a column, four big products instead of eight."""
-    if len(mats) > 1:
-        half = len(mats) // 2
-        col = _apply(mats[:half], col)
-        mats = mats[half:]
-    (a, b, c, d), (x, y) = _product(mats), col
-    return a * x + b * y, c * x + d * y
 
 
 # ---------------------------------------------------------------------------

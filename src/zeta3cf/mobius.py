@@ -11,7 +11,8 @@ package's one 2x2 matrix product, which serves these polynomial matrices
 and the integer matrices of the engine alike.  Equality of maps is
 projective -- equal up to a nonzero scalar -- and is decided by comparing
 normal forms: the form above is unique in each projective class over Q(k),
-and every map is an exact multiple of its normal form.
+and every map is an exact multiple of its normal form.  So `==` (and the
+hash) is `Frozen`'s, on the four fields a, b, c, d of that normal form.
 """
 
 from __future__ import annotations
@@ -108,14 +109,6 @@ class PolyMobius(Frozen):
         if denom == 0:
             raise PoleError(k, x)
         return (self.a(k) * x + self.b(k)) / denom
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyMobius):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __str__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"

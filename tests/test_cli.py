@@ -22,7 +22,6 @@ from zeta3cf.cli import (
     MAX_N_MAX,
     MAX_REF_DIGITS,
     MAX_V_MAX,
-    CommandError,
     _emit_csv,
     _emit_json,
     _emit_text,
@@ -105,6 +104,18 @@ def test_verify_chain_injected_sigma_exit_1():
     code, doc = run_json(["verify-chain", "--hook-break-sigma", "W"])
     assert code == 1
     assert doc["status"] == "fail"
+
+
+@pytest.mark.parametrize("step", ["BOGUS", "APERY", ""])
+def test_verify_chain_unknown_injected_step_exit_2(step):
+    # A step the chain does not have injects nothing, so it is an error, not
+    # a passing proof; the envelope names the nine steps.
+    code, doc = run_json(["verify-chain", "--hook-break-sigma", step])
+    assert code == 2
+    assert doc["status"] == "error"
+    steps = ", ".join(s.name for s in stages.substitution_chain())
+    assert steps == "A5, W, U, P, Q, Z, H, G, N"
+    assert doc["payload"]["error"] == f"unknown step {step!r}; chain steps: {steps}"
 
 
 def test_rate_apery():
@@ -494,12 +505,35 @@ def test_long_fraction_cells_name_the_setting_a_user_can_change(argv, fmt):
     assert error in text and "set_int_max_str_digits" not in text
 
 
-@pytest.mark.skipif(not INT_STR_LIMIT, reason="no int-str digit limit")
-def test_emit_json_refuses_a_long_int_before_writing():
-    out = io.StringIO()
-    with pytest.raises(CommandError):
-        _emit_json("x", "ok", {"big": 10**INT_STR_LIMIT}, {}, out)
-    assert out.getvalue() == ""
+LOWEST_LIMIT_REQUESTS = (
+    "eval G --depth 300",
+    "convergents N --n-max 400",
+    "verify-chain",
+    "rate APERY --n-max 150 --ref-digits 495",
+    "gutnik --v-max 100",
+    "catalog",
+    "ref --digits 1000",
+)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str limit")
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("request_", LOWEST_LIMIT_REQUESTS)
+def test_lowest_int_str_limit_changes_no_printed_byte(request_, fmt):
+    # 640 digits is the lowest limit CPython accepts.  Every int cell is an
+    # index or a capped size, so no request fails on one: each ends in an
+    # exit code of its own, and one that succeeds prints what it prints
+    # under the interpreter's limit.
+    argv = request_.split() + ["--format", fmt]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, text = run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert run(argv) == (0, text)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str limit")

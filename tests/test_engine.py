@@ -13,7 +13,6 @@ from zeta3cf.engine import (
     DegenerateConvergent,
     InsufficientData,
     InsufficientReferencePrecision,
-    _apply,
     _product,
     convergents,
     convergents_from_terms,
@@ -512,13 +511,15 @@ def test_product_tree_matches_walk(mats, col, col2):
     st.sampled_from([(1, 0), (0, 1)]) | st.tuples(matrix_entries, matrix_entries),
 )
 def test_column_first_matches_product(mats, col):
-    # Applying the earlier half to the column first, recursively, gives the
-    # column of the step-by-step walk, singular matrices and zero entries
-    # included; no matrices leave the column as given.
+    # The product seeded with the column (x, 0, y, 0) as its first matrix, as
+    # backward evaluation seeds it, carries the column of the step-by-step
+    # walk in its first column, singular matrices and zero entries included;
+    # no matrices leave the column as given.
     last = [col]
     for last in _walk(mats, col):
         pass
-    assert _apply(mats, col) == last[0]
+    x, b, y, d = _product([(col[0], 0, col[1], 0), *mats])
+    assert ((x, y), b, d) == (last[0], 0, 0)
 
 
 @pytest.mark.parametrize("name", ["APERY", "N", "G16", "G17"])
