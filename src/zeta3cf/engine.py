@@ -44,14 +44,14 @@ to text in time quadratic in its length and a Decimal in linear time, past
 the interpreter's int-to-text digit limit too: the `convergents` table's
 p_n and q_n, and the content H and gcd of `reduced_at`.  The reduced
 num/den stay ints, as they need `math.gcd`, and `convergents` keeps int
-fields.  The matrix entries are plain ints: step-map entries and flattened
-term families and block matrices are evaluated in integer Horner form
-(`Poly.value_at`, through `FlatCF.terms` for terms), so no Fraction
-arithmetic runs per step.
-The rate measurement walks one more column: for a limit L = L_n / L_d the
-residual r_n = L_d p_n - L_n q_n obeys the same recurrence, and
-|x_n - L| = |r_n| / (|q_n| L_d), so each row's error is read from bit
-lengths with no reduction.
+fields.  The matrix entries are plain ints: step maps, term families and
+block matrices are polynomials over Z, and `Poly.value_at` evaluates each
+at an integer index in integer Horner form (through `FlatCF.terms` for
+terms), so no Fraction arithmetic runs per step.
+The rate measurement walks q_n and a residual column instead of p_n: for
+a limit L = L_n / L_d the residual r_n = L_d p_n - L_n q_n obeys the same
+recurrence, and |x_n - L| = |r_n| / (|q_n| L_d), so each row's error is
+read from bit lengths with no reduction.
 
 The reference value of zeta(3) comes from two independent oracles:
 Amdeberhan's series zeta(3) = (1/4) sum (-1)^(n-1) (56n^2 - 32n + 5) /
@@ -157,11 +157,7 @@ def reduced_at(
     A right guess spares that row its one big gcd; any other pair is
     detected, and the row is computed as without it.
     """
-    steps = _steps(flat, stops[-1] if stops else 0)
-    # A block matrix needs integer-valued families, as a polynomial of
-    # degree d is when it is at d + 1 consecutive integers.
-    fams = flat.a_fam + flat.b_fam
-    blocks = {} if all(type(f.value_at(m)) is int for f in fams for m in range(f.degree + 1)) else None
+    steps, blocks = _steps(flat, stops[-1] if stops else 0), {}
     mats = (_interval(flat, n, stop, blocks) for n, stop in pairwise(chain([0], stops)))
     return _gcd_rows(_primitive_walk(next(steps), stops, mats, candidates))
 
@@ -246,14 +242,14 @@ def _gcd_rows(rows: Iterator) -> Iterator[StopRow]:
         yield n, ratio, mul(content, gx)
 
 
-def _interval(flat: FlatCF, n: int, stop: int, blocks: dict | None) -> Sequence[int]:
+def _interval(flat: FlatCF, n: int, stop: int, blocks: dict) -> Sequence[int]:
     """The product of the steps n+1 .. stop: the block at offset n % period
-    (cached in `blocks`) for one period with no exception in it, if blocks
-    are allowed, else the product of the terms."""
+    (cached in `blocks`) for one period with no exception in it, else the
+    product of the terms."""
     if stop < n:
         raise ValueError(f"stops must not decrease: {stop} after {n}")
     period = flat.period
-    if blocks is not None and stop - n == period and not any(n < e <= stop for e in flat.exceptions):
+    if stop - n == period and not any(n < e <= stop for e in flat.exceptions):
         m, j = divmod(n, period)
         if j not in blocks:
             blocks[j] = _block(flat, j)
@@ -447,34 +443,34 @@ def error_curve(
     """Measure accuracy of the first n_max convergents against the reference.
 
     Each d_n = log10|q_n| + log10 L_d - log10|r_n| comes from the residual
-    column r_n = L_d p_n - L_n q_n, walked over the same terms as p_n and
-    q_n; only the last two convergents are reduced.  Indices where x_n
-    equals the reference exactly (r_n = 0) are omitted.  Before measuring,
+    column r_n = L_d p_n - L_n q_n, walked beside q_n over the same steps.
+    Indices where x_n equals the reference exactly (r_n = 0) are omitted,
+    and the first q_n = 0 raises DegenerateConvergent(n).  Before measuring,
     a reference too short for the gap |x_n - x_{n-1}| of the last two
     convergents (about the error of x_{n-1}) is extended to 20 digits past
     it; if the largest measured accuracy still comes within 10 guard
     digits of the reference precision, that is an error.
     """
     steps = list(_steps(flat, n_max))
-    pairs = convergents_from_terms(steps[0][0], [(a, b) for b, a, _, _ in steps[1:]])
-    if len(pairs) > 1:
-        gap = abs(Fraction(*pairs[-1]) - Fraction(*pairs[-2]))
+    # The product of the steps is S_n = (p_n, q_n, p_{n-1}, q_{n-1}); only
+    # the gap of its two convergents is reduced, and only when both are finite.
+    p, q, p1, q1 = _product(steps)
+    if q * q1:
+        gap = Fraction(abs(p * q1 - p1 * q), abs(q * q1))
         need = int(-log10_fraction(gap)) + 20 if gap else 0
         if need > ref.digits:
             ref = zeta3_reference(need, ref.oracle_id)
-    # Seeded r_{-1} = L_d, r_{-2} = -L_n from S_{-1} = I; each row costs two
-    # big-by-small products and two bit-length logs, with no gcd.
+    # Seeded (q, r) = (0, L_d) at n = -1 and (1, -L_n) at n = -2, from S_{-1} = I;
+    # each row costs four big-by-small products and two bit-length logs, no gcd.
     limit = ref.value(target)
-    r, r1, residuals = limit.denominator, -limit.numerator, []
-    for b, a, _, _ in steps:
-        r, r1 = b * r + a * r1, r
-        residuals.append(r)
+    q, q1, r, r1, points = 0, 1, limit.denominator, -limit.numerator, []
     log_den = log10_ratio(limit.denominator, 1)
-    points = [
-        (n, log10_ratio(abs(q), abs(r)) + log_den)
-        for n, ((_, q), r) in enumerate(zip(pairs, residuals))
-        if r
-    ]
+    for n, (b, a, _, _) in enumerate(steps):
+        q, q1, r, r1 = b * q + a * q1, q, b * r + a * r1, r
+        if not q:
+            raise DegenerateConvergent(n)
+        if r:
+            points.append((n, log10_ratio(abs(q), abs(r)) + log_den))
     max_d = max((d for _, d in points), default=0.0)
     if max_d > ref.digits - 10:
         raise InsufficientReferencePrecision(

@@ -2,7 +2,7 @@
 
 A transformation is the 2x2 matrix [[a, b], [c, d]] over Poly, kept in a
 canonical normalized form so that structurally different builds of the same
-map render identically: the four entries share no common rational content
+map render identically: the four entries share no common integer content
 and no common polynomial factor of positive degree, and the first nonzero
 entry in (a, b, c, d) order has a positive leading coefficient.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .polynomial import Frozen, Poly, Scalar, _make, as_poly, poly_gcd
 
@@ -133,7 +133,10 @@ def _product(mats: Iterable[tuple]) -> tuple:
 
 
 def _normalize(entries: list[Poly]) -> list[Poly]:
-    entries = _divide_content(entries)
+    # Common integer content.
+    g = gcd(*(n for e in entries for n in e.nums))
+    if g > 1:
+        entries = [_make([n // g for n in e.nums]) for e in entries]
     # Common polynomial factor of positive degree.
     g = Poly.zero()
     for e in entries:
@@ -148,15 +151,6 @@ def _normalize(entries: list[Poly]) -> list[Poly]:
     if next((e.nums[-1] for e in entries if e.nums), 0) < 0:
         entries = [-x for x in entries]
     return entries
-
-
-def _divide_content(entries: list[Poly]) -> list[Poly]:
-    """Divide out the rational content shared by all four entries."""
-    g = gcd(*(n for e in entries for n in e.nums))
-    if not g:
-        return entries
-    den = lcm(*(e.den for e in entries))
-    return [_make([n * (den // e.den) // g for n in e.nums], 1) for e in entries]
 
 
 def level_map(b: Entry, a: Entry) -> PolyMobius:

@@ -1,22 +1,19 @@
-"""Univariate polynomials over the rationals in the recurrence index k.
+"""Univariate polynomials over the integers in the recurrence index k.
 
-A polynomial is held once, in integer form: `nums`, integer numerators in
-ascending order (nums[i] multiplies k**i), over one positive denominator
-`den`.  Canonical form has no trailing zero numerator and
-gcd(*nums, den) == 1, so the zero polynomial is ((), 1) and degree() is -1
-for it, and an integer polynomial has den == 1.  Values are immutable; all
+A polynomial is held once: `nums`, its integer coefficients in ascending
+order (nums[i] multiplies k**i), with no trailing zero, so the zero
+polynomial is () and degree() is -1 for it.  Values are immutable; all
 arithmetic, division included, is exact and runs in ints, with no
-floating-point path anywhere: a scalar that is neither an int nor a Fraction
-raises TypeError.  `coeffs`, `leading`, `content()` and `constant_value()`
-return exact Fractions.  Division is one integer pseudo-division (Knuth,
-TAOCP vol. 2, 4.6.1, Algorithm R): `divmod` scales it back to Q, and
-`poly_gcd` runs the primitive remainder sequence over Z[k] on it (Collins
-1967; Brown 1971).
+floating-point path anywhere.  A scalar is an int or a Fraction equal to
+one: a non-integral Fraction raises ValueError, anything else TypeError.
+`coeffs`, `leading`, `content()` and `constant_value()` return exact
+Fractions, so a caller that divides by one stays exact.  Division is one
+integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R):
+`divexact` divides exactly over Z with it, and `poly_gcd` runs the
+primitive remainder sequence over Z[k] on it (Collins 1967; Brown 1971).
 
-`value_at(k)` is the one Horner loop: for integer k it runs in ints and
-returns an int whenever the value is an integer.  `p(x)` is `value_at(x)`
-cast to Fraction, for any rational x, so a caller that divides by a value
-stays exact.
+`value_at(k)` is the one Horner loop: an int for an integer k.  `p(x)` is
+`value_at(x)` cast to Fraction, for any rational x.
 
 Build polynomials with the exported indeterminate K and ordinary operators:
 
@@ -28,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
 Scalar = int | Fraction
 
@@ -38,7 +35,7 @@ class ZeroDivisor(ZeroDivisionError):
 
 
 class NotDivisible(ArithmeticError):
-    """Exact polynomial division left a nonzero remainder."""
+    """Exact polynomial division left a nonzero remainder or a non-integral quotient."""
 
 
 class Frozen:
@@ -71,15 +68,12 @@ class Frozen:
 
 class Poly(Frozen):
     nums: tuple[int, ...]
-    den: int
 
     def __new__(cls, coeffs: Iterable[Scalar]) -> "Poly":
-        coeffs = tuple(map(_scalar, coeffs))
-        den = lcm(*(c.denominator for c in coeffs))
-        return _make([c.numerator * (den // c.denominator) for c in coeffs], den)
+        return _make([_integer(c) for c in coeffs])
 
     def __getnewargs__(self) -> tuple:
-        return (self.coeffs,)
+        return (self.nums,)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -96,7 +90,7 @@ class Poly(Frozen):
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients ascending, each an exact Fraction."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
+        return tuple(map(Fraction, self.nums))
 
     @property
     def degree(self) -> int:
@@ -113,41 +107,32 @@ class Poly(Frozen):
 
     @property
     def leading(self) -> Fraction:
-        return Fraction(self.nums[-1] if self.nums else 0, self.den)
+        return Fraction(self.nums[-1] if self.nums else 0)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"polynomial {self} is not constant")
-        return Fraction(self.nums[0] if self.nums else 0, self.den)
+        return Fraction(self.nums[0] if self.nums else 0)
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact value at a rational x, always a Fraction (never an int or float)."""
         return Fraction(self.value_at(x))
 
-    def value_at(self, k: Scalar) -> int | Fraction:
-        """Exact value at k by Horner over the integer numerators.
-
-        For an integer k the loop runs in ints and returns an int whenever
-        the value is an integer, else a Fraction; a Fraction k gives the
-        same value as an int or a Fraction.
-        """
+    def value_at(self, k: Scalar) -> Scalar:
+        """Exact value at k by Horner over the integer coefficients: an int
+        for an integer k."""
         if type(k) is not int:
             _scalar(k)
         acc = 0
         for c in reversed(self.nums):
             acc = acc * k + c
-        if self.den == 1:
-            return acc
-        quo, rem = divmod(acc, self.den)
-        return Fraction(acc, self.den) if rem else quo
+        return acc
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Poly | Scalar) -> "Poly":
         o = as_poly(other)
-        den = lcm(self.den, o.den)
-        sa, so = den // self.den, den // o.den
-        return _make([a * sa + b * so for a, b in zip_longest(self.nums, o.nums, fillvalue=0)], den)
+        return _make([a + b for a, b in zip_longest(self.nums, o.nums, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -158,7 +143,7 @@ class Poly(Frozen):
         return as_poly(other) - self
 
     def __neg__(self) -> "Poly":
-        return _make([-n for n in self.nums], self.den)
+        return _make([-n for n in self.nums])
 
     def __mul__(self, other: Poly | Scalar) -> "Poly":
         o = as_poly(other)
@@ -166,7 +151,7 @@ class Poly(Frozen):
         for i, a in enumerate(self.nums):
             for j, b in enumerate(o.nums):
                 out[i + j] += a * b
-        return _make(out, self.den * o.den)
+        return _make(out)
 
     __rmul__ = __mul__
 
@@ -180,51 +165,59 @@ class Poly(Frozen):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
+            return self.nums == ((other,) if other else ())
+        return Frozen.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+    __hash__ = Frozen.__hash__
 
     # -- division ------------------------------------------------------
 
     def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact quotient and remainder over the rationals, deg rem < deg divisor."""
+        """Pseudo-division over Z: (q, r) with m * self == q * divisor + r and
+        deg r < deg divisor, for m = |lc(divisor)|**len(q.nums).
+
+        The multiplier m is positive, so r keeps the sign of the true
+        remainder, as a Sturm sequence needs.
+        """
         if divisor.is_zero:
             raise ZeroDivisor("division by the zero polynomial")
-        quo, rem, scale = _pseudo_divmod(self.nums, divisor.nums)
-        # scale * nums == quo * divisor.nums + rem, divided through by scale * den.
-        den = scale * self.den
-        return _make([n * divisor.den for n in quo], den), _make(rem, den)
+        v = divisor.nums
+        n, lc, sign = len(v) - 1, abs(v[-1]), 1 if v[-1] > 0 else -1
+        r = list(self.nums)
+        q = [0] * max(len(r) - n, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = sign * r.pop()
+            q[k] = c * lc**k
+            if lc != 1:
+                r = [lc * x for x in r]
+            for j in range(n):
+                r[j + k] -= c * v[j]
+        return _make(q), _make(r)
 
     def divexact(self, divisor: "Poly") -> "Poly":
-        """Return r with r * divisor == self, or raise NotDivisible."""
+        """Return r over Z with r * divisor == self, or raise NotDivisible."""
         quo, rem = self.divmod(divisor)
-        if not rem.is_zero:
-            raise NotDivisible(f"({self}) is not divisible by ({divisor})")
-        return quo
+        m = abs(divisor.nums[-1]) ** len(quo.nums)
+        if rem.nums or any(c % m for c in quo.nums):
+            raise NotDivisible(f"({self}) is not divisible by ({divisor}) over Z")
+        return _make([c // m for c in quo.nums])
 
     def shift(self, c: Scalar) -> "Poly":
-        """Substitute k -> k + c (exact Taylor shift, in ints): for c = p/q and
-        degree d, f(k + c) = h(q*k + p) / q**d with h(x) = q**d * f(x/q)."""
-        p, q = _scalar(c).numerator, c.denominator
-        d = max(self.degree, 0)
-        h = [n * q ** (d - j) for j, n in enumerate(self.nums)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                h[j] += p * h[j + 1]
-        return _make([n * q**j for j, n in enumerate(h)], self.den * q**d)
+        """Substitute k -> k + c for an integer c (exact Taylor shift, in ints)."""
+        h, c = list(self.nums), _integer(c)
+        for i in range(len(h) - 1):
+            for j in range(len(h) - 2, i - 1, -1):
+                h[j] += c * h[j + 1]
+        return _make(h)
 
     def content(self) -> Fraction:
-        """Positive rational content: gcd of numerators / lcm of denominators."""
-        return Fraction(gcd(*self.nums), self.den)
+        """Nonnegative content: the gcd of the coefficients, 0 for zero."""
+        return Fraction(gcd(*self.nums))
 
     def primitive(self) -> "Poly":
-        """Integer-coefficient multiple with content 1, same sign pattern."""
+        """self over its content: content 1, same sign pattern."""
         g = gcd(*self.nums)
-        return _make([n // g for n in self.nums], 1) if g else self
+        return _make([n // g for n in self.nums]) if g > 1 else self
 
     # -- rendering -----------------------------------------------------
 
@@ -237,12 +230,11 @@ class Poly(Frozen):
             if not n:
                 continue
             sign = "-" if n < 0 else ("+" if parts else "")
-            mag = Fraction(abs(n), self.den)
             if i == 0:
-                body = _frac_str(mag)
+                body = str(abs(n))
             else:
                 var = "k" if i == 1 else f"k^{i}"
-                body = var if mag == 1 else f"{_frac_str(mag)}{var}"
+                body = var if abs(n) == 1 else f"{abs(n)}{var}"
             parts.append(sign + body)
         return "".join(parts)
 
@@ -250,37 +242,13 @@ class Poly(Frozen):
         return f"Poly({self})"
 
 
-def _make(nums: list[int], den: int) -> Poly:
-    """The canonical Poly with coefficients nums[i] / den, for den > 0."""
+def _make(nums: list[int]) -> Poly:
+    """The canonical Poly with the integer coefficients nums."""
     while nums and not nums[-1]:
         nums.pop()
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [n // g for n in nums]
-        den //= g
     poly = object.__new__(Poly)
     object.__setattr__(poly, "nums", tuple(nums))
-    object.__setattr__(poly, "den", den)
     return poly
-
-
-def _pseudo_divmod(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], list[int], int]:
-    """(q, r, m) with m * u == q * v + r over ints, deg r < deg v (v nonzero).
-
-    The multiplier m = |lc(v)|**e, e = max(deg u - deg v + 1, 0), is positive,
-    so r keeps the sign of the true remainder, as a Sturm sequence needs.
-    """
-    n, lc, sign = len(v) - 1, abs(v[-1]), 1 if v[-1] > 0 else -1
-    r = list(u)
-    q = [0] * max(len(u) - n, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = sign * r.pop()
-        q[k] = c * lc**k
-        if lc != 1:
-            r = [lc * x for x in r]
-        for j in range(n):
-            r[j + k] -= c * v[j]
-    return q, r, lc ** len(q)
 
 
 def _scalar(x: Scalar) -> Scalar:
@@ -290,25 +258,31 @@ def _scalar(x: Scalar) -> Scalar:
     return x
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"({f})"
+def _integer(x: Scalar) -> int:
+    """x as an int, for an int or a Fraction equal to one; ValueError for
+    another Fraction, TypeError for anything else."""
+    if type(x) is int:
+        return x
+    if _scalar(x).denominator != 1:
+        raise ValueError(f"expected an integer, not {x}")
+    return int(x)
 
 
 def as_poly(x: Poly | Scalar) -> Poly:
-    """Coerce an int or Fraction to a constant polynomial."""
+    """Coerce an int or a Fraction equal to one to a constant polynomial."""
     if isinstance(x, Poly):
         return x
     return Poly.const(x)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd over Q[k] with positive leading coefficient.
+    """Primitive gcd over Z[k] with positive leading coefficient.
 
-    The primitive remainder sequence over Z[k]: a, b = b, primitive(prem(a, b)).
+    The primitive remainder sequence: a, b = b, primitive(prem(a, b)).
     """
     a, b = p.primitive(), q.primitive()
     while not b.is_zero:
-        a, b = b, _make(_pseudo_divmod(a.nums, b.nums)[1], 1).primitive()
+        a, b = b, a.divmod(b)[1].primitive()
     return -a if a.nums and a.nums[-1] < 0 else a
 
 

@@ -108,8 +108,8 @@ def log10_ratio(num: int, den: int) -> float:
     return _log10_int(num) - _log10_int(den)
 
 
-def sci_string(r: Fraction, sig_digits: int = 3) -> str:
-    """Scientific notation with a truncated mantissa, computed exactly."""
+def sci_string(r: Fraction) -> str:
+    """Scientific notation with a truncated three-digit mantissa, computed exactly."""
     if r == 0:
         return "0"
     sign = "-" if r < 0 else ""
@@ -120,5 +120,5 @@ def sci_string(r: Fraction, sig_digits: int = 3) -> str:
         exp -= 1
     while Fraction(10) ** (exp + 1) <= a:
         exp += 1
-    mantissa = str(int(a * Fraction(10) ** (sig_digits - 1 - exp)))
+    mantissa = str(int(a * Fraction(10) ** (2 - exp)))
     return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exp:+03d}"

@@ -107,9 +107,9 @@ class FlatCF(Frozen):
     through the finite `exceptions` map (for these fractions that is just
     a_1, where the wrapped family value would vanish).
 
-    `terms` yields the exact terms for the engine: family values come from
-    integer Horner form, as ints where they are integers.  `a_term` and
-    `b_term` return the same values as Fractions.
+    `terms` yields the exact terms for the engine: family values are ints,
+    from integer Horner form, and an exception keeps its own type.  `a_term`
+    and `b_term` return the same values as Fractions.
     """
 
     def __init__(self, name: str, b0: Fraction, a1: Fraction, period: int, b_fam: tuple[Poly, ...],
@@ -127,7 +127,7 @@ class FlatCF(Frozen):
             raise IndexError("partial numerators start at n = 1")
         return Fraction(self._a(n))
 
-    def terms(self, n_max: int, start: int = 1) -> Iterator[tuple[int | Fraction, int | Fraction]]:
+    def terms(self, n_max: int, start: int = 1) -> Iterator[tuple[int | Fraction, int]]:
         """(a_n, b_n) for n = start .. n_max, lazily."""
         return ((self._a(n), self._b(n)) for n in range(start, n_max + 1))
 
@@ -137,7 +137,7 @@ class FlatCF(Frozen):
         m, j = divmod(n - 1, self.period)
         return self.a_fam[j].value_at(m)
 
-    def _b(self, n: int) -> int | Fraction:
+    def _b(self, n: int) -> int:
         m, j = divmod(n - 1, self.period)
         return self.b_fam[j].value_at(m)
 

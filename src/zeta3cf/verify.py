@@ -118,7 +118,7 @@ def _least_positive_integer_root(f: Poly) -> int | None:
 
 
 def _derivative(f: Poly) -> Poly:
-    """den(f) times the derivative of f: a positive multiple, in ints."""
+    """The derivative of f, in ints."""
     return Poly([i * n for i, n in enumerate(f.nums)][1:])
 
 

@@ -286,8 +286,9 @@ def test_steps_product_is_the_state(flat, n_max):
 
 
 def test_steps_check_at_the_call_and_raise_at_the_term():
-    # a_2 = 3/2: the stream yields steps 0 and 1 before it raises.
-    flat = FlatCF("F", Fraction(1), Fraction(1), 1, (Poly.const(1),), (Poly([1, Fraction(1, 2)]),))
+    # The exception a_2 = 3/2: the stream yields steps 0 and 1 before it raises.
+    one = Poly.const(1)
+    flat = FlatCF("F", Fraction(1), Fraction(1), 1, (one,), (one,), {2: Fraction(3, 2)})
     with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
         engine._steps(flat, -1)
     with pytest.raises(ValueError, match=r"^non-integer leading term b0 = 1/2$"):
@@ -310,9 +311,9 @@ stop_lists = st.builds(
     st.integers(0, 9),
     st.lists(st.sampled_from([1, 2, 3, 4, 4, 4, 5, 8]), max_size=24),
 )
-# k(k+1)/2 + 1 has a denominator and integer values, so it takes the blocks.
-TRIANGULAR = FlatCF("T", Fraction(1), Fraction(1), 2, (Poly([1, Fraction(1, 2), Fraction(1, 2)]), K + 3),
-                    (Poly.const(1), K + 2))
+# b = k(k+1) + 1, twice a triangular number plus one: a quadratic family in
+# a period of two, so the blocks have degree 3 in m.
+TRIANGULAR = FlatCF("T", Fraction(1), Fraction(1), 2, (K * (K + 1) + 1, K + 3), (Poly.const(1), K + 2))
 
 
 def _reduced_at_flats():
@@ -450,10 +451,11 @@ def test_table_pays_one_big_gcd_per_row(monkeypatch, nes_flat, apery_flat):
 
 
 def test_reduced_at_rejects_non_integer_terms():
-    # (k + 2)/2 is not integer-valued, so no block is built: the terms are
-    # tested one by one, and b_2 = 3/2 raises as in `convergents`.  The
+    # The exception a_2 = 3/2 keeps its interval off the block path: its
+    # terms are tested one by one, and a_2 raises as in `convergents`.  The
     # table reads its terms lazily too: rows 0 and 1 come first.
-    flat = FlatCF("F", Fraction(1), Fraction(1), 1, (Poly([1, Fraction(1, 2)]),), (Poly.const(1),))
+    one = Poly.const(1)
+    flat = FlatCF("F", Fraction(1), Fraction(1), 1, (one,), (one,), {2: Fraction(3, 2)})
     rows = engine.reduced_at(flat, [1, 2, 3])
     assert next(rows) == (1, (2, 1), 1)
     with pytest.raises(ValueError, match=r"^non-integer term at n=2: "):

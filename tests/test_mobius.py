@@ -169,7 +169,7 @@ entry_quads = st.tuples(small_polys, small_polys, small_polys, small_polys).filt
 @given(
     e=entry_quads,
     other=entry_quads,
-    lam=st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool),
+    lam=st.integers(-20, 20).filter(bool),
     g=small_polys.filter(lambda p: not p.is_zero),
     same=st.booleans(),
 )
