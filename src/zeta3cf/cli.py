@@ -7,6 +7,9 @@ truncated decimals, no timestamps.
 
 Exit codes: 0 = success / all checks pass; 1 = checks ran and found a
 violation; 2 = usage or operational error.
+
+The argument parser is built once, when this module is imported; `main`
+only parses, so a program that calls it many times builds no parser per call.
 """
 
 from __future__ import annotations
@@ -71,12 +74,18 @@ def _resolve_numeric_stage(name: str) -> stages.Stage:
     return cat[name]
 
 
+def _int_str_limit() -> int:
+    """This interpreter's int-str digit limit, 0 for none (as in Python 3.10
+    builds before 3.10.7, which have no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _ratio_str(num: int, den: int) -> str:
     try:
         return f"{num}/{den}" if den != 1 else str(num)
     except ValueError as exc:  # str() of an int raises it only past the limit
         # The cell is a string in every format, so the error names no format.
-        raise CommandError(_too_long(sys.get_int_max_str_digits(), "text")) from exc
+        raise CommandError(_too_long(_int_str_limit(), "text")) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +209,7 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
     report = verify.gutnik_alignment(nes, apery, args.v_max)
     # nes_gcd is an integral Decimal, printed in linear time.  Past the
     # int-str limit it prints in no format, with the error of an int cell.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_str_limit()
     if limit and any(r.nes_gcd.adjusted() >= limit for r in report.entries):
         raise CommandError(_too_long(limit, args.format))
     rows = []
@@ -311,8 +320,7 @@ def _emit_json(command, status, payload, tables, out) -> None:
     for name, (header, rows) in tables.items():
         body[name] = [dict(zip(header, row)) for row in rows]
     doc = {"command": command, "format": "json", "status": status, "payload": body}
-    # Python 3.10 builds before 3.10.7 have no limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_str_limit()
     chunks: list[str] = []
     _json_chunks(doc, "\n", limit, chunks, encode_basestring_ascii, dumps)
     chunks.append("\n")
@@ -496,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
 _COMMANDS = {
     "eval": _cmd_eval,
     "convergents": _cmd_convergents,
@@ -509,8 +519,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # Shared flags use SUPPRESS defaults so either position wins; fill here.
     args.format = getattr(args, "format", "text")
     args.digits = getattr(args, "digits", 12)

@@ -50,6 +50,21 @@ def test_cli_and_catalog_import_no_dataclasses_typing_or_json():
     assert result.returncode == 0, result.stderr
 
 
+def test_library_import_loads_no_cli_or_argparse():
+    # zeta3cf.cli builds its parser at import; a library user pays for none of it.
+    src = str(Path(zeta3cf.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import zeta3cf\n"
+        "cli = {'zeta3cf.cli', 'argparse', 'gettext', 'locale'}\n"
+        "assert not cli & (set(sys.modules) - before), cli & set(sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_value_types_keep_repr_equality_and_invariants():
     # Each expected text and outcome was recorded with the dataclass-based
     # types these replaced.

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
 import decimal
 import hashlib
 import io
@@ -26,6 +28,7 @@ from zeta3cf.cli import (
     _emit_json,
     _emit_text,
     _plain,
+    build_parser,
     main,
 )
 from zeta3cf.polynomial import Poly
@@ -363,6 +366,73 @@ def test_hooks_hidden_from_help():
     )
     assert result.returncode == 0
     assert "hook" not in result.stdout
+
+
+# One cheap request of each of the seven commands.
+ONE_OF_EACH = (
+    "eval N --depth 6",
+    "convergents N --n-max 5",
+    "verify-chain",
+    "rate N --n-max 20",
+    "gutnik --v-max 5",
+    "catalog",
+    "ref --digits 7",
+)
+
+
+def test_main_builds_no_parser_per_call(monkeypatch):
+    # The parser is built once, at import; a request only parses.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for request in ONE_OF_EACH:
+        code, _ = run(request.split())
+        assert code == 0, request
+    assert built == []
+
+
+def test_shared_parser_carries_no_state_between_calls():
+    first = run(["ref", "--digits", "7"])
+    assert run(["--format", "json", "ref", "--digits", "9"])[0] == 0
+    assert run(["rate", "N", "--window", "3:9", "--n-max", "20"])[0] == 0
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        run(["eval"])
+    assert exc.value.code == 2
+    assert run(["ref", "--digits", "7"]) == first
+    # Neither an earlier --format, --digits nor --window carries over.
+    code, text = run(["eval", "N", "--depth", "6"])
+    assert code == 0 and "decimal: 2.404109589041\n" in text
+    code, text = run(["rate", "N", "--n-max", "20"])
+    assert code == 0 and "window: 5:20\n" in text
+
+
+def _parser_output(parse, argv) -> tuple[object, str, str]:
+    """The exit code, stdout and stderr of `parse(argv)`, which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"]]
+    + [[command, "--help"] for command in _COMMANDS]
+    + [["eval"], ["rate", "N", "--n-max", "x"], ["--format", "xml", "ref"], ["bogus"]],
+)
+def test_help_and_usage_match_a_freshly_built_parser(argv):
+    # argparse's help text differs between Python versions, so the shared
+    # parser is compared with a new one in the same interpreter.
+    got = _parser_output(main, argv)
+    assert got == _parser_output(build_parser().parse_args, argv)
+    assert got[0] == (0 if argv[-1] == "--help" else 2)
+    assert got[1 if got[0] == 0 else 2].startswith("usage: zeta3cf")
 
 
 # sha256 of stdout and the exit code for fixed argvs, recorded before
