@@ -519,7 +519,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as stop:  # --help, or a usage error argparse has printed
+        return stop.code
     # Shared flags use SUPPRESS defaults so either position wins; fill here.
     args.format = getattr(args, "format", "text")
     args.digits = getattr(args, "digits", 12)

@@ -6,22 +6,24 @@ map render identically: the four entries share no common integer content
 and no common polynomial factor of positive degree, and the first nonzero
 entry in (a, b, c, d) order has a positive leading coefficient.
 
-Composition of maps is matrix multiplication, through `_product`: the
-package's one 2x2 matrix product, which serves these polynomial matrices
-and the integer matrices of the engine alike.  Equality of maps is
-projective -- equal up to a nonzero scalar -- and is decided by comparing
-normal forms: the form above is unique in each projective class over Q(k),
-and every map is an exact multiple of its normal form.  So `==` (and the
-hash) is `Frozen`'s, on the four fields a, b, c, d of that normal form.
+A map is the record (a, b, c, d) of that normal form, the very tuple that
+`_product` multiplies: composition of maps is matrix multiplication through
+`_product`, the package's one 2x2 matrix product, which serves these
+polynomial matrices and the integer matrices of the engine alike.  Equality
+of maps is projective -- equal up to a nonzero scalar -- and is decided by
+comparing normal forms: the form above is unique in each projective class
+over Q(k), and every map is an exact multiple of its normal form.  So `==`
+(and the hash) is the tuple's own.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 
-from .polynomial import Frozen, Poly, Scalar, _make, as_poly, poly_gcd
+from .polynomial import Poly, Scalar, _make, as_poly, poly_gcd
 
 Entry = Poly | int | Fraction
 
@@ -44,33 +46,29 @@ class PoleError(ArithmeticError):
         self.x = x
 
 
-class PolyMobius(Frozen):
-    a: Poly
-    b: Poly
-    c: Poly
-    d: Poly
+class PolyMobius(namedtuple("PolyMobius", "a b c d")):
+    __slots__ = ()
 
-    def __init__(self, a: Entry, b: Entry, c: Entry, d: Entry) -> None:
-        vars(self).update(a=a, b=b, c=c, d=d)
-        self.__post_init__()
+    def __new__(cls, a: Entry, b: Entry, c: Entry, d: Entry) -> "PolyMobius":
+        return tuple.__new__(cls, cls.__post_init__(a, b, c, d))
 
-    def __post_init__(self) -> None:
-        """Replace the entries by their normal form.  Every constructor call
-        runs it; perfbench's tracer times it as `mobius.new`."""
-        entries = [as_poly(self.a), as_poly(self.b), as_poly(self.c), as_poly(self.d)]
-        entries = _normalize(entries)
+    @classmethod
+    def _make(cls, fields: Iterable[Entry]) -> "PolyMobius":
+        return cls(*fields)
+
+    @staticmethod
+    def __post_init__(a: Entry, b: Entry, c: Entry, d: Entry) -> list[Poly]:
+        """The normal form of the entries.  Every constructor call runs it;
+        perfbench's tracer times it as `mobius.new`."""
+        entries = _normalize([as_poly(a), as_poly(b), as_poly(c), as_poly(d)])
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if det.is_zero:
             raise DegenerateMobius(f"degenerate transformation {entries}")
-        vars(self).update(zip("abcd", entries))
+        return entries
 
     @classmethod
     def identity(cls) -> "PolyMobius":
         return cls(1, 0, 0, 1)
-
-    @property
-    def entries(self) -> tuple[Poly, Poly, Poly, Poly]:
-        return (self.a, self.b, self.c, self.d)
 
     @property
     def det(self) -> Poly:
@@ -78,11 +76,11 @@ class PolyMobius(Frozen):
 
     @property
     def is_constant(self) -> bool:
-        return all(e.is_constant for e in self.entries)
+        return all(e.is_constant for e in self)
 
     def compose(self, other: "PolyMobius") -> "PolyMobius":
         """Matrix product: (self o other) as maps."""
-        return PolyMobius(*_product([other.entries, self.entries]))
+        return PolyMobius(*_product([other, self]))
 
     __matmul__ = compose
 
@@ -93,11 +91,11 @@ class PolyMobius(Frozen):
     def proj_eq(self, other: "PolyMobius") -> bool:
         """True iff self == lambda * other for some nonzero scalar lambda:
         both are stored in the one normal form of their projective class."""
-        return self.entries == other.entries
+        return self == other
 
     def shifted(self, offset: int) -> "PolyMobius":
         """Substitute k -> k + offset in every entry."""
-        return PolyMobius(*(e.shift(offset) for e in self.entries))
+        return PolyMobius(*(e.shift(offset) for e in self))
 
     def at_k(self, k: int) -> "PolyMobius":
         """Evaluate entries at a concrete index, giving a constant map."""

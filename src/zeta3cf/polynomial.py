@@ -1,16 +1,16 @@
 """Univariate polynomials over the integers in the recurrence index k.
 
-A polynomial is held once: `nums`, its integer coefficients in ascending
-order (nums[i] multiplies k**i), with no trailing zero, so the zero
-polynomial is () and degree() is -1 for it.  Values are immutable; all
+A polynomial is a one-field record, `nums`: its integer coefficients in
+ascending order (nums[i] multiplies k**i), with no trailing zero, so the
+zero polynomial is () and degree() is -1 for it.  Values are immutable; all
 arithmetic, division included, is exact and runs in ints, with no
 floating-point path anywhere.  A scalar is an int or a Fraction equal to
 one: a non-integral Fraction raises ValueError, anything else TypeError.
-`coeffs`, `leading`, `content()` and `constant_value()` return exact
-Fractions, so a caller that divides by one stays exact.  Division is one
-integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R):
-`divexact` divides exactly over Z with it, and `poly_gcd` runs the
-primitive remainder sequence over Z[k] on it (Collins 1967; Brown 1971).
+`constant_value()` returns an exact Fraction, so a caller that divides by
+it stays exact.  Division is one integer pseudo-division (Knuth, TAOCP
+vol. 2, 4.6.1, Algorithm R): `divexact` divides exactly over Z with it, and
+`poly_gcd` runs the primitive remainder sequence over Z[k] on it (Collins
+1967; Brown 1971).
 
 `value_at(k)` is the one Horner loop: an int for an integer k.  `p(x)` is
 `value_at(x)` cast to Fraction, for any rational x.
@@ -22,6 +22,7 @@ Build polynomials with the exported indeterminate K and ordinary operators:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import zip_longest
@@ -38,42 +39,16 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division left a nonzero remainder or a non-integral quotient."""
 
 
-class Frozen:
-    """Base of the immutable value types.  The constructor sets the fields in
-    the instance dict, once; assigning or deleting one raises AttributeError.
-    Equality, hash and repr go by the fields in the order the constructor set
-    them, as a frozen dataclass's do."""
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__qualname__}({fields})"
-
-    def _replace(self, **changes: object) -> Frozen:
-        """A copy with the named fields changed, built by the constructor."""
-        return type(self)(**{**vars(self), **changes})
-
-
-class Poly(Frozen):
-    nums: tuple[int, ...]
+class Poly(namedtuple("Poly", "nums")):
+    __slots__ = ()
 
     def __new__(cls, coeffs: Iterable[Scalar]) -> "Poly":
         return _make([_integer(c) for c in coeffs])
 
-    def __getnewargs__(self) -> tuple:
-        return (self.nums,)
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Poly":
+        """namedtuple's own _make, which _replace calls, skips the constructor."""
+        return cls(*fields)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -88,11 +63,6 @@ class Poly(Frozen):
         return cls((0, 1))
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Coefficients ascending, each an exact Fraction."""
-        return tuple(map(Fraction, self.nums))
-
-    @property
     def degree(self) -> int:
         """Degree under the canonical encoding; -1 for the zero polynomial."""
         return len(self.nums) - 1
@@ -104,10 +74,6 @@ class Poly(Frozen):
     @property
     def is_constant(self) -> bool:
         return len(self.nums) <= 1
-
-    @property
-    def leading(self) -> Fraction:
-        return Fraction(self.nums[-1] if self.nums else 0)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -166,9 +132,14 @@ class Poly(Frozen):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.nums == ((other,) if other else ())
-        return Frozen.__eq__(self, other)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nums == other.nums
 
-    __hash__ = Frozen.__hash__
+    # Defining __eq__ drops the inherited hash; tuple's own != would skip
+    # the scalar case above.
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
     # -- division ------------------------------------------------------
 
@@ -210,10 +181,6 @@ class Poly(Frozen):
                 h[j] += c * h[j + 1]
         return _make(h)
 
-    def content(self) -> Fraction:
-        """Nonnegative content: the gcd of the coefficients, 0 for zero."""
-        return Fraction(gcd(*self.nums))
-
     def primitive(self) -> "Poly":
         """self over its content: content 1, same sign pattern."""
         g = gcd(*self.nums)
@@ -246,9 +213,7 @@ def _make(nums: list[int]) -> Poly:
     """The canonical Poly with the integer coefficients nums."""
     while nums and not nums[-1]:
         nums.pop()
-    poly = object.__new__(Poly)
-    object.__setattr__(poly, "nums", tuple(nums))
-    return poly
+    return tuple.__new__(Poly, (tuple(nums),))
 
 
 def _scalar(x: Scalar) -> Scalar:

@@ -28,6 +28,11 @@ ground truth.
 Index conventions: stages use k >= 0.  Flattened fractions use n >= 0 with
 b_0 the leading integer part and a_1 the first partial numerator, so the
 three-term recurrence for convergents starts at p_0/q_0 = b_0/1.
+
+Every value here is a namedtuple record whose constructor checks its
+invariants, also when `_make`, `_replace`, pickle or copy build it.  A
+`FlatCF` stores each term once: a_1 is its family value or, where the head
+fixes it, an entry of `exceptions`, and `a_term(1)` reads it either way.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .mobius import Entry, PolyMobius, _product, level_map, scale_map, shift_map
-from .polynomial import Frozen, K, Poly, as_poly
+from .polynomial import K, Poly, as_poly
 
 
 class HeadNotFlattenable(ValueError):
@@ -68,8 +73,13 @@ class Level(namedtuple("Level", "b a")):
             raise ValueError("a zero partial numerator truncates the fraction")
         return level
 
+    @classmethod
+    def _make(cls, fields) -> Level:
+        return cls(*fields)
 
-class Stage(Frozen):
+
+class Stage(namedtuple("Stage", "name step head target levels kind note",
+                       defaults=(None, "claimed", ""))):
     """Named tail recurrence with a head transform and target constant.
 
     `step` is the one-index map X_k = step_k(X_{k+1}); when the stage came
@@ -79,12 +89,18 @@ class Stage(Frozen):
     produced by the substitution chain.
     """
 
-    def __init__(self, name: str, step: PolyMobius, head: PolyMobius, target: Target,
-                 levels: tuple[Level, ...] | None = None, kind: str = "claimed", note: str = ""):
+    __slots__ = ()
+
+    def __new__(cls, name: str, step: PolyMobius, head: PolyMobius, target: Target,
+                levels: tuple[Level, ...] | None = None, kind: str = "claimed",
+                note: str = "") -> Stage:
         if not head.is_constant:
             raise ValueError(f"stage {name}: head entries must be constant")
-        vars(self).update(name=name, step=step, head=head, target=target, levels=levels,
-                          kind=kind, note=note)
+        return super().__new__(cls, name, step, head, target, levels, kind, note)
+
+    @classmethod
+    def _make(cls, fields) -> Stage:
+        return cls(*fields)
 
 
 class SubstitutionStep(namedtuple("SubstitutionStep", "name from_stage to_stage sigma note",
@@ -98,7 +114,8 @@ class SubstitutionStep(namedtuple("SubstitutionStep", "name from_stage to_stage 
         return self.sigma is None
 
 
-class FlatCF(Frozen):
+class FlatCF(namedtuple("FlatCF", "name b0 period b_fam a_fam exceptions",
+                        defaults=(None,))):
     """Periodic flattened fraction b0 + a1/(b1 + a2/(b2 + ...)).
 
     For n >= 1 the terms follow period-`period` polynomial families in the
@@ -112,10 +129,16 @@ class FlatCF(Frozen):
     and `b_term` return the same values as Fractions.
     """
 
-    def __init__(self, name: str, b0: Fraction, a1: Fraction, period: int, b_fam: tuple[Poly, ...],
-                 a_fam: tuple[Poly, ...], exceptions: dict[int, Fraction] | None = None):
-        vars(self).update(name=name, b0=b0, a1=a1, period=period, b_fam=b_fam, a_fam=a_fam,
-                          exceptions={} if exceptions is None else exceptions)
+    __slots__ = ()
+
+    def __new__(cls, name: str, b0: Fraction, period: int, b_fam: tuple[Poly, ...],
+                a_fam: tuple[Poly, ...], exceptions: dict[int, Fraction] | None = None) -> FlatCF:
+        return super().__new__(cls, name, b0, period, b_fam, a_fam,
+                               {} if exceptions is None else exceptions)
+
+    @classmethod
+    def _make(cls, fields) -> FlatCF:
+        return cls(*fields)
 
     def b_term(self, n: int) -> Fraction:
         if n < 1:
@@ -209,7 +232,7 @@ def flatten(stage: Stage) -> FlatCF:
     exceptions: dict[int, Fraction] = {}
     if a_fam[0](0) != a1:
         exceptions[1] = a1
-    return FlatCF(stage.name, b0, a1, p, b_fam, a_fam, exceptions)
+    return FlatCF(stage.name, b0, p, b_fam, a_fam, exceptions)
 
 
 # ---------------------------------------------------------------------------

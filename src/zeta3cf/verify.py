@@ -130,13 +130,13 @@ def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:
     assert sigma is not None
     _check_sigma(step)
     adjugate = (sigma.d, -sigma.b, -sigma.c, sigma.a)
-    shifted = tuple(e.shift(1) for e in sigma.entries)
+    shifted = tuple(e.shift(1) for e in sigma)
     # psi = sigma^-1 o phi o sigma(k+1) as one product, normalized once.
     # Neither map below can be degenerate: _check_sigma has shown det sigma(k)
     # != 0 for every integer k >= 0, so sigma(0) is invertible, and det psi =
     # det sigma * det phi * det sigma(k+1) is a nonzero polynomial, which
     # normalization keeps nonzero.
-    psi = PolyMobius(*_product([shifted, source.step.entries, adjugate]))
+    psi = PolyMobius(*_product([shifted, source.step, adjugate]))
     head = source.head @ sigma.at_k(0)
     return Stage(
         step.to_stage,
@@ -195,7 +195,7 @@ class ChainReport(namedtuple("ChainReport", "steps variants final_matches_n fina
 def diff_stages(claimed: Stage, derived: Stage) -> tuple[tuple[str, str, str], ...]:
     """The entries in which two normal forms differ: none iff the maps agree."""
     labels = ("step.a", "step.b", "step.c", "step.d")
-    steps = zip(labels, claimed.step.entries, derived.step.entries)
+    steps = zip(labels, claimed.step, derived.step)
     out = [(label, str(cl), str(dv)) for label, cl, dv in steps if cl != dv]
     head_cl, head_dv = canonical_head(claimed), canonical_head(derived)
     if head_cl != head_dv:

@@ -400,9 +400,8 @@ def test_shared_parser_carries_no_state_between_calls():
     first = run(["ref", "--digits", "7"])
     assert run(["--format", "json", "ref", "--digits", "9"])[0] == 0
     assert run(["rate", "N", "--window", "3:9", "--n-max", "20"])[0] == 0
-    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
-        run(["eval"])
-    assert exc.value.code == 2
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run(["eval"]) == (2, "")
     assert run(["ref", "--digits", "7"]) == first
     # Neither an earlier --format, --digits nor --window carries over.
     code, text = run(["eval", "N", "--depth", "6"])
@@ -411,13 +410,15 @@ def test_shared_parser_carries_no_state_between_calls():
     assert code == 0 and "window: 5:20\n" in text
 
 
-def _parser_output(parse, argv) -> tuple[object, str, str]:
-    """The exit code, stdout and stderr of `parse(argv)`, which exits."""
+def _parser_output(call, argv) -> tuple[object, str, str]:
+    """What `call(argv)` returned or raised, with its stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with pytest.raises(SystemExit) as exc:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            parse(argv)
-    return exc.value.code, out.getvalue(), err.getvalue()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as stop:
+            result = stop
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -428,11 +429,14 @@ def _parser_output(parse, argv) -> tuple[object, str, str]:
 )
 def test_help_and_usage_match_a_freshly_built_parser(argv):
     # argparse's help text differs between Python versions, so the shared
-    # parser is compared with a new one in the same interpreter.
-    got = _parser_output(main, argv)
-    assert got == _parser_output(build_parser().parse_args, argv)
-    assert got[0] == (0 if argv[-1] == "--help" else 2)
-    assert got[1 if got[0] == 0 else 2].startswith("usage: zeta3cf")
+    # parser is compared with a new one in the same interpreter: main returns
+    # the code with which the new parser exits, and prints the same text.
+    code, *text = _parser_output(main, argv)
+    stop, *fresh_text = _parser_output(build_parser().parse_args, argv)
+    assert type(code) is int and isinstance(stop, SystemExit)
+    assert (code, text) == (stop.code, fresh_text)
+    assert code == (0 if argv[-1] == "--help" else 2)
+    assert text[0 if code == 0 else 1].startswith("usage: zeta3cf")
 
 
 # sha256 of stdout and the exit code for fixed argvs, recorded before

@@ -81,7 +81,7 @@ def test_determinant_identity(nes_flat, apery_flat):
 
 def test_degenerate_convergent_detected():
     # b_n = 0, a_n = 1 gives q_1 = 0 immediately: poly families both constant.
-    flat = FlatCF("degen", Fraction(0), Fraction(1), 1, (Poly.zero() + 0,), (Poly.const(1),))
+    flat = FlatCF("degen", Fraction(0), 1, (Poly.zero() + 0,), (Poly.const(1),))
     with pytest.raises(DegenerateConvergent):
         convergents(flat, 2)
 
@@ -142,7 +142,7 @@ def test_truncation_value_rejects_negative_depth():
 def _fraction_truncation(stage: Stage, depth: int) -> Fraction:
     # The descent in Fractions, each entry by Fraction Horner on its coefficients.
     def entries(m: PolyMobius, k: int) -> list[Fraction]:
-        return [fraction_horner(e, k) for e in m.entries]
+        return [fraction_horner(e, k) for e in m]
 
     a, _, c, _ = entries(stage.step, depth)
     x = a / c
@@ -221,7 +221,7 @@ def test_truncation_value_matches_forward_on_random_level_stages(levels, b0, a1,
 def _flat_from_families(b0: int, fams: list[tuple[Poly, Poly]]) -> FlatCF:
     b_fam = tuple(b for b, _ in fams)
     a_fam = tuple(a for _, a in fams)
-    return FlatCF("R", Fraction(b0), Fraction(a_fam[0].value_at(0)), len(fams), b_fam, a_fam)
+    return FlatCF("R", Fraction(b0), len(fams), b_fam, a_fam)
 
 
 small_polys = st.lists(small_ints, max_size=3).map(Poly)
@@ -288,7 +288,7 @@ def test_steps_product_is_the_state(flat, n_max):
 def test_steps_check_at_the_call_and_raise_at_the_term():
     # The exception a_2 = 3/2: the stream yields steps 0 and 1 before it raises.
     one = Poly.const(1)
-    flat = FlatCF("F", Fraction(1), Fraction(1), 1, (one,), (one,), {2: Fraction(3, 2)})
+    flat = FlatCF("F", Fraction(1), 1, (one,), (one,), {2: Fraction(3, 2)})
     with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
         engine._steps(flat, -1)
     with pytest.raises(ValueError, match=r"^non-integer leading term b0 = 1/2$"):
@@ -313,7 +313,7 @@ stop_lists = st.builds(
 )
 # b = k(k+1) + 1, twice a triangular number plus one: a quadratic family in
 # a period of two, so the blocks have degree 3 in m.
-TRIANGULAR = FlatCF("T", Fraction(1), Fraction(1), 2, (K * (K + 1) + 1, K + 3), (Poly.const(1), K + 2))
+TRIANGULAR = FlatCF("T", Fraction(1), 2, (K * (K + 1) + 1, K + 3), (Poly.const(1), K + 2))
 
 
 def _reduced_at_flats():
@@ -373,7 +373,7 @@ def test_block_matrix_is_the_product_of_its_steps(name):
 
 def test_reduced_at_raises_at_a_stop_with_q_zero():
     # b_n = 0 and a_n = 1: q_n = 0 for every odd n, on the block path.
-    flat = FlatCF("Z", Fraction(0), Fraction(1), 1, (Poly.zero(),), (Poly.const(1),))
+    flat = FlatCF("Z", Fraction(0), 1, (Poly.zero(),), (Poly.const(1),))
     assert flat.exceptions == {}
     rows = engine.reduced_at(flat, [2, 3])
     assert next(rows) == (2, (0, 1), 1)
@@ -455,7 +455,7 @@ def test_reduced_at_rejects_non_integer_terms():
     # terms are tested one by one, and a_2 raises as in `convergents`.  The
     # table reads its terms lazily too: rows 0 and 1 come first.
     one = Poly.const(1)
-    flat = FlatCF("F", Fraction(1), Fraction(1), 1, (one,), (one,), {2: Fraction(3, 2)})
+    flat = FlatCF("F", Fraction(1), 1, (one,), (one,), {2: Fraction(3, 2)})
     rows = engine.reduced_at(flat, [1, 2, 3])
     assert next(rows) == (1, (2, 1), 1)
     with pytest.raises(ValueError, match=r"^non-integer term at n=2: "):
@@ -780,7 +780,7 @@ def test_error_curve_residual_matches_fraction_errors(name, n_max):
 
 def test_error_curve_degenerate_convergent_raises(ref40):
     # b_1 = K(0) = 0 and a_1 = 1 give q_1 = 0 before any residual is walked.
-    flat = FlatCF("T", Fraction(1), Fraction(1), 1, (K,), (Poly.const(1),))
+    flat = FlatCF("T", Fraction(1), 1, (K,), (Poly.const(1),))
     with pytest.raises(DegenerateConvergent, match=r"^q_1 = 0$"):
         error_curve(flat, Target.ZETA3, 5, ref40)
 

@@ -180,8 +180,8 @@ def test_normal_form_is_canonical(e, other, lam, g, same):
     # proj_eq compares normal forms; the minors never look at them.
     other = scaled if same else other
     assert m.proj_eq(PolyMobius(*other)) == minors_vanish(e, other)
-    first = next(x for x in m.entries if not x.is_zero)
-    assert first.leading > 0
+    first = next(x for x in m if not x.is_zero)
+    assert first.nums[-1] > 0
 
 
 def test_builders():

@@ -179,7 +179,7 @@ def test_flatten_n_opening_terms(nes_flat):
         2, 4, 3, 2,
     )
     assert nes_flat.b0 == 2
-    assert nes_flat.a1 == 1
+    assert nes_flat.a_term(1) == 1
 
 
 def test_flatten_n_exception_list(nes_flat):
@@ -192,7 +192,7 @@ def test_flatten_n_exception_list(nes_flat):
 
 def test_flatten_apery(apery_flat):
     assert apery_flat.b0 == 0
-    assert apery_flat.a1 == 12
+    assert apery_flat.a_term(1) == 12
     for n in range(1, 20):
         m = n - 1
         assert apery_flat.b_term(n) == 34 * m**3 + 51 * m**2 + 27 * m + 5

@@ -158,7 +158,7 @@ def _sigma_check_budget(sigma: PolyMobius) -> int:
     # cost grows with the size of the roots or constants overruns this.
     det = sigma.det.primitive()
     deg = det.degree
-    bits = ceil(max(abs(c) for c in det.coeffs) / abs(det.leading)).bit_length() + 1
+    bits = ceil(Fraction(max(abs(c) for c in det.nums), abs(det.nums[-1]))).bit_length() + 1
     return (deg + 1) * (2 + deg * (bits + 1)) + deg + 4
 
 
