@@ -97,9 +97,9 @@ class PolyMobius(namedtuple("PolyMobius", "a b c d")):
         """Substitute k -> k + offset in every entry."""
         return PolyMobius(*(e.shift(offset) for e in self))
 
-    def at_k(self, k: int) -> "PolyMobius":
-        """Evaluate entries at a concrete index, giving a constant map."""
-        return PolyMobius(self.a(k), self.b(k), self.c(k), self.d(k))
+    def at_k(self, k: int) -> tuple[int, int, int, int]:
+        """The entries' values (a(k), b(k), c(k), d(k)) at an integer index."""
+        return self.a.value_at(k), self.b.value_at(k), self.c.value_at(k), self.d.value_at(k)
 
     def apply(self, x: Scalar, k: int) -> Fraction:
         """Evaluate entries at k, then the map at x, exactly."""

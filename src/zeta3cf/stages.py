@@ -189,7 +189,7 @@ def peel_head(stage: Stage, new_name: str | None = None) -> Stage:
     The peeled stage evaluates to the same target: running the original to
     depth m+1 equals running the peeled stage to depth m with the same seed.
     """
-    head = stage.head @ stage.step.at_k(0)
+    head = PolyMobius(*_product([stage.step.at_k(0), stage.head.at_k(0)]))
     levels = None
     if stage.levels is not None:
         levels = tuple(Level(lv.b.shift(1), lv.a.shift(1)) for lv in stage.levels)

@@ -465,6 +465,10 @@ def test_help_and_usage_match_a_freshly_built_parser(argv):
 # and N at 794 digits) were re-recorded when SERIES moved to Amdeberhan's
 # series, floored once over 10**(digits+5): that error fell, 1.81e-35 to
 # 1.52e-36 at 30 digits, and no other byte changed.
+# The nine fault-injected verify-chain shapes, one per chain step with the
+# formats cycled as the benchmark cycles them, were recorded before the
+# symbolic column stopped building normal forms and began checking each
+# identity at integer points.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "d48096fef8a81c6b8fd11e8bf345d08fbd3e2c70d0210fcf0fa1d08ac92bb992"),
     ("eval W --depth 300", 0, "f207484bbc56c6674352e657688686edac5a48ede3bb92ab6b5cf70f44a9432b"),
@@ -503,6 +507,15 @@ STDOUT_GOLDEN = (
     ("catalog --format json", 0, "d8646431e5d5c5229a4b0446d0055e16a85ee9e816392d1d2bb0f48b756df6c7"),
     ("catalog --format csv", 0, "d44472dd74b9125a5427ca1d6166d893c555c22a697f1d68112919fc67a65e1d"),
     ("verify-chain --hook-break-sigma W", 1, "c3b2eb6be7672dbc44273725896fcaaa7cbf26dd475adc270828ac7a71ef1360"),
+    ("verify-chain --hook-break-sigma A5 --format text", 1, "bb70d7245a80bb9c186e1f5cfaece2bffebce4fb1d84ad249bab30f3ecf58a2c"),
+    ("verify-chain --hook-break-sigma W --format json", 1, "fe6301ab6d6117e71ab7aee10f5452d555269aef5a3b288cdc6893f2a0af0d0e"),
+    ("verify-chain --hook-break-sigma U --format csv", 1, "93cf31df2a44b1e0461a69379d10a81e1c7e80395edc24845a49a66a992968ad"),
+    ("verify-chain --hook-break-sigma P --format text", 1, "34ce879bba1061d4692614da59b90a86690296177c6f6a6b738093e413e19b2a"),
+    ("verify-chain --hook-break-sigma Q --format json", 1, "2ad5dec2effd9f6228be32783286c5396b9473f29540d8bb1710070ba5a67bd1"),
+    ("verify-chain --hook-break-sigma Z --format csv", 1, "fdc640b5745945adb55e2d74e64ed972f759fc0777966338d6aa76e3fd8e3d45"),
+    ("verify-chain --hook-break-sigma H --format text", 1, "0b97c20f3a47256e1d9a7b15104c0540e28e67532cbc8ba405a8a743490041d9"),
+    ("verify-chain --hook-break-sigma G --format json", 1, "a9511ee5ecc4bd27a96fa40782c08df4b81fd5829ac695b3b9129ba80a1c7d6f"),
+    ("verify-chain --hook-break-sigma N --format csv", 1, "6285eb168cedfc7d584017305a0309ffe9e82d89aa6f9cdad089422e8b53b87c"),
     ("rate APERY --n-max 150 --ref-digits 495 --format json", 0, "72148efb4ba87073ca1f5dc6454a28933280b7a44ee5d8bba928907af3c995fc"),
     ("rate N --n-max 531 --ref-digits 454 --format csv", 0, "31484994829a5f045cee5ec89da19c6f807fe956821bc5e21e66352f807578db"),
     ("rate APERY --n-max 25 --window 5:25", 0, "4ea22b7ceb5a41c31ca43beda048add832ae7e716feb060d62215aff8fb9033d"),

@@ -21,6 +21,7 @@ from zeta3cf.mobius import PolyMobius, scale_map
 from zeta3cf.polynomial import K, Poly
 from zeta3cf.stages import (
     CHAIN_ORDER,
+    Stage,
     SubstitutionStep,
     Target,
     lookup,
@@ -32,6 +33,8 @@ from zeta3cf.verify import (
     RESIDUAL_DEPTH,
     DegenerateSigma,
     InvalidScale,
+    _mul,
+    _symbolic_check,
     canonical_head,
     derive_stage,
     derived_chain,
@@ -278,6 +281,78 @@ def test_verify_chain_injected_bad_sigma():
     assert not report.final_matches_n
     w = next(s for s in report.steps if s.step_name == "W")
     assert not w.claimed_matches
+
+
+def _failing_steps():
+    return [s.step_name for s in verify_chain().steps if not s.symbolic_pass]
+
+
+def test_symbolic_check_catches_broken_shift(cat, monkeypatch):
+    # A shift that is wrong in its top coefficient from degree 2 on derives
+    # a wrong psi wherever sigma or phi has such an entry.  A check that
+    # shifted sigma too would share the fault and pass all nine steps; this
+    # one evaluates sigma at k + 1 and flags those three.
+    shift = Poly.shift
+
+    def broken(self, c):
+        out = shift(self, c)
+        if out.degree < 2:
+            return out
+        return Poly(out.nums[:-1] + (out.nums[-1] + 1,))
+
+    monkeypatch.setattr(Poly, "shift", broken)
+    assert _failing_steps() == ["A5", "W", "P"]
+
+
+def test_symbolic_check_catches_broken_product(cat, monkeypatch):
+    mul = Poly.__mul__
+
+    def broken(self, other):
+        out = mul(self, other)
+        return out + 1 if out.degree >= 2 else out
+
+    monkeypatch.setattr(Poly, "__mul__", broken)
+    monkeypatch.setattr(Poly, "__rmul__", broken)
+    assert _failing_steps()
+
+
+def test_symbolic_check_side_zero_at_a_sample_point():
+    # sigma(1) = diag(1, 0) and psi(1) = [[0, 0], [1, 1]] give L(1) = 0, and
+    # phi(1) = [[0, 1], [0, 1]] and sigma(2) = diag(1, 0) give R(1) = 0: the
+    # identity holds as polynomials, so a zero side at k = 1 is no failure.
+    sigma = PolyMobius(1, 0, 0, (K - 1) * (K - 2))
+    phi = PolyMobius(K - 1, 1, K - 1, K)
+    psi = PolyMobius((K - 1) * (K - 2), (K - 2) * K * (K - 1), 1, K**2)
+    assert _mul(sigma.at_k(1), psi.at_k(1)) == _mul(phi.at_k(1), sigma.at_k(2)) == (0, 0, 0, 0)
+    source = Stage("S", phi, PolyMobius(1, 0, 0, 1), Target.ZETA3)
+    derived = Stage("T", psi, PolyMobius(1, 0, 0, 2), Target.ZETA3)
+    step = SubstitutionStep("T", "S", "T", sigma)
+    assert _symbolic_check(source, derived, step)
+    assert not _symbolic_check(source, derived._replace(step=psi._replace(d=K**2 + 1)), step)
+
+
+@pytest.mark.parametrize("name", CHAIN_ORDER[1:])
+def test_symbolic_check_rejects_perturbed_stage(chain, name):
+    step = step_named(name)
+    source, derived = chain[step.from_stage], chain[name]
+    assert _symbolic_check(source, derived, step)
+    a, b, c, d = derived.head.at_k(0)
+    assert not _symbolic_check(source, derived._replace(head=PolyMobius(a, b + 1, c, d)), step)
+    # Any one coefficient of psi bumped by one.
+    for i, entry in enumerate(derived.step):
+        for j in range(len(entry.nums) or 1):
+            nums = list(entry.nums) or [0]
+            nums[j] += 1
+            psi = derived.step._replace(**{"abcd"[i]: Poly(nums)})
+            assert not _symbolic_check(source, derived._replace(step=psi), step), (i, j)
+    # k (k - 1) ... (k - 29) vanishes at more points than the unperturbed
+    # sides' degrees call for: the check has to size its points from the
+    # entries it is given, not sample a fixed range.
+    vanishing = Poly.const(1)
+    for i in range(30):
+        vanishing *= K - i
+    psi = derived.step._replace(a=derived.step.a + vanishing)
+    assert not _symbolic_check(source, derived._replace(step=psi), step)
 
 
 def test_equivalence_scale_identity(nes_flat):
