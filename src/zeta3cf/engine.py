@@ -45,9 +45,12 @@ the interpreter's int-to-text digit limit too: the `convergents` table's
 p_n and q_n, and the content H and gcd of `reduced_at`.  The reduced
 num/den stay ints, as they need `math.gcd`, and `convergents` keeps int
 fields.  The matrix entries are plain ints: step maps, term families and
-block matrices are polynomials over Z, and `Poly.value_at` evaluates each
-at an integer index in integer Horner form (through `FlatCF.terms` for
-terms), so no Fraction arithmetic runs per step.
+block matrices are polynomials over Z, and no Fraction arithmetic runs per
+step.  An entry read at consecutive indices is one `Poly.run`, tabulated by
+forward differences in additions: a stage's step map at k = 0 .. depth
+for backward evaluation, and each term family along its block index for
+the step stream (through `FlatCF.terms`).  A block matrix, read once per
+stop, is evaluated there in integer Horner form (`Poly.value_at`).
 The rate measurement walks q_n and a residual column instead of p_n: for
 a limit L = L_n / L_d the residual r_n = L_d p_n - L_n q_n obeys the same
 recurrence, and |x_n - L| = |r_n| / (|q_n| L_d), so each row's error is
@@ -309,13 +312,13 @@ def truncation_value(stage: Stage, depth: int) -> Fraction:
 def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fraction:
     """Apply step_k for k = top-1 .. 0, then the head, to the column (x, y) = x/y,
     as one product: (1, 0) is infinity, and a column is never rescaled, so a
-    map's 0/0 stays (0, 0) and only the final column needs testing.
+    map's 0/0 stays (0, 0) and only the final column needs testing.  The
+    step matrices come from one `Poly.run` of each entry along k = 0 .. top-1.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    maps = [(stage.step, k) for k in range(top - 1, -1, -1)] + [(stage.head, 0)]
-    mats = [(m.a.value_at(k), m.b.value_at(k), m.c.value_at(k), m.d.value_at(k)) for m, k in maps]
-    x, _, y, _ = _product([(seed[0], 0, seed[1], 0), *mats])
+    steps = list(zip(*(e.run(top) for e in stage.step)))
+    x, _, y, _ = _product([(seed[0], 0, seed[1], 0), *reversed(steps), stage.head.at_k(0)])
     if y == 0:
         raise PoleError(0, "infinity" if x else "0/0")
     return Fraction(x, y)

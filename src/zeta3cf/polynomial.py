@@ -13,7 +13,12 @@ vol. 2, 4.6.1, Algorithm R): `divexact` divides exactly over Z with it, and
 1967; Brown 1971).
 
 `value_at(k)` is the one Horner loop: an int for an integer k.  `p(x)` is
-`value_at(x)` cast to Fraction, for any rational x.
+`value_at(x)` cast to Fraction, for any rational x.  `run(count, start)`
+tabulates the values at count consecutive integers by forward differences:
+past the first deg + 1, which it takes from `value_at`, each costs deg
+additions.  Backward evaluation and the forward term stream read their
+entries that way; the chain check and the Gutnik block matrices use
+`value_at`.
 
 Build polynomials with the exported indeterminate K and ordinary operators:
 
@@ -23,9 +28,9 @@ Build polynomials with the exported indeterminate K and ordinary operators:
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, islice, pairwise, repeat, zip_longest
 from math import gcd
 
 Scalar = int | Fraction
@@ -93,6 +98,28 @@ class Poly(namedtuple("Poly", "nums")):
         for c in reversed(self.nums):
             acc = acc * k + c
         return acc
+
+    def run(self, count: int, start: int = 0) -> Iterator[int]:
+        """The exact values at k = start .. start + count - 1, lazily, as ints.
+
+        Past the first deg + 1 values, which `value_at` gives, each value is
+        deg additions: the first column of their difference table seeds deg
+        nested running sums over the constant top difference (Knuth, TAOCP
+        vol. 2, 4.6.4, evaluation at equally spaced points).
+        """
+        if not self.nums:
+            return repeat(0, max(count, 0))
+        values = [self.value_at(k) for k in range(start, start + min(count, len(self.nums)))]
+        if count <= len(self.nums):
+            return iter(values)
+        firsts = []
+        while values:
+            firsts.append(values[0])
+            values = [b - a for a, b in pairwise(values)]
+        run = repeat(firsts.pop())
+        for first in reversed(firsts):
+            run = accumulate(run, initial=first)
+        return islice(run, count)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -41,6 +41,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, islice
 
 from .mobius import Entry, PolyMobius, _product, level_map, scale_map, shift_map
 from .polynomial import K, Poly, as_poly
@@ -125,8 +126,9 @@ class FlatCF(namedtuple("FlatCF", "name b0 period b_fam a_fam exceptions",
     a_1, where the wrapped family value would vanish).
 
     `terms` yields the exact terms for the engine: family values are ints,
-    from integer Horner form, and an exception keeps its own type.  `a_term`
-    and `b_term` return the same values as Fractions.
+    tabulated along m by forward differences (`Poly.run`), and an exception
+    keeps its own type.  `a_term` and `b_term` return the same values as
+    Fractions, each from integer Horner form (`Poly.value_at`).
     """
 
     __slots__ = ()
@@ -151,8 +153,15 @@ class FlatCF(namedtuple("FlatCF", "name b0 period b_fam a_fam exceptions",
         return Fraction(self._a(n))
 
     def terms(self, n_max: int, start: int = 1) -> Iterator[tuple[int | Fraction, int]]:
-        """(a_n, b_n) for n = start .. n_max, lazily."""
-        return ((self._a(n), self._b(n)) for n in range(start, n_max + 1))
+        """(a_n, b_n) for n = start .. n_max, lazily: one `Poly.run` of each
+        family over the blocks m that hold them, interleaved in n."""
+        m, skip = divmod(start - 1, self.period)
+        count = (n_max - 1) // self.period - m + 1
+        a_run, b_run = (chain.from_iterable(zip(*(f.run(count, m) for f in fam)))
+                        for fam in (self.a_fam, self.b_fam))
+        pairs = islice(zip(a_run, b_run), skip, skip + max(n_max - start + 1, 0))
+        exc = self.exceptions
+        return ((exc.get(n, a), b) for n, (a, b) in enumerate(pairs, start))
 
     def _a(self, n: int) -> int | Fraction:
         if n in self.exceptions:

@@ -159,6 +159,19 @@ def test_truncation_value_matches_fraction_descent(chain):
             assert truncation_value(stage, depth) == _fraction_truncation(stage, depth), (name, depth)
 
 
+@pytest.mark.parametrize("depth", [*range(9), 61])
+def test_backward_matches_per_level_build(chain, depth):
+    # The matrices built per level from `at_k`, walked one by one: depths
+    # 0 .. 8 take fewer steps than an entry's degree + 1, the edge of the
+    # difference table the runs start from.
+    for name, stage in chain.items():
+        mats = [stage.step.at_k(k) for k in range(depth, -1, -1)] + [stage.head.at_k(0)]
+        for got, top, seed in ((truncation_value(stage, depth), depth + 1, (1, 0)),
+                               (eval_backward(stage, depth, Fraction(7, 3)), depth, (7, 3))):
+            *_, [(x, y)] = _walk(mats[-(top + 1):], seed)
+            assert got == Fraction(x, y), (name, depth, seed)
+
+
 def test_backward_forward_agreement(nes_flat, apery_flat):
     # Seeding with the bare b-part of level 1 at k = m equals the flat
     # truncation at n = d*m + 1, exactly.
@@ -297,6 +310,17 @@ def test_steps_check_at_the_call_and_raise_at_the_term():
     assert [next(steps), next(steps)] == [(1, 1, 1, 0), (1, 1, 1, 0)]
     with pytest.raises(ValueError, match=r"^non-integer term at n=2: a=3/2, b=1$"):
         next(steps)
+
+
+@pytest.mark.parametrize("start", range(8))
+def test_steps_raise_at_the_non_integer_term(nes_flat, start):
+    # a_7 = 4 + 1/2: whatever step the stream starts at, it yields every
+    # step before n = 7, then raises there.
+    steps = []
+    with pytest.raises(ValueError, match=r"^non-integer term at n=7: a=9/2, b=5$"):
+        for step in engine._steps(perturbed(nes_flat, 7, Fraction(1, 2)), 40, start):
+            steps.append(step)
+    assert steps == list(engine._steps(nes_flat, 6, start))
 
 
 def test_reduced_convergents_checks_arguments_eagerly(nes_flat):
