@@ -21,9 +21,8 @@ gcd(p_n, q_n) without forming p_n or q_n, and a right guess of the
 reduced value spares the row its one big gcd.  `reduced_convergents`
 (the `convergents` command) feeds it every step and steps the printed
 p_n and q_n beside it.  `reduced_at` (the `gutnik` command) feeds it
-only the rows it yields: the steps between two stops are one small
-matrix, for a whole period of the fraction one evaluation of its block
-matrix over Z[m], built once per call.
+only the rows it yields: the steps between two stops, read in order
+from the same stream, are one small matrix, their product.
 
 A single convergent (`last_convergent`), backward evaluation and the
 oracles need only the last column and multiply all their steps in a
@@ -44,13 +43,12 @@ to text in time quadratic in its length and a Decimal in linear time, past
 the interpreter's int-to-text digit limit too: the `convergents` table's
 p_n and q_n, and the content H and gcd of `reduced_at`.  The reduced
 num/den stay ints, as they need `math.gcd`, and `convergents` keeps int
-fields.  The matrix entries are plain ints: step maps, term families and
-block matrices are polynomials over Z, and no Fraction arithmetic runs per
-step.  An entry read at consecutive indices is one `Poly.run`, tabulated by
-forward differences in additions: a stage's step map at k = 0 .. depth
-for backward evaluation, and each term family along its block index for
-the step stream (through `FlatCF.terms`).  A block matrix, read once per
-stop, is evaluated there in integer Horner form (`Poly.value_at`).
+fields.  The matrix entries are plain ints: step maps and term families
+are polynomials over Z, and no Fraction arithmetic runs per step.  An
+entry read at consecutive indices is one `Poly.run`, tabulated by forward
+differences in additions: a stage's step map at k = 0 .. depth for
+backward evaluation, and each term family along its block index for the
+step stream (through `FlatCF.terms`).
 The rate measurement walks q_n and a residual column instead of p_n: for
 a limit L = L_n / L_d the residual r_n = L_d p_n - L_n q_n obeys the same
 recurrence, and |x_n - L| = |r_n| / (|q_n| L_d), so each row's error is
@@ -70,10 +68,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, pairwise, tee
+from itertools import chain, islice, pairwise, tee
 
 from .mobius import PoleError, _product
-from .polynomial import Poly
 from .rational import EXACT, log10_fraction, log10_ratio, to_decimal
 from .stages import FlatCF, Stage, Target, flatten, lookup
 
@@ -138,7 +135,7 @@ def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[ReducedRow]:
     Raises DegenerateConvergent(n) when row n is reached with q_n = 0.
     """
     walked, steps = tee(_steps(flat, n_max))
-    return _table_rows(steps, _primitive_walk((1, 0, 0, 1), range(n_max + 1), walked))
+    return _table_rows(steps, _primitive_walk(range(n_max + 1), walked))
 
 
 StopRow = tuple[int, tuple[int, int], Decimal]  # (n, (num, den), gcd(p_n, q_n))
@@ -147,38 +144,43 @@ StopRow = tuple[int, tuple[int, int], Decimal]  # (n, (num, den), gcd(p_n, q_n))
 def reduced_at(
     flat: FlatCF, stops: Sequence[int], candidates: Iterable[tuple[int, int]] | None = None
 ) -> Iterator[StopRow]:
-    """(n, (num, den), g) for each n in the increasing `stops`, lazily:
+    """(n, (num, den), g) for each n in the non-decreasing `stops`, lazily:
     num/den = p_n/q_n in lowest terms as ints with den > 0, and g =
-    gcd(p_n, q_n) as an integral Decimal.
+    gcd(p_n, q_n) as an integral Decimal.  A repeated stop repeats its row.
 
-    The steps between two stops are multiplied as one product, so only a
-    stop's q_n is tested: DegenerateConvergent(n) when q_n = 0 at a stop n.
-    A q_m = 0 at any other m is a point of the projective line, not an
-    error, as in `last_convergent`.
+    The steps after one stop up to the next, read in order from one
+    `_steps` stream, are multiplied as one product (step 0 rides in the
+    first), so only a stop's q_n is tested: DegenerateConvergent(n) when
+    q_n = 0 at a stop n.  A q_m = 0 at any other m is a point of the
+    projective line, not an error, as in `last_convergent`.
 
     `candidates`, one pair per stop, may guess each row's reduced value.
     A right guess spares that row its one big gcd; any other pair is
     detected, and the row is computed as without it.
     """
-    steps, blocks = _steps(flat, stops[-1] if stops else 0), {}
-    mats = (_interval(flat, n, stop, blocks) for n, stop in pairwise(chain([0], stops)))
-    return _gcd_rows(_primitive_walk(next(steps), stops, mats, candidates))
+    steps = _steps(flat, stops[-1] if stops else 0)
+
+    def stretches():
+        for n, stop in pairwise(chain([-1], stops)):
+            if stop < n:
+                raise ValueError(f"stops must not decrease: {stop} after {n}")
+            yield _product(islice(steps, stop - n))
+
+    return _gcd_rows(_primitive_walk(stops, stretches(), candidates))
 
 
-def _steps(flat: FlatCF, n_max: int, start: int = 0) -> Iterator[tuple[int, int, int, int]]:
-    """The int steps start .. n_max, lazily: (b_0, 1, 1, 0), then (b_n, a_n,
+def _steps(flat: FlatCF, n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """The int steps 0 .. n_max, lazily: (b_0, 1, 1, 0), then (b_n, a_n,
     1, 0).  n_max and b_0 are checked at the call; a non-integer term
     raises when the stream reaches it."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if flat.b0.denominator != 1:
         raise ValueError(f"non-integer leading term b0 = {flat.b0}")
-    first = max(start, 1)
 
     def stream():
-        if start == 0:
-            yield int(flat.b0), 1, 1, 0
-        for n, (a, b) in enumerate(flat.terms(n_max, first), first):
+        yield int(flat.b0), 1, 1, 0
+        for n, (a, b) in enumerate(flat.terms(n_max), 1):
             if a.denominator != 1 or b.denominator != 1:
                 raise ValueError(f"non-integer term at n={n}: a={a}, b={b}")
             yield int(b), int(a), 1, 0
@@ -187,22 +189,22 @@ def _steps(flat: FlatCF, n_max: int, start: int = 0) -> Iterator[tuple[int, int,
 
 
 def _primitive_walk(
-    x: Sequence[int], rows: Iterable[int], mats: Iterable[Sequence[int]],
+    rows: Iterable[int], mats: Iterable[Sequence[int]],
     candidates: Iterable[tuple[int, int]] | None = None,
 ) -> Iterator[tuple[int, tuple[int, int], int, int]]:
     # The state S_n is H times a primitive X = (x1, x2, y1, y2), H the
-    # content of S_n.  X starts at `x`; the matrix B = (a, b, c, d) of the
-    # steps up to each of the `rows` n acts on its columns (x1, y1) and
-    # (x2, y2).  At row n, gx = gcd(x1, x2) is the one big gcd, on numbers
-    # about a third the size of p_n, as H holds nearly all of gcd(p_n, q_n)
-    # = H * gx; the content h of the new X is then gcd(gx, y1, y2), which
-    # is cheap, and moves from X into H.  Yields (n, reduced value, h, gx),
-    # all ints.
+    # content of S_n.  X starts at the identity, S_{-1}; the matrix B =
+    # (a, b, c, d) of the steps up to each of the `rows` n acts on its
+    # columns (x1, y1) and (x2, y2).  At row n, gx = gcd(x1, x2) is the
+    # one big gcd, on numbers about a third the size of p_n, as H holds
+    # nearly all of gcd(p_n, q_n) = H * gx; the content h of the new X is
+    # then gcd(gx, y1, y2), which is cheap, and moves from X into H.
+    # Yields (n, reduced value, h, gx), all ints.
     # A candidate with x = k * (num, den) gives gx = |k| instead, once
     # gcd(num, den) = 1 is shown in small numbers: a prime of gx divides
     # det X' or both a and b ((x1, x2) adj(X') = det(X') (a, b) for the
     # previous X'), hence some det B so far, and `radix` keeps one copy of those.
-    x1, x2, y1, y2 = x
+    x1, x2, y1, y2 = 1, 0, 0, 1
     guesses, radix = (None if candidates is None else iter(candidates)), 1
     for n, (a, b, c, d) in zip(rows, mats):
         x1, y1, x2, y2 = a * x1 + b * y1, c * x1 + d * y1, a * x2 + b * y2, c * x2 + d * y2
@@ -243,31 +245,6 @@ def _gcd_rows(rows: Iterator) -> Iterator[StopRow]:
         if h != 1:
             content = mul(content, h)
         yield n, ratio, mul(content, gx)
-
-
-def _interval(flat: FlatCF, n: int, stop: int, blocks: dict) -> Sequence[int]:
-    """The product of the steps n+1 .. stop: the block at offset n % period
-    (cached in `blocks`) for one period with no exception in it, else the
-    product of the terms."""
-    if stop < n:
-        raise ValueError(f"stops must not decrease: {stop} after {n}")
-    period = flat.period
-    if stop - n == period and not any(n < e <= stop for e in flat.exceptions):
-        m, j = divmod(n, period)
-        if j not in blocks:
-            blocks[j] = _block(flat, j)
-        return [e.value_at(m) for e in blocks[j]]
-    return _product(_steps(flat, stop, n + 1))
-
-
-def _block(flat: FlatCF, j: int) -> tuple[Poly, Poly, Poly, Poly]:
-    """The steps n = period*m + j + 1 .. period*(m + 1) + j as one product over
-    Z[m]: step period*m + i + 1 is family i % period at m + i // period."""
-    p, one, zero = flat.period, Poly.const(1), Poly.zero()
-    return _product(
-        (flat.b_fam[i % p].shift(i // p), flat.a_fam[i % p].shift(i // p), one, zero)
-        for i in range(j, j + p)
-    )
 
 
 def convergents_from_terms(b0: Fraction, terms: Iterable[tuple]) -> list[tuple]:

@@ -13,12 +13,11 @@ vol. 2, 4.6.1, Algorithm R): `divexact` divides exactly over Z with it, and
 1967; Brown 1971).
 
 `value_at(k)` is the one Horner loop: an int for an integer k.  `p(x)` is
-`value_at(x)` cast to Fraction, for any rational x.  `run(count, start)`
-tabulates the values at count consecutive integers by forward differences:
-past the first deg + 1, which it takes from `value_at`, each costs deg
+`value_at(x)` cast to Fraction, for any rational x.  `run(count)`
+tabulates the values at k = 0 .. count - 1 by forward differences: past
+the first deg + 1, which it takes from `value_at`, each costs deg
 additions.  Backward evaluation and the forward term stream read their
-entries that way; the chain check and the Gutnik block matrices use
-`value_at`.
+entries that way; the chain check uses `value_at`.
 
 Build polynomials with the exported indeterminate K and ordinary operators:
 
@@ -99,8 +98,8 @@ class Poly(namedtuple("Poly", "nums")):
             acc = acc * k + c
         return acc
 
-    def run(self, count: int, start: int = 0) -> Iterator[int]:
-        """The exact values at k = start .. start + count - 1, lazily, as ints.
+    def run(self, count: int) -> Iterator[int]:
+        """The exact values at k = 0 .. count - 1, lazily, as ints.
 
         Past the first deg + 1 values, which `value_at` gives, each value is
         deg additions: the first column of their difference table seeds deg
@@ -109,7 +108,7 @@ class Poly(namedtuple("Poly", "nums")):
         """
         if not self.nums:
             return repeat(0, max(count, 0))
-        values = [self.value_at(k) for k in range(start, start + min(count, len(self.nums)))]
+        values = [self.value_at(k) for k in range(min(count, len(self.nums)))]
         if count <= len(self.nums):
             return iter(values)
         firsts = []

@@ -152,16 +152,15 @@ class FlatCF(namedtuple("FlatCF", "name b0 period b_fam a_fam exceptions",
             raise IndexError("partial numerators start at n = 1")
         return Fraction(self._a(n))
 
-    def terms(self, n_max: int, start: int = 1) -> Iterator[tuple[int | Fraction, int]]:
-        """(a_n, b_n) for n = start .. n_max, lazily: one `Poly.run` of each
+    def terms(self, n_max: int) -> Iterator[tuple[int | Fraction, int]]:
+        """(a_n, b_n) for n = 1 .. n_max, lazily: one `Poly.run` of each
         family over the blocks m that hold them, interleaved in n."""
-        m, skip = divmod(start - 1, self.period)
-        count = (n_max - 1) // self.period - m + 1
-        a_run, b_run = (chain.from_iterable(zip(*(f.run(count, m) for f in fam)))
+        count = (n_max - 1) // self.period + 1
+        a_run, b_run = (chain.from_iterable(zip(*(f.run(count) for f in fam)))
                         for fam in (self.a_fam, self.b_fam))
-        pairs = islice(zip(a_run, b_run), skip, skip + max(n_max - start + 1, 0))
+        pairs = islice(zip(a_run, b_run), max(n_max, 0))
         exc = self.exceptions
-        return ((exc.get(n, a), b) for n, (a, b) in enumerate(pairs, start))
+        return ((exc.get(n, a), b) for n, (a, b) in enumerate(pairs, 1))
 
     def _a(self, n: int) -> int | Fraction:
         if n in self.exceptions:

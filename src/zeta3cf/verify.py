@@ -373,10 +373,10 @@ def gutnik_alignment(nes: FlatCF, apery: FlatCF, v_max: int) -> AlignmentReport:
     with den > 0, the one form of each value, so a row is equal exactly
     when the two pairs are, and no row divides one convergent by another.
     The Nesterenko walk stops only at the printed rows 4v - 2, each block
-    n = 4v - 1 .. 4v + 2 one evaluation of a block matrix over Z[m]; its
-    state is H * X with X primitive and H the content, so gcd(p, q) =
-    H * gcd(x1, x2) = H * gx is `nes_gcd`, an integral Decimal, read
-    without forming p or q.  The Apery rows are its candidates: on an
+    n = 4v - 1 .. 4v + 2 one product of its four steps; its state is
+    H * X with X primitive and H the content, so gcd(p, q) = H * gcd(x1,
+    x2) = H * gx is `nes_gcd`, an integral Decimal, read without forming
+    p or q.  The Apery rows are its candidates: on an
     equal row x = k * (num, den), and gx = |k| follows from one division,
     one product and a gcd of small numbers, so the row's one big gcd is
     the Apery side's.  Nothing assumes that the rows are equal: an unequal

@@ -312,15 +312,17 @@ def test_steps_check_at_the_call_and_raise_at_the_term():
         next(steps)
 
 
-@pytest.mark.parametrize("start", range(8))
-def test_steps_raise_at_the_non_integer_term(nes_flat, start):
-    # a_7 = 4 + 1/2: whatever step the stream starts at, it yields every
-    # step before n = 7, then raises there.
+@pytest.mark.parametrize("before", range(8))
+def test_steps_raise_at_the_non_integer_term(nes_flat, before):
+    # a_n + 1/2 at n = before + 1, a_1's exception included: the stream
+    # yields every step before n, then raises there.
+    n = before + 1
+    a, b = nes_flat.a_term(n) + Fraction(1, 2), nes_flat.b_term(n)
     steps = []
-    with pytest.raises(ValueError, match=r"^non-integer term at n=7: a=9/2, b=5$"):
-        for step in engine._steps(perturbed(nes_flat, 7, Fraction(1, 2)), 40, start):
+    with pytest.raises(ValueError, match=rf"^non-integer term at n={n}: a={a}, b={b}$"):
+        for step in engine._steps(perturbed(nes_flat, n, Fraction(1, 2)), 40):
             steps.append(step)
-    assert steps == list(engine._steps(nes_flat, 6, start))
+    assert steps == list(engine._steps(nes_flat, before))
 
 
 def test_reduced_convergents_checks_arguments_eagerly(nes_flat):
@@ -328,15 +330,16 @@ def test_reduced_convergents_checks_arguments_eagerly(nes_flat):
         reduced_convergents(nes_flat, -1)
 
 
-# Stops as a start and positive gaps: a gap of one period takes the block
-# matrix, any other gap (and any interval holding a_1) the product of terms.
+# Stops as a start and non-negative gaps: each stretch is the product of
+# its steps, and a gap of 0 repeats a stop with an empty stretch, the identity.
 stop_lists = st.builds(
     lambda start, gaps: [start + sum(gaps[:i]) for i in range(len(gaps) + 1)],
     st.integers(0, 9),
-    st.lists(st.sampled_from([1, 2, 3, 4, 4, 4, 5, 8]), max_size=24),
+    st.lists(st.sampled_from([0, 1, 2, 3, 4, 4, 4, 5, 8]), max_size=24),
 )
-# b = k(k+1) + 1, twice a triangular number plus one: a quadratic family in
-# a period of two, so the blocks have degree 3 in m.
+# b = k(k+1) + 1, twice a triangular number plus one: a quadratic family
+# beside linear ones in a period of two, so the stream interleaves
+# difference tables of unequal depth.
 TRIANGULAR = FlatCF("T", Fraction(1), 2, (K * (K + 1) + 1, K + 3), (Poly.const(1), K + 2))
 
 
@@ -381,22 +384,8 @@ def test_reduced_at_matches_last_convergent_on_random_fractions(flat, stops):
         assert next(rows) == (n, (value.numerator, value.denominator), math.gcd(last.p, last.q))
 
 
-@pytest.mark.parametrize("name", ["N", "APERY", "G", "G16", "T"])
-def test_block_matrix_is_the_product_of_its_steps(name):
-    # For every period offset j, the block over Z[m] evaluated at m is the
-    # product of the steps n = period*m + j + 1 .. period*(m + 1) + j.
-    flat = _reduced_at_flats().get(name) or flatten(lookup(name))
-    plain = flat._replace(exceptions={})
-    for j in range(flat.period):
-        block = engine._block(flat, j)
-        for m in range(12):
-            n = flat.period * m + j
-            steps = list(engine._steps(plain, n + flat.period, n + 1))
-            assert tuple(e.value_at(m) for e in block) == _product(steps)
-
-
 def test_reduced_at_raises_at_a_stop_with_q_zero():
-    # b_n = 0 and a_n = 1: q_n = 0 for every odd n, on the block path.
+    # b_n = 0 and a_n = 1: q_n = 0 for every odd n.
     flat = FlatCF("Z", Fraction(0), 1, (Poly.zero(),), (Poly.const(1),))
     assert flat.exceptions == {}
     rows = engine.reduced_at(flat, [2, 3])
@@ -475,9 +464,9 @@ def test_table_pays_one_big_gcd_per_row(monkeypatch, nes_flat, apery_flat):
 
 
 def test_reduced_at_rejects_non_integer_terms():
-    # The exception a_2 = 3/2 keeps its interval off the block path: its
-    # terms are tested one by one, and a_2 raises as in `convergents`.  The
-    # table reads its terms lazily too: rows 0 and 1 come first.
+    # The exception a_2 = 3/2 raises when the stream reaches it, as in
+    # `convergents`, after row 1.  The table reads its terms lazily too:
+    # rows 0 and 1 come first.
     one = Poly.const(1)
     flat = FlatCF("F", Fraction(1), 1, (one,), (one,), {2: Fraction(3, 2)})
     rows = engine.reduced_at(flat, [1, 2, 3])

@@ -187,24 +187,24 @@ def test_integer_horner_integer_coefficients(coeffs, k):
 
 
 @settings(max_examples=300, deadline=None)
-@example(Poly.zero(), -3, (0, 200))
-@example(Poly.const(-7), 5, (1, 1))
-@example(Poly([10**30, -(10**30), 3, 0, 0, 0, 0, 0, -(10**30)]), -60, (0, 200))
-@given(st.lists(st.integers(-(10**30), 10**30), max_size=9).map(Poly), st.integers(-60, 60),
+@example(Poly.zero(), (0, 200))
+@example(Poly.const(-7), (1, 1))
+@example(Poly([10**30, -(10**30), 3, 0, 0, 0, 0, 0, -(10**30)]), (0, 200))
+@given(st.lists(st.integers(-(10**30), 10**30), max_size=9).map(Poly),
        st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (0, 200)])
        | st.tuples(st.just(1), st.integers(-3, 20)))
-def test_run_matches_value_at(p, start, rule):
+def test_run_matches_value_at(p, rule):
     # count = u * deg + v: 0, 1, deg, deg + 1, deg + 2 and 200 on either side
     # of the difference table's edge, at degrees -1 (zero) .. 8.
     u, v = rule
     count = max(u * p.degree + v, 0)
-    values = list(p.run(count, start))
-    assert values == [p.value_at(k) for k in range(start, start + count)]
+    values = list(p.run(count))
+    assert values == [p.value_at(k) for k in range(count)]
     assert all(type(x) is int for x in values)
 
 
 def test_run_is_lazy():
-    assert list(islice((K**3 - 2 * K).run(10**15, -2), 5)) == [-4, 1, 0, -1, 4]
+    assert list(islice((K**3 - 2 * K).run(10**15), 5)) == [0, -1, 4, 21, 56]
 
 
 @settings(max_examples=100, deadline=None)

@@ -204,17 +204,16 @@ def test_flatten_apery(apery_flat):
 @pytest.mark.parametrize("name, perturb", [("APERY", None), ("N", None), ("N", (7, Fraction(1, 2)))])
 def test_terms_match_term_accessors(name, perturb):
     # The runs over m, interleaved and sliced, give each term its accessor's
-    # value at every start and end, including those inside a block; a family
-    # value is an int and an exception keeps its own value, a Fraction.
+    # value at every end, including those inside a block; a family value is
+    # an int and an exception keeps its own value, a Fraction.
     flat = flatten(lookup(name))
     if perturb:
         flat = perturbed(flat, *perturb)
-    for start in range(1, 2 * flat.period + 3):
-        for n_max in range(start - 1, 41):
-            pairs = list(flat.terms(n_max, start))
-            assert pairs == [(flat.a_term(n), flat.b_term(n)) for n in range(start, n_max + 1)]
-            for n, (a, b) in enumerate(pairs, start):
-                assert (type(a), type(b)) == ((Fraction if n in flat.exceptions else int), int)
+    for n_max in range(41):
+        pairs = list(flat.terms(n_max))
+        assert pairs == [(flat.a_term(n), flat.b_term(n)) for n in range(1, n_max + 1)]
+        for n, (a, b) in enumerate(pairs, 1):
+            assert (type(a), type(b)) == ((Fraction if n in flat.exceptions else int), int)
 
 
 def test_flatten_terms_nonzero(nes_flat, apery_flat):
