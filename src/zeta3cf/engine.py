@@ -7,10 +7,10 @@ recurrence in exact integers:
 
 seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
-needs a tail seed while forward convergents do not.  Both, and the two
-oracles below, are products of 2x2 integer matrices.  The forward ones
-read theirs from one stream, `_steps`: step 0 is (b_0, 1, 1, 0) and step
-n is (b_n, a_n, 1, 0), so the product of steps 0 .. n is the state S_n =
+needs a tail seed while forward convergents do not.  Both, and the DEEP_CF
+oracle below, are products of 2x2 integer matrices.  The forward ones read
+theirs from one stream, `_steps`: step 0 is (b_0, 1, 1, 0) and step n is
+(b_n, a_n, 1, 0), so the product of steps 0 .. n is the state S_n =
 (p_n, q_n, p_{n-1}, q_{n-1}).  `convergents` and the rate measurement
 (`error_curve`) step the literal recurrence over it, as they report every
 row.
@@ -25,17 +25,16 @@ only the rows it yields: the steps between two stops, read in order
 from the same stream, are one small matrix, their product.
 
 A single convergent (`last_convergent`), backward evaluation and the
-oracles need only the last column and multiply all their steps in a
-balanced product tree (binary splitting; Haible & Papanikolaou, ANTS
+DEEP_CF oracle need only the last column and multiply all their steps in
+a balanced product tree (binary splitting; Haible & Papanikolaou, ANTS
 1998), which turns n big-by-small products into O(log n) rounds of
 balanced big-by-big ones.  That tree is `mobius._product`, the package's
 one 2x2 matrix product; it also composes the polynomial maps of the stage
 chain.  Backward evaluation reads one column, so it seeds its product
-with that column as the first matrix, (x, 0, y, 0), as SERIES seeds its
-own with (0, 6, 1, 0); the product's first column is the value.  These
-product walks, like `reduced_at`, test only the denominators they
-report: an infinite value on the way is a point of the projective line,
-not an error.
+with that column as the first matrix, (x, 0, y, 0); the product's first
+column is the value.  These product walks, like `reduced_at`, test only
+the denominators they report: an infinite value on the way is a point of
+the projective line, not an error.
 
 Printed integers thousands of digits long are carried as integral
 Decimals, exact through `rational.EXACT`, because CPython converts an int
@@ -56,9 +55,14 @@ read from bit lengths with no reduction.
 
 The reference value of zeta(3) comes from two independent oracles:
 Amdeberhan's series zeta(3) = (1/4) sum (-1)^(n-1) (56n^2 - 32n + 5) /
-((2n-1)^2 n^3 C(2n,n) C(3n,n)), summed exactly with the alternating-series
-tail bound and floored once to a decimal fraction, and a deep convergent of
-the Apery fraction.  Both must agree on every reported digit.
+((2n-1)^2 n^3 C(2n,n) C(3n,n)), cut by the alternating-series tail bound
+and floored once to a decimal fraction, and a deep convergent of the Apery
+fraction.  Both must agree on every reported digit.  SERIES reads its
+floor from a fixed-point sum at the target precision with a proven error
+bound: one loop of big-by-small steps on numbers the size of the answer
+(`_series_fraction` gives the argument).  Only when that
+enclosure straddles a floor boundary does it multiply its steps exactly in
+`_product`, whose numbers grow like (m!)^6 over m terms.
 """
 
 from __future__ import annotations
@@ -310,8 +314,10 @@ class ReferenceValue(namedtuple("ReferenceValue", "digits decimal oracle_id frac
     """zeta(3) to `digits` truncated digits, tagged with the oracle used.
 
     `fraction` approximates zeta(3) with |error| < 10**-(digits + 3) (SERIES:
-    its sum floored over 10**e, e = digits + 5, within 1.25 * 10**-e); the
-    decimal string is its truncation to `digits` digits.
+    its partial sum floored over 10**e, e = digits + 5, within 1.25 *
+    10**-e, the floor read from a certified fixed-point enclosure of the
+    sum, else from the exact sum); the decimal string is its truncation to
+    `digits` digits.
     """
 
     __slots__ = ()
@@ -343,19 +349,46 @@ def _series_stop(digits: int) -> int:
     return m
 
 
+def _series_sum(m: int, w: int) -> tuple[int, int]:
+    """(T, E) with |w S - T| < E, S = sum P(n) s_n over n = 1 .. m-1, from a
+    fixed-point sum at scale w > 0 (see `_series_fraction`)."""
+    a, total = w // 6, 0
+    for n in range(1, m):
+        p = (56 * n - 32) * n + 5
+        total += p * a if n & 1 else -p * a
+        a = a * ((2 * n - 1) ** 2 * n**3) // (3 * (2 * n + 1) ** 2 * (n + 1) * (3 * n + 1) * (3 * n + 2))
+    return total, 14 * m**4
+
+
 def _series_fraction(digits: int) -> Fraction:
     # Amdeberhan's series, zeta(3) = (1/4) sum P(n) s_n: s_n = (-1)^(n-1) /
-    # ((2n-1)^2 n^3 C(2n,n) C(3n,n)) has s_1 = 1/6 and s_{n+1} = s_n * u/v, u =
-    # -(2n-1)^2 n^3, v = 3(2n+1)^2 (n+1)(3n+1)(3n+2).  Over a common denominator
-    # D the columns (S*D, s_n*D) and (D, 0) times (v, v*P(n), 0, u) carry
-    # S + P(n) s_n and s_{n+1}; the seed (0, 6, 1, 0) holds S = 0 and s_1.
+    # ((2n-1)^2 n^3 C(2n,n) C(3n,n)) has |s_1| = 1/6 and |s_{n+1}| = |s_n| u/v,
+    # u = (2n-1)^2 n^3, v = 3(2n+1)^2 (n+1)(3n+1)(3n+2).  S sums n = 1 .. m-1,
+    # the terms before the first below 10**-e.  Alternating and decreasing,
+    # the tail is under a quarter of that term, and the floor adds under
+    # 10**-e: the value floor(10**e S / 4) / 10**e is within 1.25 * 10**-e.
     m, e = _series_stop(digits), digits + 5
+    # That floor is read from a fixed-point sum at scale W = 10**e 2**G
+    # (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).  `_series_sum`
+    # steps a_1 = floor(W/6), a_{n+1} = floor(a_n u / v), so d_n = W|s_n| - a_n
+    # has 0 <= d_1 < 1 and 0 <= d_{n+1} < d_n u/v + 1 < d_n + 1, hence d_n < n.
+    # T = sum (-1)^(n-1) P(n) a_n is then off W S by at most sum P(n) d_n <
+    # sum n P(n) < E = 14m^4, as 0 < n P(n) < 56n^3 and sum n^3 < m^4/4 over
+    # n < m.  W S lies strictly inside T -+ E, so when both ends have one
+    # floor over 2**(G+2), that is floor(10**e S / 4).  G = 4 bitlen(m) + 32
+    # puts E below 2**(G-28), so the ends differ only when 10**e S / 4 is
+    # within 2**-29 of an integer; then the exact product below decides.
+    shift = 4 * m.bit_length() + 34
+    total, bound = _series_sum(m, 10**e << (shift - 2))
+    lo, hi = (total - bound) >> shift, (total + bound) >> shift
+    if lo == hi:
+        return Fraction(lo, 10**e)
+    # Over a common denominator D the columns (S*D, s_n*D) and (D, 0) times
+    # (v, v*P(n), 0, -u) carry S + P(n) s_n and s_{n+1}; the seed (0, 6, 1, 0)
+    # holds S = 0 and s_1.
     steps = ((v, v * (56 * n * n - 32 * n + 5), 0, -((2 * n - 1) ** 2) * n**3) for n in range(1, m)
              for v in [3 * (2 * n + 1) ** 2 * (n + 1) * (3 * n + 1) * (3 * n + 2)])
     total, denom, _, _ = _product(chain([(0, 6, 1, 0)], steps))
-    # Steps 1 .. m-1 sum the terms before the first below 10**-e.  Alternating
-    # and decreasing, the tail is under a quarter of that term, and the floor
-    # adds under 10**-e: |zeta3 - value| < 1.25 * 10**-e.
     return Fraction(total * 10**e // (4 * denom), 10**e)
 
 

@@ -636,6 +636,67 @@ def test_series_oracle_matches_fraction_sum():
         assert new.decimal == to_decimal(old, digits)[0], digits
 
 
+def _series_product_floor(digits: int) -> Fraction:
+    # The SERIES value as an exact product tree: the columns (S*D, s_n*D)
+    # and (D, 0) times (v, v*P(n), 0, -u) carry S + P(n) s_n and s_{n+1},
+    # seeded with S = 0 and s_1 = 1/6, then floor(10**e S / 4) / 10**e.
+    m, e = engine._series_stop(digits), digits + 5
+    steps = [(0, 6, 1, 0)]
+    for n in range(1, m):
+        v = 3 * (2 * n + 1) ** 2 * (n + 1) * (3 * n + 1) * (3 * n + 2)
+        steps.append((v, v * (56 * n * n - 32 * n + 5), 0, -((2 * n - 1) ** 2) * n**3))
+    total, denom, _, _ = _product(steps)
+    return Fraction(total * 10**e // (4 * denom), 10**e)
+
+
+def test_series_fixed_point_matches_product_floor():
+    for digits in [*range(1, 1001), 3000, 5010, 10010]:
+        assert zeta3_reference(digits).fraction == _series_product_floor(digits), digits
+
+
+def _counting_product(monkeypatch) -> list:
+    calls = []
+
+    def product(mats):
+        calls.append(1)
+        return _product(mats)
+
+    monkeypatch.setattr(engine, "_product", product)
+    return calls
+
+
+def test_series_straddle_takes_the_exact_product(monkeypatch):
+    # A bound E = W = 10**e 2**G makes the enclosure wider than one floor
+    # step, 2**(G+2), so every call must fall back to the exact product and
+    # return its floor.
+    calls, series_sum = _counting_product(monkeypatch), engine._series_sum
+    monkeypatch.setattr(engine, "_series_sum", lambda m, w: (series_sum(m, w)[0], w))
+    for count, digits in enumerate((1, 2, 7, 50, 301, 1000), 1):
+        assert zeta3_reference(digits).fraction == _series_product_floor(digits), digits
+        assert len(calls) == count, digits
+
+
+def test_series_fixed_point_decides_without_the_product(monkeypatch):
+    calls = _counting_product(monkeypatch)
+    for digits in (1, 7, 50, 301, 1000):
+        zeta3_reference(digits)
+    assert not calls
+
+
+def test_series_sum_encloses_the_exact_partial_sum():
+    # T - E < W S < T + E for the exact S = sum P(n) s_n over n < m, at the
+    # oracle's own scale and at scales with no power of two.
+    total, m = Fraction(0), 1
+    for digits in range(1, 401):
+        stop, e = engine._series_stop(digits), digits + 5
+        for n in range(m, stop):
+            total += (-1) ** (n - 1) * _amdeberhan_term(n)
+        m = stop
+        for w in (10**e << (4 * m.bit_length() + 32), 10**e, 3**e + 1):
+            t, bound = engine._series_sum(m, w)
+            assert t - bound < w * total < t + bound, (digits, w)
+
+
 def _amdeberhan_term(n: int) -> Fraction:
     # |t_n| = P(n) / ((2n-1)^2 n^3 C(2n,n) C(3n,n)), P(n) = 56n^2 - 32n + 5.
     return Fraction(56 * n * n - 32 * n + 5, (2 * n - 1) ** 2 * n**3 * math.comb(2 * n, n) * math.comb(3 * n, n))
