@@ -60,8 +60,8 @@ and floored once to a decimal fraction, and a deep convergent of the Apery
 fraction.  Both must agree on every reported digit.  SERIES reads its
 floor from a fixed-point sum at the target precision with a proven error
 bound: one loop of big-by-small steps on numbers the size of the answer
-(`_series_fraction` gives the argument).  Only when that
-enclosure straddles a floor boundary does it multiply its steps exactly in
+(`_series_fraction` gives the argument).  Only when that enclosure
+straddles a floor boundary does it multiply its steps exactly in
 `_product`, whose numbers grow like (m!)^6 over m terms.
 """
 
