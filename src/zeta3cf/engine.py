@@ -54,15 +54,16 @@ recurrence, and |x_n - L| = |r_n| / (|q_n| L_d), so each row's error is
 read from bit lengths with no reduction.
 
 The reference value of zeta(3) comes from two independent oracles:
-Amdeberhan's series zeta(3) = (1/4) sum (-1)^(n-1) (56n^2 - 32n + 5) /
-((2n-1)^2 n^3 C(2n,n) C(3n,n)), cut by the alternating-series tail bound
-and floored once to a decimal fraction, and a deep convergent of the Apery
-fraction.  Both must agree on every reported digit.  SERIES reads its
-floor from a fixed-point sum at the target precision with a proven error
-bound: one loop of big-by-small steps on numbers the size of the answer
+Amdeberhan & Zeilberger's series zeta(3) = (1/64) sum (-1)^n (205n^2 +
+250n + 77) (n!)^10 / ((2n+1)!)^5, whose terms fall by more than 1024 each,
+cut by the alternating-series tail bound and floored once to a decimal
+fraction, and a deep convergent of the Apery fraction.  Both must agree on
+every reported digit.  SERIES reads its floor from a fixed-point sum at the
+target precision with a proven error bound: one loop of big-by-small steps
+on numbers the size of the answer, which also decides where to stop
 (`_series_fraction` gives the argument).  Only when that enclosure
 straddles a floor boundary does it multiply its steps exactly in
-`_product`, whose numbers grow like (m!)^6 over m terms.
+`_product`, whose numbers grow like (m!)^10 over m terms.
 """
 
 from __future__ import annotations
@@ -314,10 +315,10 @@ class ReferenceValue(namedtuple("ReferenceValue", "digits decimal oracle_id frac
     """zeta(3) to `digits` truncated digits, tagged with the oracle used.
 
     `fraction` approximates zeta(3) with |error| < 10**-(digits + 3) (SERIES:
-    its partial sum floored over 10**e, e = digits + 5, within 1.25 *
-    10**-e, the floor read from a certified fixed-point enclosure of the
-    sum, else from the exact sum); the decimal string is its truncation to
-    `digits` digits.
+    the partial sum of Amdeberhan & Zeilberger's series floored over 10**e,
+    e = digits + 5, within 1.25 * 10**-e, the floor read from a certified
+    fixed-point enclosure of the sum, else from the exact sum); the decimal
+    string is its truncation to `digits` digits.
     """
 
     __slots__ = ()
@@ -330,66 +331,52 @@ class ReferenceValue(namedtuple("ReferenceValue", "digits decimal oracle_id frac
         return text
 
 
-def _series_stop(digits: int) -> int:
-    """The first m with |t_m| = P(m) / ((2m-1)^2 m^3 c_m) below 10**-(digits+5),
-    P(m) = 56m^2 - 32m + 5 and c_m = C(2m,m) C(3m,m): from the float seed
-    log_27 10**(digits+5), as c_m grows like 27^m, exact integer comparisons
-    decide, stepping c_m by its ratios."""
-    bound = 10 ** (digits + 5)
-
-    def small(m: int, c: int) -> bool:  # |t_m| < 10**-(digits+5), given c = c_m
-        return (2 * m - 1) ** 2 * m**3 * c > (56 * m * m - 32 * m + 5) * bound
-
-    m = max(1, math.ceil((digits + 5) * math.log(10) / math.log(27)))
-    c = math.comb(2 * m, m) * math.comb(3 * m, m)
-    while not small(m, c):
-        c, m = c * 3 * (3 * m + 1) * (3 * m + 2) // (m + 1) ** 2, m + 1
-    while m > 1 and small(m - 1, down := c * m * m // (3 * (3 * m - 1) * (3 * m - 2))):
-        c, m = down, m - 1
-    return m
-
-
-def _series_sum(m: int, w: int) -> tuple[int, int]:
-    """(T, E) with |w S - T| < E, S = sum P(n) s_n over n = 1 .. m-1, from a
-    fixed-point sum at scale w > 0 (see `_series_fraction`)."""
-    a, total = w // 6, 0
-    for n in range(1, m):
-        p = (56 * n - 32) * n + 5
-        total += p * a if n & 1 else -p * a
-        a = a * ((2 * n - 1) ** 2 * n**3) // (3 * (2 * n + 1) ** 2 * (n + 1) * (3 * n + 1) * (3 * n + 2))
-    return total, 14 * m**4
+def _series_sum(w: int, cut: int) -> tuple[int, int, int]:
+    """(m, T, E) with |w S - T| < E if m > 0, S = sum P(n) s_n over n < m,
+    from a fixed-point sum at scale w > 0 that stops at the first n with
+    P(n) (a_n + n) < cut (see `_series_fraction`)."""
+    a, total, n = w, 0, 0
+    while (t := (p := (205 * n + 250) * n + 77) * a) + p * n >= cut:
+        total += -t if n & 1 else t
+        n += 1
+        a = a * n**5 // (32 * (2 * n + 1) ** 5)
+    return n, total, 133 * n**4
 
 
 def _series_fraction(digits: int) -> Fraction:
-    # Amdeberhan's series, zeta(3) = (1/4) sum P(n) s_n: s_n = (-1)^(n-1) /
-    # ((2n-1)^2 n^3 C(2n,n) C(3n,n)) has |s_1| = 1/6 and |s_{n+1}| = |s_n| u/v,
-    # u = (2n-1)^2 n^3, v = 3(2n+1)^2 (n+1)(3n+1)(3n+2).  S sums n = 1 .. m-1,
-    # the terms before the first below 10**-e.  Alternating and decreasing,
-    # the tail is under a quarter of that term, and the floor adds under
-    # 10**-e: the value floor(10**e S / 4) / 10**e is within 1.25 * 10**-e.
-    m, e = _series_stop(digits), digits + 5
-    # That floor is read from a fixed-point sum at scale W = 10**e 2**G
-    # (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).  `_series_sum`
-    # steps a_1 = floor(W/6), a_{n+1} = floor(a_n u / v), so d_n = W|s_n| - a_n
-    # has 0 <= d_1 < 1 and 0 <= d_{n+1} < d_n u/v + 1 < d_n + 1, hence d_n < n.
-    # T = sum (-1)^(n-1) P(n) a_n is then off W S by at most sum P(n) d_n <
-    # sum n P(n) < E = 14m^4, as 0 < n P(n) < 56n^3 and sum n^3 < m^4/4 over
-    # n < m.  W S lies strictly inside T -+ E, so when both ends have one
-    # floor over 2**(G+2), that is floor(10**e S / 4).  G = 4 bitlen(m) + 32
-    # puts E below 2**(G-28), so the ends differ only when 10**e S / 4 is
-    # within 2**-29 of an integer; then the exact product below decides.
-    shift = 4 * m.bit_length() + 34
-    total, bound = _series_sum(m, 10**e << (shift - 2))
-    lo, hi = (total - bound) >> shift, (total + bound) >> shift
+    # Amdeberhan & Zeilberger's series (Electron. J. Combin. 4(2), 1997),
+    # zeta(3) = (1/64) sum P(n) s_n, P(n) = 205n^2 + 250n + 77: s_n = (-1)^n
+    # (n!)^10 / ((2n+1)!)^5 has s_0 = 1 and |s_{n+1}| = |s_n| u/v, u = (n+1)^5,
+    # v = 32(2n+3)^5, so u/v < 1/1024.  It is read at scale W = 10**e 2**G,
+    # e = digits + 5, in fixed point (Brent & Zimmermann, Modern Computer
+    # Arithmetic, ch. 4): `_series_sum` steps a_0 = W, a_{n+1} =
+    # floor(a_n u / v), so d_n = W|s_n| - a_n has d_0 = 0 and 0 <= d_{n+1} <
+    # d_n u/v + 1, hence d_n < n.  It sums S over n < m, m the first n with
+    # P(n) (a_n + n) < 2**(G+4); then W P(m) |s_m| < 2**(G+4), so P(m) |s_m| <
+    # 16 * 10**-e.  The terms P(n) |s_n| alternate and decrease, so the tail
+    # of zeta(3) past S / 64 is under a quarter of 10**-e, and the floor adds
+    # under 10**-e: floor(10**e S / 64) / 10**e is within 1.25 * 10**-e.
+    # T = sum (-1)^n P(n) a_n is off W S by at most sum P(n) d_n <= sum n P(n)
+    # < E = 133m^4, as n P(n) <= 532n^3 and sum n^3 < m^4/4 over n < m.  W S
+    # lies strictly inside T -+ E, so when both ends have one floor over
+    # 2**(G+6), that is floor(10**e S / 64).  At n = e both P(n) a_n and
+    # P(n) n are below 2**(G+3), as a_n < W 1024**-n and P(n) 10**e < 8 *
+    # 1024**n there, so m <= e, and G = 4 bitlen(e) + 32 puts E below
+    # 2**(G-24): the ends differ only when 10**e S / 64 is within 2**-30 of
+    # an integer; then the exact product below decides.
+    e = digits + 5
+    g = 4 * e.bit_length() + 32
+    m, total, bound = _series_sum(10**e << g, 1 << (g + 4))
+    lo, hi = (total - bound) >> (g + 6), (total + bound) >> (g + 6)
     if lo == hi:
         return Fraction(lo, 10**e)
     # Over a common denominator D the columns (S*D, s_n*D) and (D, 0) times
-    # (v, v*P(n), 0, -u) carry S + P(n) s_n and s_{n+1}; the seed (0, 6, 1, 0)
-    # holds S = 0 and s_1.
-    steps = ((v, v * (56 * n * n - 32 * n + 5), 0, -((2 * n - 1) ** 2) * n**3) for n in range(1, m)
-             for v in [3 * (2 * n + 1) ** 2 * (n + 1) * (3 * n + 1) * (3 * n + 2)])
-    total, denom, _, _ = _product(chain([(0, 6, 1, 0)], steps))
-    return Fraction(total * 10**e // (4 * denom), 10**e)
+    # (v, v*P(n), 0, -u) carry S + P(n) s_n and s_{n+1}; the seed (0, 1, 1, 0)
+    # holds S = 0 and s_0.
+    steps = ((v, v * ((205 * n + 250) * n + 77), 0, -((n + 1) ** 5)) for n in range(m)
+             for v in [32 * (2 * n + 3) ** 5])
+    total, denom, _, _ = _product(chain([(0, 1, 1, 0)], steps))
+    return Fraction(total * 10**e // (64 * denom), 10**e)
 
 
 def _deep_cf_fraction(digits: int) -> Fraction:

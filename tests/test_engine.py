@@ -636,22 +636,29 @@ def test_series_oracle_matches_fraction_sum():
         assert new.decimal == to_decimal(old, digits)[0], digits
 
 
-def _series_product_floor(digits: int) -> Fraction:
-    # The SERIES value as an exact product tree: the columns (S*D, s_n*D)
-    # and (D, 0) times (v, v*P(n), 0, -u) carry S + P(n) s_n and s_{n+1},
-    # seeded with S = 0 and s_1 = 1/6, then floor(10**e S / 4) / 10**e.
-    m, e = engine._series_stop(digits), digits + 5
-    steps = [(0, 6, 1, 0)]
-    for n in range(1, m):
-        v = 3 * (2 * n + 1) ** 2 * (n + 1) * (3 * n + 1) * (3 * n + 2)
-        steps.append((v, v * (56 * n * n - 32 * n + 5), 0, -((2 * n - 1) ** 2) * n**3))
-    total, denom, _, _ = _product(steps)
-    return Fraction(total * 10**e // (4 * denom), 10**e)
+def _series_stop(digits: int) -> int:
+    # The SERIES oracle's stop m, read from its sum at its own scale and cut.
+    e = digits + 5
+    g = 4 * e.bit_length() + 32
+    return engine._series_sum(10**e << g, 1 << (g + 4))[0]
+
+
+def _series_exact_floor(digits: int) -> Fraction:
+    # The SERIES value from the exact partial sum over n < m of Amdeberhan &
+    # Zeilberger's series, S = sum (-1)^n P(n) s_n, s_{n+1} = -s_n u / v:
+    # x = S*D and y = s_n*D over the denominator D step in integers, then
+    # floor(10**e S / 64) / 10**e.
+    m, e = _series_stop(digits), digits + 5
+    x, y, den = 0, 1, 1
+    for n in range(m):
+        v = 32 * (2 * n + 3) ** 5
+        x, y, den = v * (x + ((205 * n + 250) * n + 77) * y), -y * (n + 1) ** 5, den * v
+    return Fraction(x * 10**e // (64 * den), 10**e)
 
 
 def test_series_fixed_point_matches_product_floor():
     for digits in [*range(1, 1001), 3000, 5010, 10010]:
-        assert zeta3_reference(digits).fraction == _series_product_floor(digits), digits
+        assert zeta3_reference(digits).fraction == _series_exact_floor(digits), digits
 
 
 def _counting_product(monkeypatch) -> list:
@@ -667,12 +674,12 @@ def _counting_product(monkeypatch) -> list:
 
 def test_series_straddle_takes_the_exact_product(monkeypatch):
     # A bound E = W = 10**e 2**G makes the enclosure wider than one floor
-    # step, 2**(G+2), so every call must fall back to the exact product and
+    # step, 2**(G+6), so every call must fall back to the exact product and
     # return its floor.
     calls, series_sum = _counting_product(monkeypatch), engine._series_sum
-    monkeypatch.setattr(engine, "_series_sum", lambda m, w: (series_sum(m, w)[0], w))
+    monkeypatch.setattr(engine, "_series_sum", lambda w, cut: (*series_sum(w, cut)[:2], w))
     for count, digits in enumerate((1, 2, 7, 50, 301, 1000), 1):
-        assert zeta3_reference(digits).fraction == _series_product_floor(digits), digits
+        assert zeta3_reference(digits).fraction == _series_exact_floor(digits), digits
         assert len(calls) == count, digits
 
 
@@ -685,43 +692,57 @@ def test_series_fixed_point_decides_without_the_product(monkeypatch):
 
 def test_series_sum_encloses_the_exact_partial_sum():
     # T - E < W S < T + E for the exact S = sum P(n) s_n over n < m, at the
-    # oracle's own scale and at scales with no power of two.
-    total, m = Fraction(0), 1
+    # oracle's own scale and cut, and at scales with no power of two under a
+    # low cut, so that the sum runs on until a_n is small (m = 0 sums
+    # nothing: T = E = W S = 0; the loop ends by n = e, as a_e = 0 and
+    # e P(e) < cut).  At every scale the stop is certified: W P(m) |s_m| < cut.
+    sums, terms = [Fraction(0)], []
     for digits in range(1, 401):
-        stop, e = engine._series_stop(digits), digits + 5
-        for n in range(m, stop):
-            total += (-1) ** (n - 1) * _amdeberhan_term(n)
-        m = stop
-        for w in (10**e << (4 * m.bit_length() + 32), 10**e, 3**e + 1):
-            t, bound = engine._series_sum(m, w)
-            assert t - bound < w * total < t + bound, (digits, w)
+        e = digits + 5
+        g, low = 4 * e.bit_length() + 32, 1 << (3 * e.bit_length() + 10)
+        for w, cut in ((10**e << g, 1 << (g + 4)), (10**e, low), (3**e + 1, low)):
+            m, t, bound = engine._series_sum(w, cut)
+            for n in range(len(terms), m + 1):
+                terms.append(_amdeberhan_term(n))
+                sums.append(sums[n] + (-1) ** n * terms[n])
+            assert m == 0 or t - bound < w * sums[m] < t + bound, (digits, w)
+            assert w * terms[m] < cut, (digits, w)
 
 
 def _amdeberhan_term(n: int) -> Fraction:
-    # |t_n| = P(n) / ((2n-1)^2 n^3 C(2n,n) C(3n,n)), P(n) = 56n^2 - 32n + 5.
-    return Fraction(56 * n * n - 32 * n + 5, (2 * n - 1) ** 2 * n**3 * math.comb(2 * n, n) * math.comb(3 * n, n))
+    # |t_n| = P(n) |s_n|, P(n) = 205n^2 + 250n + 77, |s_n| = (n!)^10 / ((2n+1)!)^5.
+    return Fraction((205 * n + 250) * n + 77) * Fraction(math.factorial(n) ** 10, math.factorial(2 * n + 1) ** 5)
 
 
 def test_amdeberhan_terms_decrease_from_the_first():
-    # |t_{n+1}| / |t_n| = (2n-1)^2 n^3 P(n+1) / (v P(n)), v = 3(2n+1)^2 (n+1)
-    # (3n+1)(3n+2), so |t_{n+1}| < |t_n| iff v P(n) - (2n-1)^2 n^3 P(n+1) > 0;
-    # at n = j + 1 every coefficient is positive, so it is for every n >= 1,
-    # and the alternating tail is below its first term.
-    p = 56 * K**2 - 32 * K + 5
-    v = 3 * (2 * K + 1) ** 2 * (K + 1) * (3 * K + 1) * (3 * K + 2)
-    gap = (v * p - (2 * K - 1) ** 2 * K**3 * p.shift(1)).shift(1)
-    assert gap.nums == (31155, 184755, 457396, 612862, 480736, 221176, 55360, 5824)
-    assert all(_amdeberhan_term(n + 1) < _amdeberhan_term(n) for n in range(1, 60))
+    # |t_{n+1}| / |t_n| = u P(n+1) / (v P(n)), u = (n+1)^5, v = 32(2n+3)^5,
+    # so |t_{n+1}| < |t_n| iff v P(n) - u P(n+1) > 0; every coefficient is
+    # positive, so it is for every n >= 0, and the alternating tail is below
+    # its first term.
+    p = 205 * K**2 + 250 * K + 77
+    gap = 32 * (2 * K + 3) ** 5 * p - (K + 1) ** 5 * p.shift(1)
+    assert gap.nums == (598220, 3936520, 10726375, 15714735, 13424850, 6716166, 1828715, 209715)
+    assert all(_amdeberhan_term(n + 1) < _amdeberhan_term(n) for n in range(60))
 
 
 def test_series_stop_is_the_first_small_term():
-    # |t_m| < 10**-(digits+5) <= |t_{m-1}|: the sum stops at the first
-    # small term, and stopping one term earlier would leave a term the tail
-    # bound does not cover.
+    # The stop is certified, |t_m| < 16 * 10**-e, so the tail of zeta(3) past
+    # S / 64 is under 10**-e / 4; and it comes at the first n with |t_n| below
+    # that or one past it, as a_n + n exceeds W |s_n| by at most n.
+    terms = [_amdeberhan_term(n) for n in range(350)]
     for digits in range(1, 1001):
-        m, threshold = engine._series_stop(digits), Fraction(1, 10 ** (digits + 5))
-        assert _amdeberhan_term(m) < threshold, digits
-        assert _amdeberhan_term(m - 1) >= threshold, digits
+        m, bound = _series_stop(digits), Fraction(16, 10 ** (digits + 5))
+        first = next(n for n, t in enumerate(terms) if t < bound)
+        assert terms[m] < bound, digits
+        assert m in (first, first + 1), digits
+    # The test reads a_n + n, not a_n, which falls short of W |s_n|: at the
+    # cut floor(W |t_n|), which term n does not certify, the sum runs
+    # exactly one term past n.
+    for digits in range(1, 301, 7):
+        e = digits + 5
+        w = 10**e << (4 * e.bit_length() + 32)
+        for n in range(_series_stop(digits)):
+            assert engine._series_sum(w, math.floor(w * terms[n]))[0] == n + 1, (digits, n)
 
 
 def _deep_cf_by_convergents(digits: int) -> Fraction:
