@@ -735,8 +735,8 @@ def test_series_stop_is_the_first_small_term():
         first = next(n for n, t in enumerate(terms) if t < bound)
         assert terms[m] < bound, digits
         assert m in (first, first + 1), digits
-    # The test reads a_n + n, not a_n, which falls short of W |s_n|: at the
-    # cut floor(W |t_n|), which term n does not certify, the sum runs
+    # The stop reads a_n + n, not a_n, which can fall short of W |s_n|: at
+    # the cut floor(W |t_n|), which term n does not meet, the sum runs
     # exactly one term past n.
     for digits in range(1, 301, 7):
         e = digits + 5
