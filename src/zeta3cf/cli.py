@@ -531,24 +531,21 @@ def main(argv: list[str] | None = None, out=None) -> int:
         _check_caps(args)
         status, payload, tables = _COMMANDS[command](args)
     except (CommandError, ValueError, KeyError, ArithmeticError) as exc:
-        return _render_error(args, command, exc, out)
+        status, payload, tables = "error", {"error": str(exc)}, {}
     try:
-        _render(args, command, status, payload, tables, out)
+        try:
+            _render(args, command, status, payload, tables, out)
+        except CommandError as exc:  # raised by an emitter before it writes
+            status = "error"
+            _render(args, command, status, {"error": str(exc)}, {}, out)
         out.flush()
-    except CommandError as exc:  # raised by an emitter before it writes
-        return _render_error(args, command, exc, out)
     except BrokenPipeError:
         # The reader closed the pipe.  Point stdout at devnull so that the
         # interpreter's final flush of what is still buffered raises nothing.
         if out is sys.stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    return 0 if status == "ok" else 1
-
-
-def _render_error(args, command, exc, out) -> int:
-    _render(args, command, "error", {"error": str(exc)}, {}, out)
-    return 2
+    return {"ok": 0, "fail": 1, "error": 2}[status]
 
 
 if __name__ == "__main__":
