@@ -9,7 +9,9 @@ entry in (a, b, c, d) order has a positive leading coefficient.
 A map is the record (a, b, c, d) of that normal form, the very tuple that
 `_product` multiplies: composition of maps is matrix multiplication through
 `_product`, the package's one 2x2 matrix product, which serves these
-polynomial matrices and the integer matrices of the engine alike.  Equality
+polynomial matrices and the integer matrices of the engine alike.  Its
+projective mode, for backward evaluation, divides the large integer nodes
+of the tree by their content: that value needs only a ratio.  Equality
 of maps is projective -- equal up to a nonzero scalar -- and is decided by
 comparing normal forms: the form above is unique in each projective class
 over Q(k), and every map is an exact multiple of its normal form.  So `==`
@@ -115,18 +117,34 @@ class PolyMobius(namedtuple("PolyMobius", "a b c d")):
         return f"PolyMobius{self}"
 
 
-def _product(mats: Iterable[tuple]) -> tuple:
+# The bit size at which a projective product starts to shed content.
+CONTENT_BITS = 2500
+
+
+def _product(mats: Iterable[tuple], projective: bool = False) -> tuple:
     """The product M_n ... M_2 M_1 of the matrices M_i = (a, b, c, d) =
     [[a, b], [c, d]], over ints or Polys: the first matrix acts first on a
     column.  Adjacent pairs are multiplied in rounds, a balanced product
-    tree; the empty product is (1, 0, 0, 1)."""
+    tree; the empty product is (1, 0, 0, 1).
+
+    `projective` (ints only) gives a positive integer multiple of the
+    product instead: in each round whose first node has an entry of
+    CONTENT_BITS bits or more, each node below the root is divided by the
+    gcd of its four entries.  That keeps every ratio, sign and zero of the
+    entries.  Backward evaluation puts its largest matrices first, so each
+    round of small nodes costs one size test and no gcd."""
     mats = list(mats) or [(1, 0, 0, 1)]
     while len(mats) > 1:
         odd = mats[-1:] if len(mats) % 2 else []
         mats = [
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
             for (e, f, g, h), (a, b, c, d) in zip(mats[::2], mats[1::2])
-        ] + odd
+        ]
+        big = projective and max(map(abs, mats[0])).bit_length() >= CONTENT_BITS
+        if big and len(mats) + len(odd) > 1:
+            # An all-zero node has gcd 0 and stays as it is.
+            mats = [tuple(x // k for x in m) if (k := gcd(*m)) > 1 else m for m in mats]
+        mats += odd
     return mats[0]
 
 

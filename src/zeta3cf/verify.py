@@ -36,7 +36,7 @@ from .engine import (
     zeta3_reference,
 )
 from .mobius import PolyMobius, _product
-from .polynomial import Poly, poly_gcd
+from .polynomial import Poly, _scalar, poly_gcd
 from .rational import sci_string
 from .stages import (
     VARIANTS,
@@ -314,8 +314,10 @@ def equivalence_scale(terms: Terms, scales: list[Fraction]) -> Terms:
 
     `scales` supplies c_1 .. c_len(terms); every convergent value of the
     transformed prefix equals the original's, while p_n and q_n each pick up
-    the factor prod(c_1..c_n).
+    the factor prod(c_1..c_n).  Each scale is an int or a Fraction;
+    TypeError for any other type.
     """
+    scales = [_scalar(c) for c in scales]
     if len(scales) != len(terms):
         raise InvalidScale(f"{len(terms)} terms but {len(scales)} scale factors")
     if any(c == 0 for c in scales):

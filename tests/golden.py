@@ -54,11 +54,15 @@ import sys
 # their abs_error prints the 910-digit reference's own error, which went
 # from 1.03e-916 and 1.05e-916 to 2.10e-915 for both (the new floor is one
 # ulp lower, still within 1.25 * 10**-915 of zeta(3)); no other byte changed.
-# The last two entries are new, not re-recordings: they were recorded from
-# the stdout of the commit before this runner was added, where only CI
-# checked their exit codes.  convergents APERY --n-max 600 prints p_n and q_n
-# past 4300 digits through Decimal; eval N --depth 10001 is the --depth cap's
-# error envelope.
+# convergents APERY --n-max 600 --format csv and eval N --depth 10001 are
+# new, not re-recordings: they were recorded from the stdout of the commit
+# before this runner was added, where only CI checked their exit codes.
+# The first prints p_n and q_n past 4300 digits through Decimal; the second
+# is the --depth cap's error envelope.
+# The last two entries are new, not re-recordings, recorded from the stdout
+# of the commit before backward evaluation divided its product-tree nodes by
+# their content: the backward-eval benchmark's H and Z requests at its p90
+# sizes, the first deep backward evaluations printed as json and csv.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "d48096fef8a81c6b8fd11e8bf345d08fbd3e2c70d0210fcf0fa1d08ac92bb992"),
     ("eval W --depth 300", 0, "f207484bbc56c6674352e657688686edac5a48ede3bb92ab6b5cf70f44a9432b"),
@@ -129,6 +133,8 @@ STDOUT_GOLDEN = (
     ("gutnik --hook-perturb --v-max 60 --format json", 1, "99b6129a42e4cba220b14a754b5c7e76b78b7ff2b68010fffa5f184e06ad39c7"),
     ("convergents APERY --n-max 600 --format csv", 0, "e7b48da4ffb8c0a0ad4d87b39f6b4237c3304278522f54f4f76a8b6e43f31609"),
     ("eval N --depth 10001", 2, "217e0f568d6c62652c18f6948972ef4f08c18acf9d034edb1c988d118b0a3a8e"),
+    ("eval H --depth 1313 --format json", 0, "3c339d5c20de006b499feb91d5b1738afebdb27d3a2fed9744186c1b544ce343"),
+    ("eval Z --depth 1262 --format csv", 0, "9123f6ed7a328ed512b97309cc0616ac27d4cdc163f2fd8e995564bf5219c156"),
 )
 
 

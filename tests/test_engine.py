@@ -26,12 +26,13 @@ from zeta3cf.engine import (
     values_from_terms,
     zeta3_reference,
 )
-from zeta3cf import engine
+from zeta3cf import engine, mobius
 from zeta3cf.cli import MAX_REF_DIGITS
 from zeta3cf.mobius import PoleError, PolyMobius
 from zeta3cf.stages import FlatCF, Stage, Target, flatten, lookup, perturbed, stage_from_levels
 from zeta3cf.polynomial import K, Poly
 from zeta3cf.rational import log10_fraction, to_decimal, truncate_float
+from zeta3cf.verify import derived_chain
 
 from test_polynomial import fraction_horner
 
@@ -108,6 +109,13 @@ def test_eval_backward_infinite_value_is_pole():
     with pytest.raises(PoleError) as exc:
         eval_backward(lookup("APERY"), 0, 0)
     assert exc.value.x == "infinity"
+
+
+@pytest.mark.parametrize("seed", [0.1, Decimal("0.1"), "1/3"])
+def test_eval_backward_rejects_an_inexact_seed(seed):
+    # Fraction(seed) would read 0.1's binary value, or parse the text.
+    with pytest.raises(TypeError, match="int or Fraction"):
+        eval_backward(lookup("APERY"), 1, seed)
 
 
 def test_truncation_value_seeds_infinity():
@@ -226,6 +234,31 @@ def test_truncation_value_matches_forward_on_random_level_stages(levels, b0, a1,
     [(p, _), (q, _)] = next(_walk([_product(steps)], (flat.b0, 1), (1, 0)))
     assume(q != 0)
     assert truncation_value(stage, m) == Fraction(p, q)
+
+
+def test_truncation_value_matches_forward_with_every_node_reduced(monkeypatch):
+    # The same property with every node below the root divided by its
+    # content, so that infinities and 0/0 pass through reduced nodes.
+    monkeypatch.setattr(mobius, "CONTENT_BITS", 0)
+    test_truncation_value_matches_forward_on_random_level_stages()
+
+
+def test_backward_product_sheds_its_content(monkeypatch):
+    # At G, depth 1378, the exact column has 44 229 bits and the value
+    # 12 913: the root that backward evaluation hands to Fraction is under
+    # half the exact column's size, and its value is the exact one's.
+    roots = []
+
+    def spy(mats, projective=False):
+        roots.append((_product(mats), _product(mats, projective)))
+        return roots[-1][1]
+
+    monkeypatch.setattr(engine, "_product", spy)
+    value = truncation_value(derived_chain(stop="G")["G"], 1378)
+    [(exact, root)] = roots
+    bits = lambda m: max(map(abs, m)).bit_length()
+    assert 2 * bits(root) < bits(exact) == 44229
+    assert value == Fraction(exact[0], exact[2])
 
 
 # Random integer-term flat fractions: each of the `period` term families is a

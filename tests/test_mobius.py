@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zeta3cf import mobius
 from zeta3cf.mobius import (
     DegenerateMobius,
     PoleError,
@@ -199,3 +200,45 @@ def test_product_of_polys_matches_compose_fold(quads):
     for quad in quads:
         fold = PolyMobius(*quad) @ fold
     assert PolyMobius(*_product(quads)) == fold
+
+
+# Integer matrices with a common factor of 1 .. 6, zero and singular ones
+# among them.
+int_quads = st.builds(
+    lambda lam, quad: tuple(lam * x for x in quad),
+    st.integers(1, 6),
+    st.tuples(*[st.integers(-3, 3)] * 4),
+)
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@example([(0, 0, 0, 0), (2, 0, 0, 2), (1, 1, 1, 1)])  # an all-zero node
+@given(st.lists(int_quads, max_size=12))
+def test_projective_product_is_a_positive_multiple(quads):
+    # With the size at 0 every node below the root is divided by its
+    # content; the root is a positive multiple of the exact product: every
+    # cross product of two entries vanishes and every sign agrees.
+    exact = _product(quads)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mobius, "CONTENT_BITS", 0)
+        root = _product(quads, projective=True)
+    assert all(x * root[j] == exact[j] * y for x, y in zip(exact, root) for j in range(4))
+    assert list(map(_sign, root)) == list(map(_sign, exact))
+
+
+def test_projective_product_leaves_the_root_to_the_caller(monkeypatch):
+    # The caller reduces the root (backward evaluation through Fraction), so
+    # the tree does not: here only the node (4, 0, 0, 4) below it sheds 4.
+    monkeypatch.setattr(mobius, "CONTENT_BITS", 0)
+    assert _product([(2, 0, 0, 2)] * 2, projective=True) == (4, 0, 0, 4)
+    assert _product([(2, 0, 0, 2)] * 3, projective=True) == (2, 0, 0, 2)
+
+
+def test_projective_product_keeps_small_nodes_exact():
+    # Below CONTENT_BITS the projective tree is the exact one.
+    quads = [(2, 0, 0, 2)] * 5 + [(3, 1, 1, 0)] * 6
+    assert _product(quads, projective=True) == _product(quads)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil
 
@@ -371,6 +372,14 @@ def test_equivalence_scale_hand_example():
         (Fraction(4), Fraction(6)),
     ]
     assert values(b0, terms) == values(b0, scaled)
+
+
+@pytest.mark.parametrize("scale", [0.5, Decimal("0.5"), "1/2"])
+def test_equivalence_scale_rejects_an_inexact_scale(scale):
+    # A float scale used to return float terms, [(0.5, 1.0)] here; the other
+    # two met a TypeError only in the arithmetic.
+    with pytest.raises(TypeError, match="int or Fraction"):
+        equivalence_scale([(Fraction(1), Fraction(2))], [scale])
 
 
 def test_equivalence_scale_value_invariance_randomized(nes_flat):
