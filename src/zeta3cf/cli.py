@@ -31,16 +31,15 @@ MAX_DIGITS = 10_000
 MAX_DEPTH = 10_000
 MAX_N_MAX = 2_000
 MAX_V_MAX = 1_000
-_CAPS = {
-    "digits": MAX_DIGITS,
-    "depth": MAX_DEPTH,
-    "n_max": MAX_N_MAX,
-    "v_max": MAX_V_MAX,
-    "ref_digits": MAX_REF_DIGITS,
+# Each size flag's (floor, cap): below the floor a size means nothing;
+# `rate` lifts a `--ref-digits` from 1 to 29 to 30.
+_BOUNDS = {
+    "digits": (1, MAX_DIGITS),
+    "depth": (0, MAX_DEPTH),
+    "n_max": (0, MAX_N_MAX),
+    "v_max": (1, MAX_V_MAX),
+    "ref_digits": (1, MAX_REF_DIGITS),
 }
-# Lower bounds, below which a size means nothing; `rate` lifts a
-# `--ref-digits` from 1 to 29 to 30.
-_FLOORS = {"digits": 1, "depth": 0, "n_max": 0, "v_max": 1, "ref_digits": 1}
 
 
 class CommandError(Exception):
@@ -48,7 +47,7 @@ class CommandError(Exception):
 
 
 def _check_caps(args) -> None:
-    for name, cap in _CAPS.items():
+    for name, (floor, cap) in _BOUNDS.items():
         value = getattr(args, name, None)
         if value is None:
             continue
@@ -56,8 +55,8 @@ def _check_caps(args) -> None:
         flag = "--" + name.replace("_", "-")
         if value > cap:
             raise CommandError(f"{flag} must be at most {cap}")
-        if name in _FLOORS and value < _FLOORS[name]:
-            raise CommandError(f"{flag} must be at least {_FLOORS[name]}")
+        if value < floor:
+            raise CommandError(f"{flag} must be at least {floor}")
 
 
 def _resolve_numeric_stage(name: str) -> stages.Stage:
@@ -101,7 +100,7 @@ def _cmd_eval(args) -> tuple[str, dict, dict]:
     target_value = ref.value(stage.target)
     try:
         flat = stages.flatten(stage)
-        value = engine.last_convergent(flat, args.depth).value
+        value = engine.last_convergent(flat, args.depth)
         method = "forward-convergent"
     except stages.HeadNotFlattenable:
         value = engine.truncation_value(stage, args.depth)
@@ -322,38 +321,43 @@ def _emit_json(command, status, payload, tables, out) -> None:
     doc = {"command": command, "format": "json", "status": status, "payload": body}
     limit = _int_str_limit()
     chunks: list[str] = []
-    _json_chunks(doc, "\n", limit, chunks, encode_basestring_ascii, dumps)
+
+    def emit(value, pad: str) -> None:
+        # Append the text of `value` at the indentation `pad`, a newline and
+        # two spaces per level.
+        if isinstance(value, dict) and value:
+            inner, sep = pad + "  ", "{"
+            for key, item in value.items():
+                chunks.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+                emit(item, inner)
+                sep = ","
+            chunks.append(pad + "}")
+        elif isinstance(value, list) and value:
+            inner, sep = pad + "  ", "["
+            for item in value:
+                chunks.append(sep + inner)
+                emit(item, inner)
+                sep = ","
+            chunks.append(pad + "]")
+        elif isinstance(value, str):
+            chunks.append(encode_basestring_ascii(value))
+        elif isinstance(value, Decimal):
+            if limit and value.adjusted() >= limit:
+                raise CommandError(_too_long(limit, "json", decimal=True))
+            chunks.append(decimal_int_str(value))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            chunks.append(int.__repr__(value))
+        else:
+            chunks.append(dumps(value))
+
+    try:
+        emit(doc, "\n")
+    finally:
+        # `emit` reaches itself through its closure; ending that cycle frees
+        # the chunks on return, not at the next full collection.
+        del emit
     chunks.append("\n")
     out.write("".join(chunks))
-
-
-def _json_chunks(value, pad: str, limit: int, chunks: list[str], quote, dumps) -> None:
-    """Append the text of `value` at the indentation `pad` (a newline and
-    two spaces per level) to `chunks`; `quote` and `dumps` are json's."""
-    if isinstance(value, dict) and value:
-        inner, sep = pad + "  ", "{"
-        for key, item in value.items():
-            chunks.append(f"{sep}{inner}{quote(key)}: ")
-            _json_chunks(item, inner, limit, chunks, quote, dumps)
-            sep = ","
-        chunks.append(pad + "}")
-    elif isinstance(value, list) and value:
-        inner, sep = pad + "  ", "["
-        for item in value:
-            chunks.append(sep + inner)
-            _json_chunks(item, inner, limit, chunks, quote, dumps)
-            sep = ","
-        chunks.append(pad + "]")
-    elif isinstance(value, str):
-        chunks.append(quote(value))
-    elif isinstance(value, Decimal):
-        if limit and value.adjusted() >= limit:
-            raise CommandError(_too_long(limit, "json", decimal=True))
-        chunks.append(decimal_int_str(value))
-    elif isinstance(value, int) and not isinstance(value, bool):
-        chunks.append(int.__repr__(value))
-    else:
-        chunks.append(dumps(value))
 
 
 def _too_long(limit: int, fmt: str, decimal: bool = False) -> str:

@@ -24,28 +24,22 @@ p_n and q_n beside it.  `reduced_at` (the `gutnik` command) feeds it
 only the rows it yields: the steps between two stops, read in order
 from the same stream, are one small matrix, their product.
 
-A single convergent (`last_convergent`), backward evaluation and the
-DEEP_CF oracle need only the last column and multiply all their steps in
-a balanced product tree (binary splitting; Haible & Papanikolaou, ANTS
-1998), which turns n big-by-small products into O(log n) rounds of
-balanced big-by-big ones.  That tree is `mobius._product`, the package's
-one 2x2 matrix product; it also composes the polynomial maps of the stage
-chain.  Backward evaluation reads one column, so it seeds its product
-with that column as the first matrix, (x, 0, y, 0); the product's first
-column is the value.  It needs only the ratio x/y, so it runs the tree in
-its projective mode: a value does not change when a factor matrix is
-scaled by a positive integer, and the step products share a large integer
-content (for Apery's fraction, q_n = (n!)^3 b_n; van der Poorten 1979).
-In each round of the tree whose nodes reach `mobius.CONTENT_BITS` (2500)
-bits, each node below the root is divided by the gcd of its entries, so
-the rounds above multiply numbers about a third the size (the chain's G
-at depth 1378: a 44 229-bit column, a 12 913-bit value), and `Fraction`
-reduces the root.  The single convergent and `reduced_at`'s stretches keep
-the exact tree, as their p_n and q_n, or the gcd of those, are printed;
-so does DEEP_CF, where the content test measured no gain.  These product
-walks, like `reduced_at`, test only
-the denominators they report: an infinite value on the way is a point of
-the projective line, not an error.
+A single convergent (`last_convergent`), backward evaluation, the rate
+measurement's last gap and both oracles' products need only the last
+column and multiply all their steps in a balanced product tree (binary
+splitting; Haible & Papanikolaou, ANTS 1998), which turns n big-by-small
+products into O(log n) rounds of balanced big-by-big ones.  That tree is
+`mobius._product`, the package's one 2x2 matrix product; it also composes
+the polynomial maps of the stage chain.  Backward evaluation reads one
+column, so it seeds its product with that column as the first matrix,
+(x, 0, y, 0); the product's first column is the value.  One rule sets the
+tree's mode: every int product that is read only as a ratio runs it
+projective, shedding the large content that step products share (for
+Apery's fraction, q_n = (n!)^3 b_n; van der Poorten 1979) once its nodes
+reach `mobius.CONTENT_BITS` bits, and only `reduced_at`'s stretches,
+whose content is printed as a gcd, keep the exact tree.  These product
+walks, like `reduced_at`, test only the denominators they report: an
+infinite value on the way is a point of the projective line, not an error.
 
 Printed integers thousands of digits long are carried as integral
 Decimals, exact through `rational.EXACT`, because CPython converts an int
@@ -73,8 +67,8 @@ every reported digit.  SERIES reads its floor from a fixed-point sum at the
 target precision with a proven error bound: one loop of big-by-small steps
 on numbers the size of the answer, which also decides where to stop
 (`_series_fraction` gives the argument).  Only when that enclosure
-straddles a floor boundary does it multiply its steps exactly in
-`_product`, whose numbers grow like (m!)^10 over m terms.
+straddles a floor boundary does it read the floor from the product of
+its steps in `_product`, whose numbers grow like (m!)^10 over m terms.
 """
 
 from __future__ import annotations
@@ -131,17 +125,17 @@ def convergents(flat: FlatCF, n_max: int) -> list[Convergent]:
 ReducedRow = tuple[int, Decimal, Decimal, int, int]  # (n, p_n, q_n, num, den)
 
 
-def last_convergent(flat: FlatCF, n: int) -> Convergent:
-    """The convergent x_n alone, equal to `convergents(flat, n)[n]`, from one
-    product of the steps 0 .. n.
+def last_convergent(flat: FlatCF, n: int) -> Fraction:
+    """The value x_n alone, equal to `convergents(flat, n)[n].value`, from
+    one product of the steps 0 .. n.
 
     Raises DegenerateConvergent(n) only when the final q_n is 0: an infinite
     convergent on the way is a point of the projective line, not an error.
     """
-    p, q, _, _ = _product(_steps(flat, n))
+    p, q, _, _ = _product(_steps(flat, n), projective=True)
     if q == 0:
         raise DegenerateConvergent(n)
-    return Convergent(n, p, q)
+    return Fraction(p, q)
 
 
 def reduced_convergents(flat: FlatCF, n_max: int) -> Iterator[ReducedRow]:
@@ -389,10 +383,10 @@ def _series_fraction(digits: int) -> Fraction:
         return Fraction(lo, 10**e)
     # Over a common denominator D the columns (S*D, s_n*D) and (D, 0) times
     # (v, v*P(n), 0, -u) carry S + P(n) s_n and s_{n+1}; the seed (0, 1, 1, 0)
-    # holds S = 0 and s_0.
+    # holds S = 0 and s_0.  The floor reads only the ratio of the first column.
     steps = ((v, v * ((205 * n + 250) * n + 77), 0, -((n + 1) ** 5)) for n in range(m)
              for v in [32 * (2 * n + 3) ** 5])
-    total, denom, _, _ = _product(chain([(0, 1, 1, 0)], steps))
+    total, denom, _, _ = _product(chain([(0, 1, 1, 0)], steps), projective=True)
     return Fraction(total * 10**e // (64 * denom), 10**e)
 
 
@@ -404,9 +398,10 @@ def _deep_cf_fraction(digits: int) -> Fraction:
     # Both are tested; if either fails the oracle raises, never going deeper.
     flat = flatten(lookup("APERY"))
     depth = int(digits / 3) + 12
-    # The tree gives S_{depth+1}, and one literal step goes on.
+    # The tree gives a positive multiple of S_{depth+1}, and one literal step
+    # goes on; every test below and the value are homogeneous in it.
     *steps, (b, a, _, _) = _steps(flat, depth + 2)
-    p1, q1, p0, q0 = _product(steps)
+    p1, q1, p0, q0 = _product(steps, projective=True)
     p2, q2 = b * p1 + a * p0, b * q1 + a * q0
     # gap_n = |x_{n+1} - x_n| = |p_{n+1} q_n - p_n q_{n+1}| / |q_n q_{n+1}|.
     # Demand that gap2 already resolves the requested digits and keeps
@@ -469,9 +464,10 @@ def error_curve(
     digits of the reference precision, that is an error.
     """
     steps = list(_steps(flat, n_max))
-    # The product of the steps is S_n = (p_n, q_n, p_{n-1}, q_{n-1}); only
-    # the gap of its two convergents is reduced, and only when both are finite.
-    p, q, p1, q1 = _product(steps)
+    # The product of the steps is a positive multiple of S_n = (p_n, q_n,
+    # p_{n-1}, q_{n-1}); only the gap of its two convergents is reduced, and
+    # only when both are finite.
+    p, q, p1, q1 = _product(steps, projective=True)
     if q * q1:
         gap = Fraction(abs(p * q1 - p1 * q), abs(q * q1))
         need = int(-log10_fraction(gap)) + 20 if gap else 0

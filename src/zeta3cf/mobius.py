@@ -10,8 +10,8 @@ A map is the record (a, b, c, d) of that normal form, the very tuple that
 `_product` multiplies: composition of maps is matrix multiplication through
 `_product`, the package's one 2x2 matrix product, which serves these
 polynomial matrices and the integer matrices of the engine alike.  Its
-projective mode, for backward evaluation, divides the large integer nodes
-of the tree by their content: that value needs only a ratio.  Equality
+projective mode divides the large integer nodes of the tree by their
+content, for every engine product that is read only as a ratio.  Equality
 of maps is projective -- equal up to a nonzero scalar -- and is decided by
 comparing normal forms: the form above is unique in each projective class
 over Q(k), and every map is an exact multiple of its normal form.  So `==`
@@ -128,11 +128,11 @@ def _product(mats: Iterable[tuple], projective: bool = False) -> tuple:
     tree; the empty product is (1, 0, 0, 1).
 
     `projective` (ints only) gives a positive integer multiple of the
-    product instead: in each round whose first node has an entry of
+    product instead: in each round where an end node has an entry of
     CONTENT_BITS bits or more, each node below the root is divided by the
     gcd of its four entries.  That keeps every ratio, sign and zero of the
-    entries.  Backward evaluation puts its largest matrices first, so each
-    round of small nodes costs one size test and no gcd."""
+    entries.  Matrices that grow or shrink along the list put each round's
+    largest node at an end, so a round of small nodes costs one test."""
     mats = list(mats) or [(1, 0, 0, 1)]
     while len(mats) > 1:
         odd = mats[-1:] if len(mats) % 2 else []
@@ -140,7 +140,7 @@ def _product(mats: Iterable[tuple], projective: bool = False) -> tuple:
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
             for (e, f, g, h), (a, b, c, d) in zip(mats[::2], mats[1::2])
         ]
-        big = projective and max(map(abs, mats[0])).bit_length() >= CONTENT_BITS
+        big = projective and max(map(abs, mats[0] + mats[-1])).bit_length() >= CONTENT_BITS
         if big and len(mats) + len(odd) > 1:
             # An all-zero node has gcd 0 and stays as it is.
             mats = [tuple(x // k for x in m) if (k := gcd(*m)) > 1 else m for m in mats]

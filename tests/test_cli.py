@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import decimal
+import gc
 import hashlib
 import io
 import json
@@ -16,15 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zeta3cf import engine, stages
+from zeta3cf import cli, engine, stages
 from zeta3cf.cli import (
+    _BOUNDS,
     _COMMANDS,
-    _FLOORS,
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_N_MAX,
     MAX_REF_DIGITS,
     MAX_V_MAX,
+    CommandError,
     _emit_csv,
     _emit_json,
     _emit_text,
@@ -250,10 +252,8 @@ def test_size_flag_at_cap_plus_one_exits_2_before_the_command_runs(monkeypatch, 
     # error envelope comes first.
     started = []
     monkeypatch.setitem(_COMMANDS, argv[0], lambda args: started.append(args) or ("ok", {}, {}))
-    floor = _FLOORS.get(argv[-1][2:].replace("-", "_"))
-    bounds = [(cap, cap + 1, "at most")]
-    if floor is not None:
-        bounds.append((floor, floor - 1, "at least"))
+    floor, _ = _BOUNDS[argv[-1][2:].replace("-", "_")]
+    bounds = [(cap, cap + 1, "at most"), (floor, floor - 1, "at least")]
     for bound, past, word in bounds:
         assert run([*argv, str(bound)])[0] == 0
         code, doc = run_json([*argv, str(past)])
@@ -697,6 +697,23 @@ def test_emit_json_matches_json_dumps(command, status, payload, tables):
     out = io.StringIO()
     _emit_json(command, status, payload, tables, out)
     assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_emit_json_leaves_no_cycle(monkeypatch):
+    # The emitter recurses through its own closure; that cycle would keep a
+    # document's chunks alive until a full collection, on success or error.
+    monkeypatch.setattr(cli, "_int_str_limit", lambda: 10)
+    for cell in (Decimal(7), Decimal(10**10)):
+        tables = {"t": (["x"], [[Decimal(7)]] * 100 + [[cell]])}
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.suppress(CommandError):
+                _emit_json("c", "ok", {}, tables, io.StringIO())
+                assert cell == 7
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=300, deadline=None)

@@ -413,8 +413,8 @@ def test_reduced_at_matches_last_convergent_on_random_fractions(flat, stops):
                 next(rows)
             assert exc.value.n == n
             return
-        value = Fraction(last.p, last.q)
-        assert next(rows) == (n, (value.numerator, value.denominator), math.gcd(last.p, last.q))
+        p, q, _, _ = _product(engine._steps(flat, n))
+        assert next(rows) == (n, (last.numerator, last.denominator), math.gcd(p, q))
 
 
 def test_reduced_at_raises_at_a_stop_with_q_zero():
@@ -576,8 +576,25 @@ def test_last_convergent_matches_convergents(name):
     convs = convergents(flat, 1200)
     for n in (0, 1, 2, 299, 1200):
         last = last_convergent(flat, n)
-        assert last == convs[n]
-        assert last.value == convs[n].value
+        assert type(last) is Fraction and last == convs[n].value
+
+
+def test_last_convergent_sheds_the_content_of_a_forward_product(monkeypatch, apery_flat):
+    # Apery's q_n = (n!)^3 b_n: the forward tree's largest nodes come last,
+    # and it sheds their content as backward evaluation's tree does, so the
+    # root handed to Fraction is smaller than the exact S_300.
+    roots = []
+
+    def product(mats, projective=False):
+        roots.append(_product(mats, projective))
+        return roots[-1]
+
+    monkeypatch.setattr(engine, "_product", product)
+    value = last_convergent(apery_flat, 300)
+    p, q, _, _ = _product(engine._steps(apery_flat, 300))
+    [root] = roots
+    assert Fraction(root[0], root[1]) == value == Fraction(p, q)
+    assert max(map(abs, root)).bit_length() < max(abs(p), abs(q)).bit_length()
 
 
 def test_last_convergent_reads_only_the_final_denominator(apery_flat):
@@ -589,9 +606,7 @@ def test_last_convergent_reads_only_the_final_denominator(apery_flat):
     with pytest.raises(DegenerateConvergent) as exc:
         last_convergent(flat, 2)
     assert exc.value.n == 2
-    last = last_convergent(flat, 3)
-    assert (last.p, last.q) == (750372, -320)
-    assert last.value == Fraction(-187593, 80)
+    assert last_convergent(flat, 3) == Fraction(750372, -320) == Fraction(-187593, 80)
     with pytest.raises(DegenerateConvergent):
         convergents(flat, 3)
 
@@ -697,9 +712,9 @@ def test_series_fixed_point_matches_product_floor():
 def _counting_product(monkeypatch) -> list:
     calls = []
 
-    def product(mats):
+    def product(mats, projective=False):
         calls.append(1)
-        return _product(mats)
+        return _product(mats, projective)
 
     monkeypatch.setattr(engine, "_product", product)
     return calls

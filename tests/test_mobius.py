@@ -238,6 +238,17 @@ def test_projective_product_leaves_the_root_to_the_caller(monkeypatch):
     assert _product([(2, 0, 0, 2)] * 3, projective=True) == (2, 0, 0, 2)
 
 
+def test_projective_product_finds_its_largest_node_at_either_end():
+    # The only node past CONTENT_BITS is the last one of its round, or the
+    # first: either way it sheds its content 2**CONTENT_BITS, and the root is
+    # the exact product over that.
+    big = tuple(x << mobius.CONTENT_BITS for x in (3, 5, 7, 2))
+    for quads in ([(1, 1, 1, 0)] * 3 + [big], [big] + [(1, 1, 1, 0)] * 3):
+        exact = _product(quads)
+        root = _product(quads, projective=True)
+        assert exact == tuple(x << mobius.CONTENT_BITS for x in root)
+
+
 def test_projective_product_keeps_small_nodes_exact():
     # Below CONTENT_BITS the projective tree is the exact one.
     quads = [(2, 0, 0, 2)] * 5 + [(3, 1, 1, 0)] * 6

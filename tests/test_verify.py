@@ -514,8 +514,7 @@ def test_gutnik_tests_only_printed_nesterenko_denominators(nes_flat, apery_flat)
     assert [r.equal for r in report.entries] == [True, False]
     row = report.entries[1]
     assert (row.nes_ratio, row.nes_gcd) == ((111, 50), 24)
-    last = last_convergent(flat, 6)
-    assert (last.p, last.q) == (2664, 1200)
+    assert last_convergent(flat, 6) == Fraction(2664, 1200)
     # a_2 = -8 gives q_2 = 4 * 2 - 8 * 1 = 0 on the printed row v = 1.
     with pytest.raises(DegenerateConvergent) as exc:
         gutnik_alignment(perturbed(nes_flat, 2, -10), apery_flat, 2)
