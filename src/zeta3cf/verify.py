@@ -10,6 +10,11 @@ catalog entry.  Claimed entries are never trusted: a mismatch is report
 content, printed with both polynomials, which makes the verifier double as
 a typo detector for damaged displays.
 
+The derived stages are constants: `derived_chain`, which `eval` and
+`catalog` read, derives each of them once per process and only as far down
+the chain as a caller asks.  `verify_chain` derives the whole chain afresh
+on every call, since deriving is what it checks.
+
 The proof (verify-chain's `symbolic` column) runs in ints and shares no
 shift, product tree or normal form with the derivation.  Two 2x2 matrices
 L, R over Z[k] are the same map iff neither is zero and the six minors
@@ -39,6 +44,7 @@ from .mobius import PolyMobius, _product
 from .polynomial import Poly, _scalar, poly_gcd
 from .rational import sci_string
 from .stages import (
+    CHAIN_ORDER,
     VARIANTS,
     FlatCF,
     Stage,
@@ -161,17 +167,32 @@ def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:
     )
 
 
+# The derived stages by chain position, filled in chain order as far as any
+# call has asked (the `stages._CATALOG` idiom); nothing is derived at import.
+_DERIVED: dict[str, Stage] = {}
+
+
 def derived_chain(stop: str | None = None) -> dict[str, Stage]:
-    """The normative stages, re-derived from the Apery endpoint alone: all
-    of them, or with `stop` named, those up to and including it."""
-    stages: dict[str, Stage] = {"APERY": catalog()["APERY"]}
-    current = stages["APERY"]
-    for step in substitution_chain():
-        if stop in stages:
-            break
-        current = derive_stage(current, step)
-        stages[step.to_stage] = current
-    return stages
+    """The normative stages, derived from the Apery endpoint alone: all of
+    them, or with `stop` named, those up to and including it.
+
+    Each stage is derived once per process, and only as far as a call asks:
+    `stop="A5"` derives one step.  Every call returns a new dict of shared
+    stages.  ValueError if `stop` is not a chain position.
+    """
+    if stop is None:
+        names = CHAIN_ORDER
+    elif stop in CHAIN_ORDER:
+        names = CHAIN_ORDER[: CHAIN_ORDER.index(stop) + 1]
+    else:
+        raise ValueError(f"unknown stage {stop!r}; chain positions: {', '.join(CHAIN_ORDER)}")
+    if not _DERIVED:
+        _DERIVED["APERY"] = catalog()["APERY"]
+    if len(_DERIVED) < len(names):
+        current = _DERIVED[CHAIN_ORDER[len(_DERIVED) - 1]]
+        for step in substitution_chain()[len(_DERIVED) - 1 : len(names) - 1]:
+            current = _DERIVED[step.to_stage] = derive_stage(current, step)
+    return {name: _DERIVED[name] for name in names}
 
 
 class StepReport(namedtuple("StepReport", "step_name symbolic_pass derived mismatches "
@@ -276,8 +297,16 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
     sigma costs time set by the degree and bit size of det(sigma), never by
     the size of its roots or coefficients.  Overall pass means: every
     symbolic identity holds and the final derived stage is projectively the
-    Nesterenko stage with head 2 + 1/N_0.
+    Nesterenko stage with head 2 + 1/N_0.  ValueError, before any work, if
+    `sigma_override` names a step the chain does not have.
+
+    Unlike `derived_chain`, every call derives the whole chain afresh:
+    deriving is what it checks, and an override derives another chain.
     """
+    steps = CHAIN_ORDER[1:]
+    for name in sigma_override or ():
+        if name not in steps:
+            raise ValueError(f"unknown step {name!r}; chain steps: {', '.join(steps)}")
     claimed = catalog()
     ref = zeta3_reference(RESIDUAL_REF_DIGITS)
     reports: list[StepReport] = []

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zeta3cf import cli, engine, stages
+from zeta3cf import cli, engine, stages, verify
 from zeta3cf.cli import (
     _BOUNDS,
     _COMMANDS,
@@ -124,6 +124,44 @@ def test_verify_chain_unknown_injected_step_exit_2(step):
     steps = ", ".join(s.name for s in stages.substitution_chain())
     assert steps == "A5, W, U, P, Q, Z, H, G, N"
     assert doc["payload"]["error"] == f"unknown step {step!r}; chain steps: {steps}"
+
+
+@pytest.mark.parametrize("argv", [["eval", "W", "--depth", "3"], ["catalog"]])
+def test_a_second_request_derives_nothing(monkeypatch, argv):
+    first = run(argv)
+    calls = []
+    derive = verify.derive_stage
+    monkeypatch.setattr(verify, "derive_stage", lambda *a: calls.append(a) or derive(*a))
+    assert run(argv) == first
+    assert calls == []
+
+
+def test_one_process_many_requests_print_their_golden_digests():
+    # A fault-injected proof first, then requests that read the derived
+    # chain, all in one fresh process: each prints the digest recorded from
+    # a process of its own.
+    requests = [
+        "verify-chain --hook-break-sigma W",
+        "eval W --depth 300",
+        "eval P --depth 300",
+        "catalog --format text",
+        "catalog --format json",
+        "catalog --format csv",
+    ]
+    script = (
+        "import hashlib, io, sys\n"
+        "from zeta3cf.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    out = io.StringIO()\n"
+        "    code = main(argv.split(), out=out)\n"
+        "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *requests], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    golden = {argv: f"{code} {digest}" for argv, code, digest in STDOUT_GOLDEN}
+    assert result.stdout.splitlines() == [golden[argv] for argv in requests]
 
 
 def test_rate_apery():

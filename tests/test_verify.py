@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zeta3cf import verify
 from zeta3cf.engine import (
     DegenerateConvergent,
     convergents,
@@ -83,6 +84,71 @@ def test_stopped_derivation_matches_full_chain(chain):
         prefix = derived_chain(stop=name)
         assert tuple(prefix) == CHAIN_ORDER[: i + 1]
         assert prefix[name] == chain[name]
+
+
+def _count_derivations(monkeypatch) -> list:
+    calls = []
+    derive = verify.derive_stage
+
+    def counted(source, step):
+        calls.append(step.name)
+        return derive(source, step)
+
+    monkeypatch.setattr(verify, "derive_stage", counted)
+    return calls
+
+
+def test_second_derived_chain_derives_nothing(chain, monkeypatch):
+    calls = _count_derivations(monkeypatch)
+    again = derived_chain()
+    assert calls == []
+    assert again == chain
+
+
+def test_derived_chain_derives_only_up_to_stop(monkeypatch):
+    # From an empty memo, each call derives the steps it newly asks for.
+    monkeypatch.setattr(verify, "_DERIVED", {})
+    calls = _count_derivations(monkeypatch)
+    assert tuple(derived_chain(stop="APERY")) == ("APERY",)
+    assert calls == []
+    assert tuple(derived_chain(stop="A5")) == ("APERY", "A5")
+    assert calls == ["A5"]
+    derived_chain(stop="W")
+    derived_chain(stop="A5")
+    assert calls == ["A5", "W"]
+    assert tuple(derived_chain()) == CHAIN_ORDER
+    assert calls == list(CHAIN_ORDER[1:])
+
+
+def test_derived_chain_returns_new_dicts_of_shared_stages(chain):
+    first, second = derived_chain(), derived_chain(stop="G")
+    assert first is not second and first is not chain
+    assert all(first[name] is chain[name] for name in CHAIN_ORDER)
+    assert all(second[name] is chain[name] for name in second)
+    # A caller that changes its dict changes no later result.
+    first["W"] = first.pop("N")
+    first.clear()
+    assert tuple(derived_chain()) == CHAIN_ORDER
+    assert derived_chain()["W"] is chain["W"]
+
+
+@pytest.mark.parametrize("stop", ["A6", "BOGUS", "", "apery"])
+def test_derived_chain_rejects_a_stop_off_the_chain(stop):
+    # A variant or an unknown name used to return the whole chain.
+    with pytest.raises(ValueError) as info:
+        derived_chain(stop=stop)
+    assert str(info.value) == (
+        f"unknown stage {stop!r}; chain positions: APERY, A5, W, U, P, Q, Z, H, G, N"
+    )
+
+
+def test_nothing_is_derived_at_import():
+    import subprocess
+    import sys
+
+    script = "import zeta3cf.cli, zeta3cf.verify as v; assert v._DERIVED == {}, list(v._DERIVED)"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,6 +342,24 @@ def test_verify_chain_w_annotation(chain_report):
     assert "T" in w.derived.note
 
 
+@pytest.mark.parametrize("name", ["BOGUS", "APERY", "A6", ""])
+def test_verify_chain_unknown_override_step_raises_before_any_work(monkeypatch, name):
+    # An override of a step the chain does not have injects nothing, so the
+    # chain would pass; it is an error, raised before anything is derived.
+    calls = _count_derivations(monkeypatch)
+    monkeypatch.setattr(verify, "zeta3_reference", lambda digits: calls.append(digits))
+    with pytest.raises(ValueError) as info:
+        verify_chain(sigma_override={"W": PolyMobius(1, 1, 0, 1), name: PolyMobius(1, 1, 0, 1)})
+    assert str(info.value) == f"unknown step {name!r}; chain steps: A5, W, U, P, Q, Z, H, G, N"
+    assert calls == []
+
+
+def test_verify_chain_derives_afresh_with_the_memo_filled(chain, monkeypatch):
+    calls = _count_derivations(monkeypatch)
+    assert verify_chain().passed
+    assert calls == list(CHAIN_ORDER[1:])
+
+
 def test_verify_chain_injected_bad_sigma():
     report = verify_chain(sigma_override={"W": PolyMobius(1, 1, 0, 1)})
     assert not report.passed
@@ -303,6 +387,14 @@ def test_symbolic_check_catches_broken_shift(cat, monkeypatch):
 
     monkeypatch.setattr(Poly, "shift", broken)
     assert _failing_steps() == ["A5", "W", "P"]
+
+
+def test_broken_shift_is_caught_with_the_memo_filled(chain, monkeypatch):
+    # The memo holds the chain derived with the sound kernels; verify_chain
+    # derives its own with the broken shift and flags the same three steps.
+    assert tuple(derived_chain()) == CHAIN_ORDER
+    test_symbolic_check_catches_broken_shift(None, monkeypatch)
+    assert all(derived_chain()[name] is chain[name] for name in CHAIN_ORDER)
 
 
 def test_symbolic_check_catches_broken_product(cat, monkeypatch):
