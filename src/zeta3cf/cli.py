@@ -308,50 +308,46 @@ def _emit_json(command, status, payload, tables, out) -> None:
     int cell is an index or a capped size, far inside the lowest limit."""
     # Imported here, so that only json output pays for importing json.
     from json import dumps
-    from json.encoder import encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii as quoted
 
+    limit = _int_str_limit()
+
+    def text(value) -> str:
+        if isinstance(value, str):
+            return quoted(value)
+        if isinstance(value, Decimal):
+            if limit and value.adjusted() >= limit:
+                raise CommandError(_too_long(limit, "json", decimal=True))
+            return decimal_int_str(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return int.__repr__(value)
+        return dumps(value)
+
+    # The envelope has one shape: scalars, and each table a list of row
+    # objects, in a payload object.  As in a dict, a table replaces a
+    # payload entry of its name, and a repeated column keeps its last cell.
     body = dict(payload)
     for name, (header, rows) in tables.items():
         body[name] = [dict(zip(header, row)) for row in rows]
-    doc = {"command": command, "format": "json", "status": status, "payload": body}
-    limit = _int_str_limit()
-    chunks: list[str] = []
-
-    def emit(value, pad: str) -> None:
-        # Append the text of `value` at the indentation `pad`, a newline and
-        # two spaces per level.
-        if isinstance(value, dict) and value:
-            inner, sep = pad + "  ", "{"
-            for key, item in value.items():
-                chunks.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-                emit(item, inner)
-                sep = ","
-            chunks.append(pad + "}")
-        elif isinstance(value, list) and value:
-            inner, sep = pad + "  ", "["
-            for item in value:
-                chunks.append(sep + inner)
-                emit(item, inner)
-                sep = ","
-            chunks.append(pad + "]")
-        elif isinstance(value, str):
-            chunks.append(encode_basestring_ascii(value))
-        elif isinstance(value, Decimal):
-            if limit and value.adjusted() >= limit:
-                raise CommandError(_too_long(limit, "json", decimal=True))
-            chunks.append(decimal_int_str(value))
-        elif isinstance(value, int) and not isinstance(value, bool):
-            chunks.append(int.__repr__(value))
-        else:
-            chunks.append(dumps(value))
-
-    try:
-        emit(doc, "\n")
-    finally:
-        # `emit` reaches itself through its closure; ending that cycle frees
-        # the chunks on return, not at the next full collection.
-        del emit
-    chunks.append("\n")
+    chunks = [f'{{\n  "command": {quoted(command)},\n  "format": "json",\n'
+              f'  "status": {quoted(status)},\n  "payload": ']
+    sep = "{"
+    for key, value in body.items():
+        chunks.append(f"{sep}\n    {quoted(key)}: ")
+        sep = ","
+        if not isinstance(value, list):
+            chunks.append(text(value))
+            continue
+        row_sep = "["
+        for row in value:
+            chunks.append(f"{row_sep}\n      ")
+            row_sep, cell_sep = ",", "{"
+            for head, cell in row.items():
+                chunks += f"{cell_sep}\n        {quoted(head)}: ", text(cell)
+                cell_sep = ","
+            chunks.append("\n      }" if row else "{}")
+        chunks.append("\n    ]" if value else "[]")
+    chunks.append("\n  }\n}\n" if body else "{}\n}\n")
     out.write("".join(chunks))
 
 

@@ -8,12 +8,12 @@ recurrence in exact integers:
 seeded p_{-1} = 1, q_{-1} = 0, p_0 = b_0, q_0 = 1.  Backward evaluation of
 the nested recurrence is a cross-check, never the primary value, because it
 needs a tail seed while forward convergents do not.  Both, and the DEEP_CF
-oracle below, are products of 2x2 integer matrices.  The forward ones read
-theirs from one stream, `_steps`: step 0 is (b_0, 1, 1, 0) and step n is
-(b_n, a_n, 1, 0), so the product of steps 0 .. n is the state S_n =
-(p_n, q_n, p_{n-1}, q_{n-1}).  `convergents` and the rate measurement
-(`error_curve`) step the literal recurrence over it, as they report every
-row.
+oracle below, are products of 2x2 integer matrices in the layout of the
+stream `_steps`: step 0 is (b_0, 1, 1, 0) and step n is (b_n, a_n, 1, 0),
+so the product of steps 0 .. n is the state S_n = (p_n, q_n, p_{n-1},
+q_{n-1}).  A stage's stream is its head, then its step map at k = 0, 1, ...,
+each map transposed.  `convergents` and the rate measurement
+(`error_curve`) step the literal recurrence over `_steps` row by row.
 
 `_primitive_walk` walks only the primitive part of the state matrix and
 the content it sheds, so it gives each row's reduced value and
@@ -26,20 +26,20 @@ from the same stream, are one small matrix, their product.
 
 A single convergent (`last_convergent`), backward evaluation, the rate
 measurement's last gap and both oracles' products need only the last
-column and multiply all their steps in a balanced product tree (binary
+state and multiply all their steps in a balanced product tree (binary
 splitting; Haible & Papanikolaou, ANTS 1998), which turns n big-by-small
 products into O(log n) rounds of balanced big-by-big ones.  That tree is
 `mobius._product`, the package's one 2x2 matrix product; it also composes
-the polynomial maps of the stage chain.  Backward evaluation reads one
-column, so it seeds its product with that column as the first matrix,
-(x, 0, y, 0); the product's first column is the value.  One rule sets the
-tree's mode: every int product that is read only as a ratio runs it
-projective, shedding the large content that step products share (for
-Apery's fraction, q_n = (n!)^3 b_n; van der Poorten 1979) once its nodes
-reach `mobius.CONTENT_BITS` bits, and only `reduced_at`'s stretches,
-whose content is printed as a gcd, keep the exact tree.  These product
-walks, like `reduced_at`, test only the denominators they report: an
-infinite value on the way is a point of the projective line, not an error.
+the polynomial maps of the stage chain.  A product read only through its
+first row ends in that row: (1, 0, 0, 0), or backward evaluation's seed
+(x, y, 0, 0).  One rule sets the tree's mode: every int product that is
+read only as a ratio runs it projective, shedding the large content that
+step products share (for Apery's fraction, q_n = (n!)^3 b_n; van der
+Poorten 1979) once its nodes reach `mobius.CONTENT_BITS` bits, and only
+`reduced_at`'s stretches, whose content is printed as a gcd, keep the
+exact tree.  These product walks, like `reduced_at`, test only the
+denominators they report: an infinite value on the way is a point of the
+projective line, not an error.
 
 Printed integers thousands of digits long are carried as integral
 Decimals, exact through `rational.EXACT`, because CPython converts an int
@@ -132,7 +132,7 @@ def last_convergent(flat: FlatCF, n: int) -> Fraction:
     Raises DegenerateConvergent(n) only when the final q_n is 0: an infinite
     convergent on the way is a point of the projective line, not an error.
     """
-    p, q, _, _ = _product(_steps(flat, n), projective=True)
+    p, q, _, _ = _product(chain(_steps(flat, n), [(1, 0, 0, 0)]), projective=True)
     if q == 0:
         raise DegenerateConvergent(n)
     return Fraction(p, q)
@@ -169,6 +169,8 @@ def reduced_at(
     A right guess spares that row its one big gcd; any other pair is
     detected, and the row is computed as without it.
     """
+    if stops and min(stops) < 0:
+        raise ValueError("stops must be >= 0")
     steps = _steps(flat, stops[-1] if stops else 0)
 
     def stretches():
@@ -285,7 +287,7 @@ def eval_backward(stage: Stage, depth: int, seed: Fraction | int) -> Fraction:
     infinite (x = "infinity") or some map met 0/0 (x = "0/0").  The seed is
     an int or a Fraction; TypeError for any other type.
     """
-    return _descend(stage, depth, depth, _scalar(seed).as_integer_ratio())
+    return _backward(stage, depth, depth, (*_scalar(seed).as_integer_ratio(), 0, 0))
 
 
 def truncation_value(stage: Stage, depth: int) -> Fraction:
@@ -295,23 +297,20 @@ def truncation_value(stage: Stage, depth: int) -> Fraction:
     own trailing term removed (the b-part rule for one-level stages).
     Poles are as for `eval_backward`: only an infinite or 0/0 final value.
     """
-    return _descend(stage, depth, depth + 1, (1, 0))
+    return _backward(stage, depth, depth + 1, (1, 0, 0, 0))
 
 
-def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fraction:
-    """Apply step_k for k = top-1 .. 0, then the head, to the column (x, y) = x/y,
-    as one projective product: (1, 0) is infinity, and a node is only ever
-    divided by a positive integer, so a map's 0/0 stays (0, 0) and only the
-    final column needs testing.  The nodes below the root shed their integer
-    content, about two thirds of the column's bits, once they reach
-    `mobius.CONTENT_BITS` bits; `Fraction` reduces the root.  The step
-    matrices come from one `Poly.run` of each entry along k = 0 .. top-1.
-    """
+def _backward(stage: Stage, depth: int, top: int, seed: tuple[int, ...]) -> Fraction:
+    # The stage's stream in the layout of `_steps`: the head, then step_k for
+    # k < top from one `Poly.run` per entry, each map (a, b, c, d) as (a, c,
+    # b, d); then the seed row, (1, 0, 0, 0) for infinity.  Nodes are divided
+    # only by positive integers, so a map's 0/0 stays (0, 0) and only the
+    # product's first row (x, y) needs testing.
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    steps = list(zip(*(e.run(top) for e in stage.step)))
-    mats = [(seed[0], 0, seed[1], 0), *reversed(steps), stage.head.at_k(0)]
-    x, _, y, _ = _product(mats, projective=True)
+    (a, b, c, d), (ha, hb, hc, hd) = stage.step, stage.head.at_k(0)
+    steps = zip(a.run(top), c.run(top), b.run(top), d.run(top))
+    x, y, _, _ = _product(chain([(ha, hc, hb, hd)], steps, [seed]), projective=True)
     if y == 0:
         raise PoleError(0, "infinity" if x else "0/0")
     return Fraction(x, y)
@@ -383,10 +382,10 @@ def _series_fraction(digits: int) -> Fraction:
         return Fraction(lo, 10**e)
     # Over a common denominator D the columns (S*D, s_n*D) and (D, 0) times
     # (v, v*P(n), 0, -u) carry S + P(n) s_n and s_{n+1}; the seed (0, 1, 1, 0)
-    # holds S = 0 and s_0.  The floor reads only the ratio of the first column.
+    # holds S = 0 and s_0.  The floor reads only the ratio of the first row.
     steps = ((v, v * ((205 * n + 250) * n + 77), 0, -((n + 1) ** 5)) for n in range(m)
              for v in [32 * (2 * n + 3) ** 5])
-    total, denom, _, _ = _product(chain([(0, 1, 1, 0)], steps), projective=True)
+    total, denom, _, _ = _product(chain([(0, 1, 1, 0)], steps, [(1, 0, 0, 0)]), projective=True)
     return Fraction(total * 10**e // (64 * denom), 10**e)
 
 

@@ -127,6 +127,10 @@ def _product(mats: Iterable[tuple], projective: bool = False) -> tuple:
     column.  Adjacent pairs are multiplied in rounds, a balanced product
     tree; the empty product is (1, 0, 0, 1).
 
+    Rounds pair from the back, and an odd round leaves its first matrix
+    over, so a last matrix (x, y, 0, 0) joins every round and keeps each
+    node on the tree's last edge a row, at half a matrix's cost.
+
     `projective` (ints only) gives a positive integer multiple of the
     product instead: in each round where an end node has an entry of
     CONTENT_BITS bits or more, each node below the root is divided by the
@@ -135,16 +139,16 @@ def _product(mats: Iterable[tuple], projective: bool = False) -> tuple:
     largest node at an end, so a round of small nodes costs one test."""
     mats = list(mats) or [(1, 0, 0, 1)]
     while len(mats) > 1:
-        odd = mats[-1:] if len(mats) % 2 else []
+        odd = mats[:len(mats) % 2]
         mats = [
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            for (e, f, g, h), (a, b, c, d) in zip(mats[::2], mats[1::2])
+            for (e, f, g, h), (a, b, c, d) in zip(mats[len(odd)::2], mats[len(odd) + 1::2])
         ]
         big = projective and max(map(abs, mats[0] + mats[-1])).bit_length() >= CONTENT_BITS
         if big and len(mats) + len(odd) > 1:
             # An all-zero node has gcd 0 and stays as it is.
             mats = [tuple(x // k for x in m) if (k := gcd(*m)) > 1 else m for m in mats]
-        mats += odd
+        mats = odd + mats
     return mats[0]
 
 

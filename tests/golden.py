@@ -63,6 +63,10 @@ import sys
 # of the commit before backward evaluation divided its product-tree nodes by
 # their content: the backward-eval benchmark's H and Z requests at its p90
 # sizes, the first deep backward evaluations printed as json and csv.
+# The nine eval shapes at --depth 0 that close the list are new too, recorded
+# from the stdout of the commit before backward evaluation multiplied a
+# stage's forward step stream: the shortest product of each chain stage,
+# the head and one step, or one step alone for APERY and N.
 STDOUT_GOLDEN = (
     ("eval A5 --depth 300", 0, "d48096fef8a81c6b8fd11e8bf345d08fbd3e2c70d0210fcf0fa1d08ac92bb992"),
     ("eval W --depth 300", 0, "f207484bbc56c6674352e657688686edac5a48ede3bb92ab6b5cf70f44a9432b"),
@@ -135,6 +139,15 @@ STDOUT_GOLDEN = (
     ("eval N --depth 10001", 2, "217e0f568d6c62652c18f6948972ef4f08c18acf9d034edb1c988d118b0a3a8e"),
     ("eval H --depth 1313 --format json", 0, "3c339d5c20de006b499feb91d5b1738afebdb27d3a2fed9744186c1b544ce343"),
     ("eval Z --depth 1262 --format csv", 0, "9123f6ed7a328ed512b97309cc0616ac27d4cdc163f2fd8e995564bf5219c156"),
+    ("eval APERY --depth 0", 0, "80a319e1789423bf4e6c29036cbdc0c17d0737190ffec4cefa4ba398c892656e"),
+    ("eval A5 --depth 0", 0, "c6f97514276d8791801612766149b0a80a481f42b7c64ace504a6300c86be553"),
+    ("eval W --depth 0", 0, "bf93d0e9fbe0e705eaacd7aabaa6c1ba90b1e3e34ad9ee6bbdf8aa3e01c23e28"),
+    ("eval U --depth 0", 0, "a47da4412c9ad3d8aa5ad921b14918b8e3ce94264e910951a15b4c0621abef4d"),
+    ("eval P --depth 0", 0, "3cac7de19aba0997386063f413100dd8894de6b20c7164c4d0af715b6e5b49c0"),
+    ("eval Z --depth 0", 0, "70e7c91ab13cab8bfb455ca6fdbf56eee088986009b12b8ff5fe98ba3c98e5b6"),
+    ("eval H --depth 0", 0, "739ec0bd211f3f790f919aefe13a28d70f76b664da5e7da5995c15bf4d26a0cc"),
+    ("eval G --depth 0", 0, "b4a332e49a42e56cd945f58bb11fc3096ff504059d22dce3b4f6b50762ff4a1c"),
+    ("eval N --depth 0", 0, "63f27c9b71ae64ee34c577d0be76ae1db8a571e066bc15f77c7272a3cdaaca45"),
 )
 
 

@@ -250,6 +250,7 @@ def test_backward_product_sheds_its_content(monkeypatch):
     roots = []
 
     def spy(mats, projective=False):
+        mats = list(mats)
         roots.append((_product(mats), _product(mats, projective)))
         return roots[-1][1]
 
@@ -258,7 +259,76 @@ def test_backward_product_sheds_its_content(monkeypatch):
     [(exact, root)] = roots
     bits = lambda m: max(map(abs, m)).bit_length()
     assert 2 * bits(root) < bits(exact) == 44229
-    assert value == Fraction(exact[0], exact[2])
+    assert value == Fraction(exact[0], exact[1])
+
+
+def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fraction:
+    """Apply step_k for k = top-1 .. 0, then the head, to the column (x, y) = x/y,
+    as one projective product: (1, 0) is infinity, and a node is only ever
+    divided by a positive integer, so a map's 0/0 stays (0, 0) and only the
+    final column needs testing.  The nodes below the root shed their integer
+    content, about two thirds of the column's bits, once they reach
+    `mobius.CONTENT_BITS` bits; `Fraction` reduces the root.  The step
+    matrices come from one `Poly.run` of each entry along k = 0 .. top-1.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    steps = list(zip(*(e.run(top) for e in stage.step)))
+    mats = [(seed[0], 0, seed[1], 0), *reversed(steps), stage.head.at_k(0)]
+    x, _, y, _ = _product(mats, projective=True)
+    if y == 0:
+        raise PoleError(0, "infinity" if x else "0/0")
+    return Fraction(x, y)
+
+
+def _outcome(evaluate, *args):
+    # The value, or the pole's (k, x).
+    try:
+        return evaluate(*args)
+    except PoleError as exc:
+        return "pole", exc.k, exc.x
+
+
+def _assert_backward_matches_descend(stage, depths, seeds):
+    # The earlier backward evaluation, which multiplied the reversed step
+    # list into the column (x, 0, y, 0), is the reference for both entries.
+    for depth in depths:
+        want = _outcome(_descend, stage, depth, depth + 1, (1, 0))
+        assert _outcome(truncation_value, stage, depth) == want, (stage.name, depth)
+        for seed in seeds:
+            want = _outcome(_descend, stage, depth, depth, seed.as_integer_ratio())
+            got = _outcome(eval_backward, stage, depth, seed)
+            assert got == want, (stage.name, depth, seed)
+
+
+backward_seeds = [0, 1, -1, 5, -2, Fraction(7, 3), Fraction(-1, 2)]
+# 0/0 at the last map, and infinity: the step (k - 1) x sends infinity to
+# (0, 0) at k = 1, and the step x + 1 sends the seed -1 to the head 1/x's
+# pole at 0.
+pole_stages = [
+    Stage("zero-over-zero", PolyMobius(K - 1, 0, 0, 1), PolyMobius.identity(), Target.ZETA3),
+    Stage("infinite", PolyMobius(1, 1, 0, 1), PolyMobius(0, 1, 1, 0), Target.ZETA3),
+]
+
+
+@pytest.mark.parametrize("content_bits", [mobius.CONTENT_BITS, 0])
+def test_backward_matches_descend_on_the_chain(chain, monkeypatch, content_bits):
+    monkeypatch.setattr(mobius, "CONTENT_BITS", content_bits)
+    assert len(chain) == 10
+    for stage in [*chain.values(), *pole_stages]:
+        _assert_backward_matches_descend(stage, range(31), backward_seeds)
+    kinds = {_outcome(truncation_value, pole_stages[0], 1),
+             _outcome(eval_backward, pole_stages[1], 1, -1)}
+    assert kinds == {("pole", 0, "0/0"), ("pole", 0, "infinity")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_levels, small_ints, nonzero_small_ints, st.integers(0, 12), st.sampled_from([2500, 0]))
+def test_backward_matches_descend_on_random_level_stages(levels, b0, a1, depth, content_bits):
+    stage = stage_from_levels("R", levels, PolyMobius(b0, a1, 1, 0), Target.TWO_ZETA3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mobius, "CONTENT_BITS", content_bits)
+        _assert_backward_matches_descend(stage, [depth], backward_seeds)
 
 
 # Random integer-term flat fractions: each of the `period` term families is a
@@ -428,6 +498,10 @@ def test_reduced_at_raises_at_a_stop_with_q_zero():
     assert exc.value.n == 3
     with pytest.raises(ValueError, match="stops must not decrease"):
         list(engine.reduced_at(flat, [2, 0]))
+    # A negative stop is named as such, not as a q_{-1} = 0 or a "-2 after -1".
+    for stops in ([-1, 2], [-2, 2]):
+        with pytest.raises(ValueError, match="stops must be >= 0"):
+            list(engine.reduced_at(flat, stops))
 
 
 def test_reduced_at_wrong_candidates_change_no_row(nes_flat, apery_flat):

@@ -230,6 +230,26 @@ def test_projective_product_is_a_positive_multiple(quads):
     assert list(map(_sign, root)) == list(map(_sign, exact))
 
 
+@settings(max_examples=300, deadline=None)
+@example([(0, 0, 0, 0), (2, 0, 0, 2), (1, 1, 1, 1)])
+@given(st.lists(int_quads, max_size=12))
+def test_product_ending_in_a_row_is_its_first_row(quads):
+    # A product read only through its first row ends in (1, 0, 0, 0).  Of a
+    # list of either parity, zero and singular matrices among them, that
+    # gives the first row of the product without it, and a zero second row:
+    # exactly, and as a positive multiple with every node below the root
+    # divided by its content.
+    exact = _product(quads)
+    rowed = [*quads, (1, 0, 0, 0)]
+    assert _product(rowed) == (*exact[:2], 0, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mobius, "CONTENT_BITS", 0)
+        root = _product(rowed, projective=True)
+    assert root[2:] == (0, 0)
+    assert exact[0] * root[1] == exact[1] * root[0]
+    assert list(map(_sign, root[:2])) == list(map(_sign, exact[:2]))
+
+
 def test_projective_product_leaves_the_root_to_the_caller(monkeypatch):
     # The caller reduces the root (backward evaluation through Fraction), so
     # the tree does not: here only the node (4, 0, 0, 4) below it sheds 4.
