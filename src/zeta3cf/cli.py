@@ -178,6 +178,10 @@ def _cmd_rate(args) -> tuple[str, dict, dict]:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError as exc:
             raise CommandError(f"bad window {args.window!r}; expected LO:HI") from exc
+        # The curve has points n = 0 .. n_max only; a wider window would be
+        # echoed but fit over fewer points.
+        if lo < 0 or hi > args.n_max:
+            raise CommandError(f"window {lo}:{hi} is outside 0:{args.n_max}")
     else:
         lo, hi = args.n_max // 5 + 1, args.n_max
     ref = engine.zeta3_reference(max(args.ref_digits, 30))
@@ -232,7 +236,26 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
     return "ok" if report.all_equal else "fail", payload, tables
 
 
+# The catalog table's rows, built on the first `catalog` request (the
+# `verify._DERIVED` idiom); nothing is built at import.
+_CATALOG_ROWS: list[tuple] = []
+
+
 def _cmd_catalog(args) -> tuple[str, dict, dict]:
+    if not _CATALOG_ROWS:
+        _CATALOG_ROWS.extend(_catalog_rows())
+    rows = [list(row) for row in _CATALOG_ROWS]
+    payload = {"stages": len(rows)}
+    tables = {
+        "catalog": (
+            ["name", "kind", "target", "head", "step", "levels", "status", "note"],
+            rows,
+        )
+    }
+    return "ok", payload, tables
+
+
+def _catalog_rows() -> list[tuple]:
     # Status compares each claimed stage with the derived stage of its chain
     # position, as verify-chain does, without that command's proofs.
     derived = verify.derived_chain()
@@ -247,20 +270,13 @@ def _cmd_catalog(args) -> tuple[str, dict, dict]:
         rows.append(_catalog_row(stage.name, stage, stage.levels, status))
     for name in stages.CHAIN_ORDER[1:]:
         rows.append(_catalog_row(f"{name}.derived", derived[name], None, "normative"))
-    payload = {"stages": len(rows)}
-    tables = {
-        "catalog": (
-            ["name", "kind", "target", "head", "step", "levels", "status", "note"],
-            rows,
-        )
-    }
-    return "ok", payload, tables
+    return rows
 
 
-def _catalog_row(name: str, stage: stages.Stage, levels, status: str) -> list:
+def _catalog_row(name: str, stage: stages.Stage, levels, status: str) -> tuple:
     levels = ";".join(f"(b={lv.b}|a={lv.a})" for lv in levels) if levels is not None else "-"
     head, step = str(stage.head), str(stage.step)
-    return [name, stage.kind, stage.target.name, head, step, levels, status, stage.note or "-"]
+    return name, stage.kind, stage.target.name, head, step, levels, status, stage.note or "-"
 
 
 def _cmd_ref(args) -> tuple[str, dict, dict]:

@@ -110,15 +110,28 @@ def log10_ratio(num: int, den: int) -> float:
 
 def sci_string(r: Fraction) -> str:
     """Scientific notation with a truncated three-digit mantissa, computed exactly."""
-    if r == 0:
+    return sci_ratio(r.numerator, r.denominator)
+
+
+def sci_ratio(num: int, den: int) -> str:
+    """`sci_string` of num/den for ints with den > 0, reduced or not, with no
+    Fraction built: the decade is found by exact int comparison with 10**exp
+    and the mantissa by one floor division."""
+    if num == 0:
         return "0"
-    sign = "-" if r < 0 else ""
-    a = abs(r)
-    exp = math.floor(log10_fraction(a))
-    # log10_fraction is float; land on the exact decade.
-    while Fraction(10) ** exp > a:
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    exp = math.floor(log10_ratio(num, den))
+    # log10_ratio is float; land on the exact decade, 10**exp <= num/den.
+    while not _at_least_power(num, den, exp):
         exp -= 1
-    while Fraction(10) ** (exp + 1) <= a:
+    while _at_least_power(num, den, exp + 1):
         exp += 1
-    mantissa = str(int(a * Fraction(10) ** (2 - exp)))
+    shift = 2 - exp
+    mantissa = str(num * 10**shift // den if shift >= 0 else num // (den * 10**-shift))
     return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exp:+03d}"
+
+
+def _at_least_power(num: int, den: int, exp: int) -> bool:
+    """num/den >= 10**exp, for positive ints."""
+    return num >= den * 10**exp if exp >= 0 else num * 10**-exp >= den

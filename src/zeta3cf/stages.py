@@ -470,25 +470,32 @@ CHAIN_ORDER = ("APERY", "A5", "W", "U", "P", "Q", "Z", "H", "G", "N")
 VARIANTS = {"A5": ("A6",), "U": ("U4",), "Q": ("Q12",), "G": ("G16", "G17")}
 
 
+_CHAIN: tuple[SubstitutionStep, ...] | None = None
+
+
 def substitution_chain() -> tuple[SubstitutionStep, ...]:
     """The ordered chain of rewrites carrying APERY into N.
 
     The first entry is the distinguished head peel (absorb the k = 0 step
     and shift the index); every later entry is a substitution
-    X^{from}_k = sigma_k(X^{to}_k).
+    X^{from}_k = sigma_k(X^{to}_k).  Built on the first call; every call
+    returns the same tuple of immutable steps.
     """
-    k = K
-    return (
-        SubstitutionStep("A5", "APERY", "A5", None, note="head peel, k -> k+1"),
-        SubstitutionStep("W", "A5", "W", shift_map(5 * (k + 1) ** 3), note=T_NOTE),
-        SubstitutionStep("U", "W", "U", scale_map(6 * (k + 1))),
-        SubstitutionStep("P", "U", "P", scale_map((k + 1) ** 2)),
-        SubstitutionStep("Q", "P", "Q", _TAU.inverse()),
-        SubstitutionStep("Z", "Q", "Z", PolyMobius.identity()),
-        SubstitutionStep("H", "Z", "H", PolyMobius(1, 0, 0, 2)),
-        SubstitutionStep("G", "H", "G", PolyMobius(2, 1, 1, 0)),
-        SubstitutionStep("N", "G", "N", PolyMobius(1, 0, 0, k + 1)),
-    )
+    global _CHAIN
+    if _CHAIN is None:
+        k = K
+        _CHAIN = (
+            SubstitutionStep("A5", "APERY", "A5", None, note="head peel, k -> k+1"),
+            SubstitutionStep("W", "A5", "W", shift_map(5 * (k + 1) ** 3), note=T_NOTE),
+            SubstitutionStep("U", "W", "U", scale_map(6 * (k + 1))),
+            SubstitutionStep("P", "U", "P", scale_map((k + 1) ** 2)),
+            SubstitutionStep("Q", "P", "Q", _TAU.inverse()),
+            SubstitutionStep("Z", "Q", "Z", PolyMobius.identity()),
+            SubstitutionStep("H", "Z", "H", PolyMobius(1, 0, 0, 2)),
+            SubstitutionStep("G", "H", "G", PolyMobius(2, 1, 1, 0)),
+            SubstitutionStep("N", "G", "N", PolyMobius(1, 0, 0, k + 1)),
+        )
+    return _CHAIN
 
 
 def perturbed(flat: FlatCF, n: int, delta: Fraction | int) -> FlatCF:

@@ -13,7 +13,10 @@ a typo detector for damaged displays.
 The derived stages are constants: `derived_chain`, which `eval` and
 `catalog` read, derives each of them once per process and only as far down
 the chain as a caller asks.  `verify_chain` derives the whole chain afresh
-on every call, since deriving is what it checks.
+on every call, since deriving is what it checks; what it derives from, the
+claimed catalog and the substitution steps, is built once per process in
+`stages`.  Its residual column is formed in ints, from the cross products
+of each stage's depth-25 value with the reference.
 
 The proof (verify-chain's `symbolic` column) runs in ints and shares no
 shift, product tree or normal form with the derivation.  Two 2x2 matrices
@@ -42,7 +45,7 @@ from .engine import (
 )
 from .mobius import PolyMobius, _product
 from .polynomial import Poly, _scalar, poly_gcd
-from .rational import sci_string
+from .rational import sci_ratio
 from .stages import (
     CHAIN_ORDER,
     VARIANTS,
@@ -272,9 +275,12 @@ def _proportional(points: list) -> bool:
     )
 
 
-def _residual(stage: Stage, ref_fraction: Fraction) -> Fraction:
-    value = truncation_value(stage, RESIDUAL_DEPTH)
-    return abs(value - stage.target.scale * ref_fraction)
+def _residual(stage: Stage, ref: Fraction) -> str:
+    """|x - s * ref| in scientific notation, x the stage's value at
+    RESIDUAL_DEPTH and s its target's scale, from integer cross products."""
+    x = truncation_value(stage, RESIDUAL_DEPTH)
+    num = x.numerator * ref.denominator - stage.target.scale * ref.numerator * x.denominator
+    return sci_ratio(abs(num), x.denominator * ref.denominator)
 
 
 def _verify_step(source: Stage, step: SubstitutionStep, ref: ReferenceValue) -> StepReport:
@@ -284,7 +290,7 @@ def _verify_step(source: Stage, step: SubstitutionStep, ref: ReferenceValue) -> 
     except DegenerateSigma as exc:
         return StepReport(step.name, False, source, (), "n/a", str(exc))
     symbolic = _symbolic_check(source, derived, step)
-    residual = sci_string(_residual(derived, ref.fraction))
+    residual = _residual(derived, ref.fraction)
     mismatches = diff_stages(catalog()[step.to_stage], derived)
     return StepReport(step.name, symbolic, derived, mismatches, residual)
 

@@ -128,12 +128,47 @@ def test_verify_chain_unknown_injected_step_exit_2(step):
 
 @pytest.mark.parametrize("argv", [["eval", "W", "--depth", "3"], ["catalog"]])
 def test_a_second_request_derives_nothing(monkeypatch, argv):
+    # Nor does it diff a stage or render a polynomial: the catalog rows are
+    # built once per process too.
     first = run(argv)
     calls = []
-    derive = verify.derive_stage
+    derive, diff, poly_str = verify.derive_stage, verify.diff_stages, Poly.__str__
     monkeypatch.setattr(verify, "derive_stage", lambda *a: calls.append(a) or derive(*a))
+    monkeypatch.setattr(verify, "diff_stages", lambda *a: calls.append(a) or diff(*a))
+    monkeypatch.setattr(Poly, "__str__", lambda p: calls.append(p) or poly_str(p))
     assert run(argv) == first
     assert calls == []
+
+
+def test_catalog_rows_are_new_lists_on_every_call():
+    # A caller that changes the rows it got changes no later request's rows.
+    _, _, tables = cli._cmd_catalog(None)
+    header, rows = tables["catalog"]
+    want = [list(row) for row in rows]
+    rows[0][0] = "changed"
+    rows[-1].clear()
+    rows.clear()
+    _, payload, tables = cli._cmd_catalog(None)
+    assert tables["catalog"][1] == want and payload == {"stages": 24}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("window", ["0:100", "-5:3", "0:11", "-1:10"])
+def test_rate_window_outside_the_curve_exits_2(fmt, window):
+    # The curve has points n = 0 .. 10 only; such a window used to be echoed
+    # as if the slope were fit over it.
+    code, text = run(["rate", "APERY", "--n-max", "10", f"--window={window}", "--format", fmt])
+    error = f"window {window} is outside 0:10"
+    want = {
+        "text": f"command: rate\nerror: {error}\nstatus: error\n",
+        "csv": f"error\n{error}\n",
+        "json": json.dumps(
+            {"command": "rate", "format": "json", "status": "error", "payload": {"error": error}},
+            indent=2,
+        ) + "\n",
+    }[fmt]
+    assert (code, text) == (2, want)
+    assert run(["rate", "APERY", "--n-max", "10", "--window=0:10", "--format", fmt])[0] == 0
 
 
 def test_one_process_many_requests_print_their_golden_digests():
@@ -738,8 +773,9 @@ def test_emit_json_matches_json_dumps(command, status, payload, tables):
 
 
 def test_emit_json_leaves_no_cycle(monkeypatch):
-    # The emitter recurses through its own closure; that cycle would keep a
-    # document's chunks alive until a full collection, on success or error.
+    # The emitter leaves no reference cycle, such as a closure that refers to
+    # itself, that would keep a document's chunks alive until a full
+    # collection, on success or on an over-limit cell's error.
     monkeypatch.setattr(cli, "_int_str_limit", lambda: 10)
     for cell in (Decimal(7), Decimal(10**10)):
         tables = {"t": (["x"], [[Decimal(7)]] * 100 + [[cell]])}

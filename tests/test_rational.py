@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeta3cf.rational import (
     log10_fraction,
     log10_ratio,
+    sci_ratio,
     sci_string,
     to_decimal,
     truncate_float,
@@ -173,6 +175,65 @@ def test_sci_string():
     assert sci_string(Fraction(42, 10000)) == "4.20e-03"
     assert sci_string(Fraction(-1234)) == "-1.23e+03"
     assert sci_string(Fraction(1, 10**40)) == "1.00e-40"
+
+
+def _sci_string_reference(r: Fraction) -> str:
+    """sci_string as it was in Fraction arithmetic, kept as the reference."""
+    if r == 0:
+        return "0"
+    sign = "-" if r < 0 else ""
+    a = abs(r)
+    exp = math.floor(log10_fraction(a))
+    # log10_fraction is float; land on the exact decade.
+    while Fraction(10) ** exp > a:
+        exp -= 1
+    while Fraction(10) ** (exp + 1) <= a:
+        exp += 1
+    mantissa = str(int(a * Fraction(10) ** (2 - exp)))
+    return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exp:+03d}"
+
+
+_BIG = 10**300
+_signed = st.integers(-_BIG, _BIG)
+_nonzero = _signed.filter(bool)
+_decade = st.integers(-300, 300)
+_near_decade = st.builds(
+    lambda k, j, delta: Fraction(10**k + delta, 10**j),
+    st.integers(0, 300), st.integers(0, 300), st.sampled_from([-1, 0, 1]),
+)
+# Just below 10**k, by 1/d: the float log reads the decade above.
+_below_decade = st.builds(
+    lambda k, d: Fraction(10**k * d - 1, d) if k >= 0 else Fraction(d - 1, 10**-k * d),
+    _decade, st.integers(1, _BIG),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_signed, _nonzero)
+@example(10**300, 1)
+@example(-1, 10**300)
+@example(999, 1000)
+def test_sci_string_matches_fraction_reference(num, den):
+    r = Fraction(num, den)
+    assert sci_string(r) == _sci_string_reference(r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.builds(lambda k: Fraction(10) ** k, _decade),
+    _near_decade,
+    _below_decade,
+), st.booleans())
+def test_sci_string_matches_fraction_reference_at_decades(r, negate):
+    r = -r if negate else r
+    assert sci_string(r) == _sci_string_reference(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed, _nonzero, st.integers(1, 10**40))
+def test_sci_ratio_reads_unreduced_ratios(num, den, g):
+    r = Fraction(num, den)
+    assert sci_ratio(r.numerator * g, r.denominator * g) == sci_string(r)
 
 
 def test_truncate_float():

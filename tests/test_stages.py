@@ -119,6 +119,8 @@ def test_chain_order_and_entries():
     # Links are contiguous along the chain positions.
     assert [s.to_stage for s in chain] == list(CHAIN_ORDER[1:])
     assert [s.from_stage for s in chain] == list(CHAIN_ORDER[:-1])
+    # Built once per process: every call returns the same tuple.
+    assert substitution_chain() is chain
 
 
 def test_sigma_nondegenerate_for_nonnegative_k():

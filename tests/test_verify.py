@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zeta3cf import verify
+from zeta3cf import stages, verify
 from zeta3cf.engine import (
     DegenerateConvergent,
     convergents,
@@ -146,7 +146,11 @@ def test_nothing_is_derived_at_import():
     import subprocess
     import sys
 
-    script = "import zeta3cf.cli, zeta3cf.verify as v; assert v._DERIVED == {}, list(v._DERIVED)"
+    script = (
+        "import zeta3cf.cli as c, zeta3cf.stages as s, zeta3cf.verify as v\n"
+        "assert v._DERIVED == {}, list(v._DERIVED)\n"
+        "assert s._CHAIN is None and s._CATALOG is None and c._CATALOG_ROWS == []\n"
+    )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
@@ -372,11 +376,15 @@ def _failing_steps():
     return [s.step_name for s in verify_chain().steps if not s.symbolic_pass]
 
 
-def test_symbolic_check_catches_broken_shift(cat, monkeypatch):
+def test_symbolic_check_catches_broken_shift(chain, monkeypatch):
+    # The `chain` fixture fills the catalog, substitution-chain and derived
+    # memos with the sound kernels first, so that none of them holds the
+    # broken kernel's output for the rest of the session.
     # A shift that is wrong in its top coefficient from degree 2 on derives
     # a wrong psi wherever sigma or phi has such an entry.  A check that
     # shifted sigma too would share the fault and pass all nine steps; this
     # one evaluates sigma at k + 1 and flags those three.
+    assert stages._CHAIN is not None
     shift = Poly.shift
 
     def broken(self, c):
@@ -397,7 +405,9 @@ def test_broken_shift_is_caught_with_the_memo_filled(chain, monkeypatch):
     assert all(derived_chain()[name] is chain[name] for name in CHAIN_ORDER)
 
 
-def test_symbolic_check_catches_broken_product(cat, monkeypatch):
+def test_symbolic_check_catches_broken_product(chain, monkeypatch):
+    # As above, the memos are filled before the product breaks.
+    assert stages._CHAIN is not None
     mul = Poly.__mul__
 
     def broken(self, other):
