@@ -144,14 +144,14 @@ def _cmd_verify_chain(args) -> tuple[str, dict, dict]:
                 s.step_name,
                 "pass" if s.symbolic_pass else "FAIL",
                 "match" if s.claimed_matches else "MISMATCH",
-                ";".join(entry for entry, _, _ in s.mismatches) or "-",
+                ";".join(s.mismatches) or "-",
                 s.numeric_residual,
                 s.error or "-",
             ]
         )
     variant_rows = [
         [v.name, v.base, "match" if v.matches_derived else "MISMATCH",
-         ";".join(entry for entry, _, _ in v.mismatches) or "-"]
+         ";".join(v.mismatches) or "-"]
         for v in report.variants
     ]
     payload = {

@@ -11,9 +11,10 @@ needs a tail seed while forward convergents do not.  Both, and the DEEP_CF
 oracle below, are products of 2x2 integer matrices in the layout of the
 stream `_steps`: step 0 is (b_0, 1, 1, 0) and step n is (b_n, a_n, 1, 0),
 so the product of steps 0 .. n is the state S_n = (p_n, q_n, p_{n-1},
-q_{n-1}).  A stage's stream is its head, then its step map at k = 0, 1, ...,
-each map transposed.  `convergents` and the rate measurement
-(`error_curve`) step the literal recurrence over `_steps` row by row.
+q_{n-1}).  A stage's stream (`_stage_steps`) is its head, then its step
+map at k = 0, 1, ..., each map transposed.  `convergents` and the rate
+measurement (`error_curve`) step the literal recurrence over `_steps` row
+by row.
 
 `_primitive_walk` walks only the primitive part of the state matrix and
 the content it sheds, so it gives each row's reduced value and
@@ -51,7 +52,8 @@ fields.  The matrix entries are plain ints: step maps and term families
 are polynomials over Z, and no Fraction arithmetic runs per step.  An
 entry read at consecutive indices is one `Poly.run`, tabulated by forward
 differences in additions: a stage's step map at k = 0 .. depth for
-backward evaluation, and each term family along its block index for the
+backward evaluation (unless the caller passes them tabulated, as
+verify-chain does), and each term family along its block index for the
 step stream (through `FlatCF.terms`).
 The rate measurement walks q_n and a residual column instead of p_n: for
 a limit L = L_n / L_d the residual r_n = L_d p_n - L_n q_n obeys the same
@@ -290,30 +292,44 @@ def eval_backward(stage: Stage, depth: int, seed: Fraction | int) -> Fraction:
     return _backward(stage, depth, depth, (*_scalar(seed).as_integer_ratio(), 0, 0))
 
 
-def truncation_value(stage: Stage, depth: int) -> Fraction:
+def truncation_value(stage: Stage, depth: int, columns: Sequence[Sequence[int]] | None = None
+                     ) -> Fraction:
     """Backward value with the tail dropped: X_depth = step_depth(infinity).
 
     For a level-form stage this seeds the full block at k = depth with its
     own trailing term removed (the b-part rule for one-level stages).
     Poles are as for `eval_backward`: only an infinite or 0/0 final value.
+    `columns`, if given, holds the step entries' values at k = 0 .. depth
+    or further, one sequence per entry in (a, b, c, d) order, in place of
+    one `Poly.run` each; ValueError if one is shorter.
     """
-    return _backward(stage, depth, depth + 1, (1, 0, 0, 0))
+    if columns is not None and min(map(len, columns)) <= depth:
+        raise ValueError(f"columns must hold the values at k = 0 .. {depth}")
+    return _backward(stage, depth, depth + 1, (1, 0, 0, 0), columns)
 
 
-def _backward(stage: Stage, depth: int, top: int, seed: tuple[int, ...]) -> Fraction:
-    # The stage's stream in the layout of `_steps`: the head, then step_k for
-    # k < top from one `Poly.run` per entry, each map (a, b, c, d) as (a, c,
-    # b, d); then the seed row, (1, 0, 0, 0) for infinity.  Nodes are divided
-    # only by positive integers, so a map's 0/0 stays (0, 0) and only the
-    # product's first row (x, y) needs testing.
+def _backward(stage: Stage, depth: int, top: int, seed: tuple[int, ...],
+              columns: Sequence[Sequence[int]] | None = None) -> Fraction:
+    # The stage's stream, then the seed row, (1, 0, 0, 0) for infinity.
+    # Nodes are divided only by positive integers, so a map's 0/0 stays
+    # (0, 0) and only the product's first row (x, y) needs testing.
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    (a, b, c, d), (ha, hb, hc, hd) = stage.step, stage.head.at_k(0)
-    steps = zip(a.run(top), c.run(top), b.run(top), d.run(top))
-    x, y, _, _ = _product(chain([(ha, hc, hb, hd)], steps, [seed]), projective=True)
+    x, y, _, _ = _product(chain(_stage_steps(stage, top, columns), [seed]), projective=True)
     if y == 0:
         raise PoleError(0, "infinity" if x else "0/0")
     return Fraction(x, y)
+
+
+def _stage_steps(stage: Stage, top: int, columns: Sequence[Sequence[int]] | None = None
+                 ) -> Iterator[tuple[int, int, int, int]]:
+    """The stage's stream in the layout of `_steps`, lazily: the head, then
+    step_k for k < top, each map (a, b, c, d) as (a, c, b, d).  The step
+    entries come from one `Poly.run` each, or from `columns`, their values
+    at k = 0 .. top - 1 or further, in (a, b, c, d) order."""
+    a, b, c, d = columns or [e.run(top) for e in stage.step]
+    ha, hb, hc, hd = stage.head.at_k(0)
+    return chain([(ha, hc, hb, hd)], islice(zip(a, c, b, d), top))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ vol. 2, 4.6.1, Algorithm R): `divexact` divides exactly over Z with it, and
 `value_at(x)` cast to Fraction, for any rational x.  `run(count)`
 tabulates the values at k = 0 .. count - 1 by forward differences: past
 the first deg + 1, which it takes from `value_at`, each costs deg
-additions.  Backward evaluation and the forward term stream read their
-entries that way; the chain check uses `value_at`.
+additions.  Backward evaluation, the forward term stream and the chain
+check's tables read their entries that way.
 
 Build polynomials with the exported indeterminate K and ordinary operators:
 

@@ -7,23 +7,28 @@ the chain that way, starting from the Apery endpoint, proves the defining
 conjugation identity sigma_k o psi_k = phi_k o sigma_{k+1} as an exact
 polynomial statement, and diffs the result against the claimed (transcribed)
 catalog entry.  Claimed entries are never trusted: a mismatch is report
-content, printed with both polynomials, which makes the verifier double as
-a typo detector for damaged displays.
+content, the labels of the entries that differ (`diff_stages`; `diff_texts`
+renders both polynomials on demand), which makes the verifier double as a
+typo detector for damaged displays.
 
 The derived stages are constants: `derived_chain`, which `eval` and
 `catalog` read, derives each of them once per process and only as far down
 the chain as a caller asks.  `verify_chain` derives the whole chain afresh
 on every call, since deriving is what it checks; what it derives from, the
 claimed catalog and the substitution steps, is built once per process in
-`stages`.  Its residual column is formed in ints, from the cross products
-of each stage's depth-25 value with the reference.
+`stages`.  Each stage's step map is tabulated once per call, at k = 0 ..
+T - 1 with one `Poly.run` per entry, T as far as the stage's residual and
+the two proofs that read it need; its own proof reads the table as psi,
+the next step's as phi, and the residual as the backward stream of
+`engine.truncation_value`.  The residual column is formed in ints, from the
+cross products of each stage's depth-25 value with the reference.
 
 The proof (verify-chain's `symbolic` column) runs in ints and shares no
 shift, product tree or normal form with the derivation.  Two 2x2 matrices
 L, R over Z[k] are the same map iff neither is zero and the six minors
 L_i R_j - L_j R_i vanish; each has degree at most D = deg L + deg R, so it
-is zero iff it vanishes at k = 0 .. D.  Entries are evaluated there by
-Horner, sigma_{k+1} at k + 1 itself.
+is zero iff it vanishes at k = 0 .. D.  Entries are read there from the
+tables, sigma's from its own, sigma_{k+1} at k + 1 itself.
 
 Also here: the equivalence-transformation check (rescaling a_n, b_n leaves
 every convergent value unchanged) and the alignment of reduced Nesterenko
@@ -37,7 +42,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .engine import (
-    ReferenceValue,
     Terms,
     reduced_at,
     truncation_value,
@@ -200,7 +204,8 @@ def derived_chain(stop: str | None = None) -> dict[str, Stage]:
 
 class StepReport(namedtuple("StepReport", "step_name symbolic_pass derived mismatches "
                             "numeric_residual error", defaults=(None,))):
-    """One chain step: `mismatches` holds (entry, claimed, derived) texts."""
+    """One chain step: `mismatches` holds the labels of the entries in which
+    the claimed stage differs from the derived one (`diff_stages`)."""
 
     __slots__ = ()
 
@@ -229,32 +234,64 @@ class ChainReport(namedtuple("ChainReport", "steps variants final_matches_n fina
         )
 
 
-def diff_stages(claimed: Stage, derived: Stage) -> tuple[tuple[str, str, str], ...]:
-    """The entries in which two normal forms differ: none iff the maps agree."""
-    labels = ("step.a", "step.b", "step.c", "step.d")
-    steps = zip(labels, claimed.step, derived.step)
-    out = [(label, str(cl), str(dv)) for label, cl, dv in steps if cl != dv]
+_STEP_LABELS = ("step.a", "step.b", "step.c", "step.d")
+
+
+def diff_stages(claimed: Stage, derived: Stage) -> tuple[str, ...]:
+    """The labels of the entries in which two normal forms differ, "step.a"
+    .. "step.d" and "head": none iff the maps agree.  Nothing is rendered;
+    `diff_texts` gives the texts."""
+    out = [label for label, cl, dv in zip(_STEP_LABELS, claimed.step, derived.step) if cl != dv]
     if not _proportional([(_two_zeta3_head(claimed), _two_zeta3_head(derived))]):
-        out.append(("head", str(canonical_head(claimed)), str(canonical_head(derived))))
+        out.append("head")
     return tuple(out)
 
 
-def _symbolic_check(source: Stage, derived: Stage, step: SubstitutionStep) -> bool:
+def diff_texts(claimed: Stage, derived: Stage) -> tuple[tuple[str, str, str], ...]:
+    """(label, claimed text, derived text) for each entry `diff_stages`
+    names; a head is printed rescaled onto 2*zeta(3) (`canonical_head`)."""
+
+    def text(stage: Stage, label: str) -> str:
+        if label == "head":
+            return str(canonical_head(stage))
+        return str(stage.step[_STEP_LABELS.index(label)])
+
+    return tuple((label, text(claimed, label), text(derived, label))
+                 for label in diff_stages(claimed, derived))
+
+
+def _tabulate(m: PolyMobius, count: int) -> list[list[int]]:
+    """The columns (a, b, c, d) of m's entries at k = 0 .. count - 1, one
+    `Poly.run` each."""
+    return [list(e.run(count)) for e in m]
+
+
+def _proof_rows(phi: PolyMobius, psi: PolyMobius, sigma: PolyMobius | None) -> int:
+    """How many rows, k = 0 .. D + 1, of phi's and psi's tables
+    `_symbolic_check` reads: D = deg L + deg R bounds its minors' degrees."""
+    mats = (psi, phi) if sigma is None else (sigma, sigma, psi, phi)
+    return sum(max(e.degree for e in m) for m in mats) + 2
+
+
+def _symbolic_check(source: Stage, derived: Stage, step: SubstitutionStep,
+                    phi_table: list[list[int]], psi_table: list[list[int]]) -> bool:
     """Exact polynomial identity behind the rewrite, proved at integer points.
 
     Substitution: L(k) = sigma(k) psi(k) against R(k) = phi(k) sigma(k+1), and
     the derived head against the source head times sigma(0).  Head peel:
     psi(k) against phi(k+1), and the head against the source head times phi(0).
+    `phi_table` and `psi_table` tabulate the source's and the derived step
+    map (`_tabulate`) at least as far as `_proof_rows` asks.
     """
-    phi, psi, sigma = source.step, derived.step, step.sigma
-    mats = (psi, phi) if sigma is None else (sigma, sigma, psi, phi)
-    top = sum(max(e.degree for e in m) for m in mats)
+    sigma = step.sigma
+    top = _proof_rows(source.step, derived.step, sigma) - 2
+    phi, psi = list(zip(*phi_table)), list(zip(*psi_table))
     if sigma is None:
-        points = [(psi.at_k(k), phi.at_k(k + 1)) for k in range(top + 1)]
-        entry = phi.at_k(0)
+        points = [(psi[k], phi[k + 1]) for k in range(top + 1)]
+        entry = phi[0]
     else:
-        s = [sigma.at_k(k) for k in range(top + 2)]
-        points = [(_mul(s[k], psi.at_k(k)), _mul(phi.at_k(k), s[k + 1])) for k in range(top + 1)]
+        s = list(zip(*_tabulate(sigma, top + 2)))
+        points = [(_mul(s[k], psi[k]), _mul(phi[k], s[k + 1])) for k in range(top + 1)]
         entry = s[0]
     head = (derived.head.at_k(0), _mul(source.head.at_k(0), entry))
     return _proportional(points) and _proportional([head])
@@ -275,24 +312,13 @@ def _proportional(points: list) -> bool:
     )
 
 
-def _residual(stage: Stage, ref: Fraction) -> str:
+def _residual(stage: Stage, table: list[list[int]], ref: Fraction) -> str:
     """|x - s * ref| in scientific notation, x the stage's value at
-    RESIDUAL_DEPTH and s its target's scale, from integer cross products."""
-    x = truncation_value(stage, RESIDUAL_DEPTH)
+    RESIDUAL_DEPTH, read from its table, and s its target's scale, from
+    integer cross products."""
+    x = truncation_value(stage, RESIDUAL_DEPTH, table)
     num = x.numerator * ref.denominator - stage.target.scale * ref.numerator * x.denominator
     return sci_ratio(abs(num), x.denominator * ref.denominator)
-
-
-def _verify_step(source: Stage, step: SubstitutionStep, ref: ReferenceValue) -> StepReport:
-    """Derive one chain step and diff it against its claimed transcription."""
-    try:
-        derived = derive_stage(source, step)
-    except DegenerateSigma as exc:
-        return StepReport(step.name, False, source, (), "n/a", str(exc))
-    symbolic = _symbolic_check(source, derived, step)
-    residual = _residual(derived, ref.fraction)
-    mismatches = diff_stages(catalog()[step.to_stage], derived)
-    return StepReport(step.name, symbolic, derived, mismatches, residual)
 
 
 def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainReport:
@@ -308,21 +334,52 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
 
     Unlike `derived_chain`, every call derives the whole chain afresh:
     deriving is what it checks, and an override derives another chain.
+    Each stage's step map is tabulated once (`_tabulate`), as far as its
+    residual and the proofs that read it need: its own as psi, the next
+    step's as phi.
     """
     steps = CHAIN_ORDER[1:]
     for name in sigma_override or ():
         if name not in steps:
             raise ValueError(f"unknown step {name!r}; chain steps: {', '.join(steps)}")
     claimed = catalog()
-    ref = zeta3_reference(RESIDUAL_REF_DIGITS)
-    reports: list[StepReport] = []
-    current = claimed["APERY"]
+    ref = zeta3_reference(RESIDUAL_REF_DIGITS).fraction
+    # The whole chain is derived first, since a stage's table length waits
+    # on the next step's degrees.  A degenerate sigma derives nothing, and
+    # the step after it starts from the same source.
+    links: list[tuple[Stage, SubstitutionStep, Stage | None, str | None]] = []
+    source = claimed["APERY"]
     for step in substitution_chain():
         if sigma_override and step.name in sigma_override:
             step = step._replace(sigma=sigma_override[step.name])
-        report = _verify_step(current, step, ref)
-        reports.append(report)
-        current = report.derived
+        try:
+            derived = derive_stage(source, step)
+        except DegenerateSigma as exc:
+            links.append((source, step, None, str(exc)))
+        else:
+            links.append((source, step, derived, None))
+            source = derived
+    rows: dict[int, tuple[Stage, int]] = {}
+    for source, step, derived, _ in links:
+        if derived is not None:
+            need = _proof_rows(source.step, derived.step, step.sigma)
+            for stage, least in ((source, 0), (derived, RESIDUAL_DEPTH + 1)):
+                rows[id(stage)] = stage, max(rows.get(id(stage), (stage, least))[1], need)
+    tables = {key: _tabulate(stage.step, count) for key, (stage, count) in rows.items()}
+
+    reports: list[StepReport] = []
+    for source, step, derived, error in links:
+        if derived is None:
+            reports.append(StepReport(step.name, False, source, (), "n/a", error))
+            continue
+        phi, psi = tables[id(source)], tables[id(derived)]
+        reports.append(StepReport(
+            step.name,
+            _symbolic_check(source, derived, step, phi, psi),
+            derived,
+            diff_stages(claimed[step.to_stage], derived),
+            _residual(derived, psi, ref),
+        ))
 
     derived = {r.step_name: r.derived for r in reports}
     variants = tuple(

@@ -147,6 +147,17 @@ def test_truncation_value_rejects_negative_depth():
         truncation_value(stage, -1)
 
 
+def test_truncation_value_reads_given_columns(chain):
+    # Tabulated entries, as verify-chain passes them, give the value the
+    # runs give; the columns may run past the depth, but not stop short.
+    stage = chain["W"]
+    columns = [list(e.run(30)) for e in stage.step]
+    for depth in (0, 1, 25, 29):
+        assert truncation_value(stage, depth, columns) == truncation_value(stage, depth)
+    with pytest.raises(ValueError, match="k = 0 .. 30"):
+        truncation_value(stage, 30, columns)
+
+
 def _fraction_truncation(stage: Stage, depth: int) -> Fraction:
     # The descent in Fractions, each entry by Fraction Horner on its coefficients.
     def entries(m: PolyMobius, k: int) -> list[Fraction]:

@@ -36,10 +36,14 @@ from zeta3cf.verify import (
     DegenerateSigma,
     InvalidScale,
     _mul,
+    _proof_rows,
     _symbolic_check,
+    _tabulate,
     canonical_head,
     derive_stage,
     derived_chain,
+    diff_stages,
+    diff_texts,
     equivalence_scale,
     gutnik_alignment,
     verify_chain,
@@ -316,12 +320,43 @@ def test_verify_chain_claimed_scorecard(chain_report):
 
 
 def test_verify_chain_mismatches_print_both_polynomials(chain_report):
+    # The report holds the labels; the texts are rendered on demand.
     q = next(s for s in chain_report.steps if s.step_name == "Q")
     assert q.mismatches
-    for entry, claimed_text, derived_text in q.mismatches:
+    texts = diff_texts(lookup("Q"), q.derived)
+    assert tuple(entry for entry, _, _ in texts) == q.mismatches
+    for entry, claimed_text, derived_text in texts:
         assert entry.startswith("step.")
         assert claimed_text and derived_text
         assert claimed_text != derived_text
+        assert claimed_text == str(getattr(lookup("Q").step, entry[-1]))
+        assert derived_text == str(getattr(q.derived.step, entry[-1]))
+
+
+def test_diff_texts_renders_a_head_rescaled(chain):
+    # A5's claimed head is moved off by one: the head is named, and printed
+    # as canonical_head prints it.
+    a5 = chain["A5"]
+    a, b, c, d = a5.head.at_k(0)
+    claimed = a5._replace(head=PolyMobius(a, b + 1, c, d))
+    assert diff_stages(claimed, a5) == ("head",)
+    assert diff_texts(claimed, a5) == (
+        ("head", str(canonical_head(claimed)), str(canonical_head(a5))),
+    )
+    assert diff_texts(a5, a5) == ()
+
+
+def test_verify_chain_renders_no_polynomial(chain, monkeypatch):
+    # Damaged transcriptions (Q, H, G and three variants) and an injected
+    # fault are diffed by label: nothing is printed or rescaled.
+    calls = []
+    poly_str, head = Poly.__str__, verify.canonical_head
+    monkeypatch.setattr(Poly, "__str__", lambda p: calls.append(p) or poly_str(p))
+    monkeypatch.setattr(verify, "canonical_head", lambda s: calls.append(s) or head(s))
+    assert verify_chain().passed
+    report = verify_chain(sigma_override={"A5": PolyMobius(1, 1, 0, 1)})
+    assert not report.passed
+    assert calls == []
 
 
 def test_verify_chain_numeric_residuals(chain_report):
@@ -376,6 +411,48 @@ def _failing_steps():
     return [s.step_name for s in verify_chain().steps if not s.symbolic_pass]
 
 
+def test_symbolic_check_catches_broken_run(chain, monkeypatch):
+    # The proof and the residual read one table per stage, from Poly.run.
+    # A run that is off by one at index deg + 1, the first value it does not
+    # take from value_at, must fail the proofs, not only move the residuals.
+    run = Poly.run
+
+    def broken(self, count):
+        values = list(run(self, count))
+        if len(values) > self.degree + 1 >= 0:
+            values[self.degree + 1] += 1
+        return iter(values)
+
+    monkeypatch.setattr(Poly, "run", broken)
+    report = verify_chain()
+    assert not report.passed
+    assert _failing_steps() == list(CHAIN_ORDER[1:])
+
+
+def test_verify_chain_tabulates_each_stage_once(chain, monkeypatch):
+    # One Poly.run per entry of each stage (APERY and the nine derived) and
+    # of each of the eight sigma; the residuals read the derived stages'
+    # tables.
+    runs, depths = [], []
+    run, truncation = Poly.run, verify.truncation_value
+    monkeypatch.setattr(Poly, "run", lambda p, count: runs.append(count) or run(p, count))
+    monkeypatch.setattr(verify, "truncation_value",
+                        lambda s, depth, columns: depths.append(depth) or truncation(s, depth, columns))
+    assert verify_chain().passed
+    assert len(runs) == 4 * (10 + 8)
+    assert depths == [RESIDUAL_DEPTH] * 9
+
+
+def test_verify_chain_sizes_tables_from_a_high_degree_sigma(chain):
+    # deg sigma = 12 asks for more proof points than the residual's depth
+    # + 1 rows: the tables grow to the proof, and every identity holds.
+    report = verify_chain(sigma_override={"U": scale_map((K + 1) ** 12)})
+    assert all(s.symbolic_pass and s.error is None for s in report.steps)
+    wrong = [s.step_name for s in report.steps if s.mismatches]
+    assert wrong == ["U", "P", "Q", "Z", "H", "G", "N"]
+    assert not report.passed
+
+
 def test_symbolic_check_catches_broken_shift(chain, monkeypatch):
     # The `chain` fixture fills the catalog, substitution-chain and derived
     # memos with the sound kernels first, so that none of them holds the
@@ -419,6 +496,13 @@ def test_symbolic_check_catches_broken_product(chain, monkeypatch):
     assert _failing_steps()
 
 
+def symbolic_check(source, derived, step):
+    """`_symbolic_check` on tables as long as the proof asks for."""
+    rows = _proof_rows(source.step, derived.step, step.sigma)
+    return _symbolic_check(source, derived, step,
+                           _tabulate(source.step, rows), _tabulate(derived.step, rows))
+
+
 def test_symbolic_check_side_zero_at_a_sample_point():
     # sigma(1) = diag(1, 0) and psi(1) = [[0, 0], [1, 1]] give L(1) = 0, and
     # phi(1) = [[0, 1], [0, 1]] and sigma(2) = diag(1, 0) give R(1) = 0: the
@@ -430,24 +514,24 @@ def test_symbolic_check_side_zero_at_a_sample_point():
     source = Stage("S", phi, PolyMobius(1, 0, 0, 1), Target.ZETA3)
     derived = Stage("T", psi, PolyMobius(1, 0, 0, 2), Target.ZETA3)
     step = SubstitutionStep("T", "S", "T", sigma)
-    assert _symbolic_check(source, derived, step)
-    assert not _symbolic_check(source, derived._replace(step=psi._replace(d=K**2 + 1)), step)
+    assert symbolic_check(source, derived, step)
+    assert not symbolic_check(source, derived._replace(step=psi._replace(d=K**2 + 1)), step)
 
 
 @pytest.mark.parametrize("name", CHAIN_ORDER[1:])
 def test_symbolic_check_rejects_perturbed_stage(chain, name):
     step = step_named(name)
     source, derived = chain[step.from_stage], chain[name]
-    assert _symbolic_check(source, derived, step)
+    assert symbolic_check(source, derived, step)
     a, b, c, d = derived.head.at_k(0)
-    assert not _symbolic_check(source, derived._replace(head=PolyMobius(a, b + 1, c, d)), step)
+    assert not symbolic_check(source, derived._replace(head=PolyMobius(a, b + 1, c, d)), step)
     # Any one coefficient of psi bumped by one.
     for i, entry in enumerate(derived.step):
         for j in range(len(entry.nums) or 1):
             nums = list(entry.nums) or [0]
             nums[j] += 1
             psi = derived.step._replace(**{"abcd"[i]: Poly(nums)})
-            assert not _symbolic_check(source, derived._replace(step=psi), step), (i, j)
+            assert not symbolic_check(source, derived._replace(step=psi), step), (i, j)
     # k (k - 1) ... (k - 29) vanishes at more points than the unperturbed
     # sides' degrees call for: the check has to size its points from the
     # entries it is given, not sample a fixed range.
@@ -455,7 +539,7 @@ def test_symbolic_check_rejects_perturbed_stage(chain, name):
     for i in range(30):
         vanishing *= K - i
     psi = derived.step._replace(a=derived.step.a + vanishing)
-    assert not _symbolic_check(source, derived._replace(step=psi), step)
+    assert not symbolic_check(source, derived._replace(step=psi), step)
 
 
 def test_equivalence_scale_identity(nes_flat):
