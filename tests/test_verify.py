@@ -334,16 +334,14 @@ def test_verify_chain_mismatches_print_both_polynomials(chain_report):
 
 
 def test_diff_texts_renders_a_head_rescaled(chain):
-    # A5's claimed head is moved off by one: the head is named, and printed
-    # as canonical_head prints it.
-    a5 = chain["A5"]
-    a, b, c, d = a5.head.at_k(0)
-    claimed = a5._replace(head=PolyMobius(a, b + 1, c, d))
-    assert diff_stages(claimed, a5) == ("head",)
-    assert diff_texts(claimed, a5) == (
-        ("head", str(canonical_head(claimed)), str(canonical_head(a5))),
-    )
-    assert diff_texts(a5, a5) == ()
+    # Claimed Q is on the zeta(3) scale: a head that differs is printed
+    # rescaled onto 2*zeta(3), as canonical_head prints it.
+    claimed, q = lookup("Q")._replace(head=PolyMobius(1, 1, 0, 1)), chain["Q"]
+    labels = diff_stages(claimed, q)
+    texts = diff_texts(claimed, q)
+    assert labels[-1] == "head" and tuple(entry for entry, _, _ in texts) == labels
+    assert texts[-1] == ("head", "[[2, 2], [0, 1]]", "[[2, 0], [0, 1]]")
+    assert diff_stages(q, q) == diff_texts(q, q) == ()
 
 
 def test_verify_chain_renders_no_polynomial(chain, monkeypatch):
@@ -424,8 +422,6 @@ def test_symbolic_check_catches_broken_run(chain, monkeypatch):
         return iter(values)
 
     monkeypatch.setattr(Poly, "run", broken)
-    report = verify_chain()
-    assert not report.passed
     assert _failing_steps() == list(CHAIN_ORDER[1:])
 
 
@@ -516,6 +512,22 @@ def test_symbolic_check_side_zero_at_a_sample_point():
     step = SubstitutionStep("T", "S", "T", sigma)
     assert symbolic_check(source, derived, step)
     assert not symbolic_check(source, derived._replace(step=psi._replace(d=K**2 + 1)), step)
+
+
+@pytest.mark.parametrize("sigma", [PolyMobius.identity(), None])
+def test_symbolic_check_reads_every_point_the_degrees_ask_for(sigma):
+    # psi = diag(1 + V, 1) against phi = sigma = I: the one nonzero minor is
+    # V = k (k - 1) ... (k - 5), of degree D = 6, which vanishes at k = 0 ..
+    # 5, so only the last of the D + 1 points shows that psi is not phi.
+    vanishing = Poly.const(1)
+    for i in range(6):
+        vanishing *= K - i
+    identity = PolyMobius.identity()
+    source = Stage("S", identity, identity, Target.ZETA3)
+    derived = Stage("T", PolyMobius(1 + vanishing, 0, 0, 1), identity, Target.ZETA3)
+    step = SubstitutionStep("T", "S", "T", sigma)
+    assert not symbolic_check(source, derived, step)
+    assert symbolic_check(source, source._replace(name="T"), step)
 
 
 @pytest.mark.parametrize("name", CHAIN_ORDER[1:])
