@@ -359,6 +359,9 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
         else:
             links.append((source, step, derived, None))
             source = derived
+    # Each stage's table length, keyed by the stage object: a derived
+    # stage's covers its residual, and every table covers each proof that
+    # reads it.
     rows: dict[int, tuple[Stage, int]] = {}
     for source, step, derived, _ in links:
         if derived is not None:
