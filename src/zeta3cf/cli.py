@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from decimal import Decimal
+from functools import cache
 
 from . import engine, stages, verify
 from .rational import decimal_int_str, ratio_to_decimal, sci_string, to_decimal, truncate_float
@@ -236,15 +237,8 @@ def _cmd_gutnik(args) -> tuple[str, dict, dict]:
     return "ok" if report.all_equal else "fail", payload, tables
 
 
-# The catalog table's rows, built on the first `catalog` request (the
-# `verify._DERIVED` idiom); nothing is built at import.
-_CATALOG_ROWS: list[tuple] = []
-
-
 def _cmd_catalog(args) -> tuple[str, dict, dict]:
-    if not _CATALOG_ROWS:
-        _CATALOG_ROWS.extend(_catalog_rows())
-    rows = [list(row) for row in _CATALOG_ROWS]
+    rows = [list(row) for row in _catalog_rows()]
     payload = {"stages": len(rows)}
     tables = {
         "catalog": (
@@ -255,7 +249,8 @@ def _cmd_catalog(args) -> tuple[str, dict, dict]:
     return "ok", payload, tables
 
 
-def _catalog_rows() -> list[tuple]:
+@cache
+def _catalog_rows() -> tuple[tuple, ...]:
     # Status compares each claimed stage with the derived stage of its chain
     # position, as verify-chain does, without that command's proofs.
     derived = verify.derived_chain()
@@ -270,7 +265,7 @@ def _catalog_rows() -> list[tuple]:
         rows.append(_catalog_row(stage.name, stage, stage.levels, status))
     for name in stages.CHAIN_ORDER[1:]:
         rows.append(_catalog_row(f"{name}.derived", derived[name], None, "normative"))
-    return rows
+    return tuple(rows)
 
 
 def _catalog_row(name: str, stage: stages.Stage, levels, status: str) -> tuple:
@@ -384,8 +379,13 @@ def _too_long(limit: int, fmt: str, decimal: bool = False) -> str:
 
 
 def _emit_csv(command, status, payload, tables, out) -> None:
-    # One table per invocation; scalar payload entries fold into it so the
-    # csv carries the same numeric content as the other formats.
+    # One table per invocation.  gutnik adds the two offsets to every row
+    # and drops rows_equal; rate adds a slope record with its window and
+    # drops stage, target and n_max; verify-chain adds a row per variant and
+    # a (chain) row with passed and final_matches_n, and drops final_head_ok.
+    # Other commands with tables print them alone (convergents drops stage,
+    # target and n_max; catalog drops stages), and a command without one
+    # prints its payload as a header and a row.
     if command == "gutnik" and "alignment" in tables:
         header, rows = tables["alignment"]
         header = header + ["offset_nes", "offset_apery"]

@@ -41,6 +41,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice
 
 from .mobius import Entry, PolyMobius, _product, level_map, scale_map, shift_map
@@ -255,7 +256,12 @@ T_NOTE = (
 )
 
 
-def _claimed_stages() -> list[Stage]:
+@cache
+def catalog() -> dict[str, Stage]:
+    """All claimed/normative stages, keyed by name (insertion = chain order).
+
+    Built on the first call; every call returns the same dict.
+    """
     k = K
     e2 = (k + 1) * (k + 2) * (2 * k + 3)
     b_apery = 34 * k**3 + 51 * k**2 + 27 * k + 5
@@ -444,18 +450,7 @@ def _claimed_stages() -> list[Stage]:
             kind="normative",
         )
     )
-    return stages
-
-
-_CATALOG: dict[str, Stage] | None = None
-
-
-def catalog() -> dict[str, Stage]:
-    """All claimed/normative stages, keyed by name (insertion = chain order)."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = {s.name: s for s in _claimed_stages()}
-    return _CATALOG
+    return {s.name: s for s in stages}
 
 
 def lookup(name: str) -> Stage:
@@ -470,9 +465,7 @@ CHAIN_ORDER = ("APERY", "A5", "W", "U", "P", "Q", "Z", "H", "G", "N")
 VARIANTS = {"A5": ("A6",), "U": ("U4",), "Q": ("Q12",), "G": ("G16", "G17")}
 
 
-_CHAIN: tuple[SubstitutionStep, ...] | None = None
-
-
+@cache
 def substitution_chain() -> tuple[SubstitutionStep, ...]:
     """The ordered chain of rewrites carrying APERY into N.
 
@@ -481,21 +474,18 @@ def substitution_chain() -> tuple[SubstitutionStep, ...]:
     X^{from}_k = sigma_k(X^{to}_k).  Built on the first call; every call
     returns the same tuple of immutable steps.
     """
-    global _CHAIN
-    if _CHAIN is None:
-        k = K
-        _CHAIN = (
-            SubstitutionStep("A5", "APERY", "A5", None, note="head peel, k -> k+1"),
-            SubstitutionStep("W", "A5", "W", shift_map(5 * (k + 1) ** 3), note=T_NOTE),
-            SubstitutionStep("U", "W", "U", scale_map(6 * (k + 1))),
-            SubstitutionStep("P", "U", "P", scale_map((k + 1) ** 2)),
-            SubstitutionStep("Q", "P", "Q", _TAU.inverse()),
-            SubstitutionStep("Z", "Q", "Z", PolyMobius.identity()),
-            SubstitutionStep("H", "Z", "H", PolyMobius(1, 0, 0, 2)),
-            SubstitutionStep("G", "H", "G", PolyMobius(2, 1, 1, 0)),
-            SubstitutionStep("N", "G", "N", PolyMobius(1, 0, 0, k + 1)),
-        )
-    return _CHAIN
+    k = K
+    return (
+        SubstitutionStep("A5", "APERY", "A5", None, note="head peel, k -> k+1"),
+        SubstitutionStep("W", "A5", "W", shift_map(5 * (k + 1) ** 3), note=T_NOTE),
+        SubstitutionStep("U", "W", "U", scale_map(6 * (k + 1))),
+        SubstitutionStep("P", "U", "P", scale_map((k + 1) ** 2)),
+        SubstitutionStep("Q", "P", "Q", _TAU.inverse()),
+        SubstitutionStep("Z", "Q", "Z", PolyMobius.identity()),
+        SubstitutionStep("H", "Z", "H", PolyMobius(1, 0, 0, 2)),
+        SubstitutionStep("G", "H", "G", PolyMobius(2, 1, 1, 0)),
+        SubstitutionStep("N", "G", "N", PolyMobius(1, 0, 0, k + 1)),
+    )
 
 
 def perturbed(flat: FlatCF, n: int, delta: Fraction | int) -> FlatCF:

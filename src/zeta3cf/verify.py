@@ -12,16 +12,17 @@ renders both polynomials on demand), which makes the verifier double as a
 typo detector for damaged displays.
 
 The derived stages are constants: `derived_chain`, which `eval` and
-`catalog` read, derives each of them once per process and only as far down
-the chain as a caller asks.  `verify_chain` derives the whole chain afresh
-on every call, since deriving is what it checks; what it derives from, the
-claimed catalog and the substitution steps, is built once per process in
-`stages`.  Each stage's step map is tabulated once per call, at k = 0 ..
-T - 1 with one `Poly.run` per entry, T as far as the stage's residual and
-the two proofs that read it need; its own proof reads the table as psi,
-the next step's as phi, and the residual as the backward stream of
-`engine.truncation_value`.  The residual column is formed in ints, from the
-cross products of each stage's depth-25 value with the reference.
+`catalog` read, derives each of them once per process (`functools.cache`)
+and only as far down the chain as a caller asks.  `verify_chain` derives
+the whole chain afresh on every call, since deriving is what it checks;
+what it derives from, the claimed catalog and the substitution steps, is
+built once per process in `stages`.  Each stage's step map is tabulated
+once per call, at k = 0 .. T - 1 with one `Poly.run` per entry, T one
+length for the whole chain, as far as the residual and every proof need;
+a stage's own proof reads its table as psi, the next step's as phi, and
+the residual as the backward stream of `engine.truncation_value`.  The
+residual column is formed in ints, from the cross products of each stage's
+depth-25 value with the reference.
 
 The proof (verify-chain's `symbolic` column) runs in ints and shares no
 shift, product tree or normal form with the derivation.  Two 2x2 matrices
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .engine import (
@@ -174,9 +176,12 @@ def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:
     )
 
 
-# The derived stages by chain position, filled in chain order as far as any
-# call has asked (the `stages._CATALOG` idiom); nothing is derived at import.
-_DERIVED: dict[str, Stage] = {}
+@cache
+def _derived(i: int) -> Stage:
+    """The normative stage at chain position i, derived from the Apery endpoint."""
+    if i == 0:
+        return catalog()["APERY"]
+    return derive_stage(_derived(i - 1), substitution_chain()[i - 1])
 
 
 def derived_chain(stop: str | None = None) -> dict[str, Stage]:
@@ -193,13 +198,7 @@ def derived_chain(stop: str | None = None) -> dict[str, Stage]:
         names = CHAIN_ORDER[: CHAIN_ORDER.index(stop) + 1]
     else:
         raise ValueError(f"unknown stage {stop!r}; chain positions: {', '.join(CHAIN_ORDER)}")
-    if not _DERIVED:
-        _DERIVED["APERY"] = catalog()["APERY"]
-    if len(_DERIVED) < len(names):
-        current = _DERIVED[CHAIN_ORDER[len(_DERIVED) - 1]]
-        for step in substitution_chain()[len(_DERIVED) - 1 : len(names) - 1]:
-            current = _DERIVED[step.to_stage] = derive_stage(current, step)
-    return {name: _DERIVED[name] for name in names}
+    return {name: _derived(i) for i, name in enumerate(names)}
 
 
 class StepReport(namedtuple("StepReport", "step_name symbolic_pass derived mismatches "
@@ -334,9 +333,9 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
 
     Unlike `derived_chain`, every call derives the whole chain afresh:
     deriving is what it checks, and an override derives another chain.
-    Each stage's step map is tabulated once (`_tabulate`), as far as its
-    residual and the proofs that read it need: its own as psi, the next
-    step's as phi.
+    Each stage's step map is tabulated once (`_tabulate`), to one length
+    for the whole chain, and read by its residual and by the proofs of its
+    own step, as psi, and of the next, as phi.
     """
     steps = CHAIN_ORDER[1:]
     for name in sigma_override or ():
@@ -344,9 +343,9 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
             raise ValueError(f"unknown step {name!r}; chain steps: {', '.join(steps)}")
     claimed = catalog()
     ref = zeta3_reference(RESIDUAL_REF_DIGITS).fraction
-    # The whole chain is derived first, since a stage's table length waits
-    # on the next step's degrees.  A degenerate sigma derives nothing, and
-    # the step after it starts from the same source.
+    # The whole chain is derived first, since the table length waits on
+    # every step's degrees.  A degenerate sigma derives nothing, and the
+    # step after it starts from the same source.
     links: list[tuple[Stage, SubstitutionStep, Stage | None, str | None]] = []
     source = claimed["APERY"]
     for step in substitution_chain():
@@ -359,23 +358,18 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
         else:
             links.append((source, step, derived, None))
             source = derived
-    # Each stage's table length, keyed by the stage object: a derived
-    # stage's covers its residual, and every table covers each proof that
-    # reads it.
-    rows: dict[int, tuple[Stage, int]] = {}
-    for source, step, derived, _ in links:
-        if derived is not None:
-            need = _proof_rows(source.step, derived.step, step.sigma)
-            for stage, least in ((source, 0), (derived, RESIDUAL_DEPTH + 1)):
-                rows[id(stage)] = stage, max(rows.get(id(stage), (stage, least))[1], need)
-    tables = {key: _tabulate(stage.step, count) for key, (stage, count) in rows.items()}
+    # One table length covers every residual and every proof.
+    count = max([RESIDUAL_DEPTH + 1] + [_proof_rows(source.step, derived.step, step.sigma)
+                                        for source, step, derived, _ in links
+                                        if derived is not None])
 
     reports: list[StepReport] = []
+    phi = _tabulate(claimed["APERY"].step, count)
     for source, step, derived, error in links:
         if derived is None:
             reports.append(StepReport(step.name, False, source, (), "n/a", error))
             continue
-        phi, psi = tables[id(source)], tables[id(derived)]
+        psi = _tabulate(derived.step, count)
         reports.append(StepReport(
             step.name,
             _symbolic_check(source, derived, step, phi, psi),
@@ -383,6 +377,7 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
             diff_stages(claimed[step.to_stage], derived),
             _residual(derived, psi, ref),
         ))
+        phi = psi
 
     derived = {r.step_name: r.derived for r in reports}
     variants = tuple(

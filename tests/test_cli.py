@@ -6,6 +6,7 @@ import contextlib
 import decimal
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -150,6 +151,27 @@ def test_catalog_rows_are_new_lists_on_every_call():
     rows.clear()
     _, payload, tables = cli._cmd_catalog(None)
     assert tables["catalog"][1] == want and payload == {"stages": 24}
+
+
+def test_benchmark_tracer_counts_the_chain_spans():
+    # perfbench/trace.py wraps package functions by name; a hooked name that
+    # is renamed, or a builder it cannot wrap, fails here as well as in the
+    # benchmark's own self-test.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "trace.py")
+    spec = importlib.util.spec_from_file_location("perfbench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    hooked = (stages.catalog, verify.derived_chain, verify.derive_stage)
+    tracer = trace.Tracer()
+    try:
+        tracer.install()
+        for argv in (["catalog"], ["eval", "W"], ["verify-chain"]):
+            assert run(argv)[0] == 0, argv
+    finally:
+        tracer.uninstall()
+    assert (stages.catalog, verify.derived_chain, verify.derive_stage) == hooked
+    for span in ("stages.catalog", "verify.derived_chain", "verify.derive_stage"):
+        assert tracer.agg.get(span, [0])[0] > 0, span
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

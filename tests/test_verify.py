@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 from decimal import Decimal
@@ -110,8 +111,10 @@ def test_second_derived_chain_derives_nothing(chain, monkeypatch):
 
 
 def test_derived_chain_derives_only_up_to_stop(monkeypatch):
-    # From an empty memo, each call derives the steps it newly asks for.
-    monkeypatch.setattr(verify, "_DERIVED", {})
+    # From an empty memo, each call derives the steps it newly asks for.  A
+    # fresh cache, not cache_clear(), leaves the session's shared stages as
+    # they are.
+    monkeypatch.setattr(verify, "_derived", functools.cache(verify._derived.__wrapped__))
     calls = _count_derivations(monkeypatch)
     assert tuple(derived_chain(stop="APERY")) == ("APERY",)
     assert calls == []
@@ -152,8 +155,8 @@ def test_nothing_is_derived_at_import():
 
     script = (
         "import zeta3cf.cli as c, zeta3cf.stages as s, zeta3cf.verify as v\n"
-        "assert v._DERIVED == {}, list(v._DERIVED)\n"
-        "assert s._CHAIN is None and s._CATALOG is None and c._CATALOG_ROWS == []\n"
+        "for f in (v._derived, s.catalog, s.substitution_chain, c._catalog_rows):\n"
+        "    assert f.cache_info().currsize == 0, f\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -457,7 +460,7 @@ def test_symbolic_check_catches_broken_shift(chain, monkeypatch):
     # a wrong psi wherever sigma or phi has such an entry.  A check that
     # shifted sigma too would share the fault and pass all nine steps; this
     # one evaluates sigma at k + 1 and flags those three.
-    assert stages._CHAIN is not None
+    assert stages.substitution_chain.cache_info().currsize
     shift = Poly.shift
 
     def broken(self, c):
@@ -480,7 +483,7 @@ def test_broken_shift_is_caught_with_the_memo_filled(chain, monkeypatch):
 
 def test_symbolic_check_catches_broken_product(chain, monkeypatch):
     # As above, the memos are filled before the product breaks.
-    assert stages._CHAIN is not None
+    assert stages.substitution_chain.cache_info().currsize
     mul = Poly.__mul__
 
     def broken(self, other):
