@@ -16,6 +16,12 @@ of maps is projective -- equal up to a nonzero scalar -- and is decided by
 comparing normal forms: the form above is unique in each projective class
 over Q(k), and every map is an exact multiple of its normal form.  So `==`
 (and the hash) is the tuple's own.
+
+Normalizing divides out the entries' integer content, then their gcd over
+Z[k], taken from the lowest-degree entry up so that a constant entry ends it
+at once.  A map of four constants -- every head, every sigma(0)*head product
+and `--hook-break-sigma`'s map -- has no factor of positive degree, and skips
+that search.
 """
 
 from __future__ import annotations
@@ -63,8 +69,7 @@ class PolyMobius(namedtuple("PolyMobius", "a b c d")):
         """The normal form of the entries.  Every constructor call runs it;
         perfbench's tracer times it as `mobius.new`."""
         entries = _normalize([as_poly(a), as_poly(b), as_poly(c), as_poly(d)])
-        det = entries[0] * entries[3] - entries[1] * entries[2]
-        if det.is_zero:
+        if entries[0] * entries[3] == entries[1] * entries[2]:
             raise DegenerateMobius(f"degenerate transformation {entries}")
         return entries
 
@@ -157,16 +162,19 @@ def _normalize(entries: list[Poly]) -> list[Poly]:
     g = gcd(*(n for e in entries for n in e.nums))
     if g > 1:
         entries = [_make([n // g for n in e.nums]) for e in entries]
-    # Common polynomial factor of positive degree.
-    g = Poly.zero()
-    for e in entries:
-        g = poly_gcd(g, e)
-        if g.degree == 0:
-            break
-    if g.degree > 0:
-        # g is primitive, so by Gauss's lemma the quotients stay integral and
-        # content-free.
-        entries = [e.divexact(g) for e in entries]
+    # Common polynomial factor of positive degree: none if every entry is
+    # constant; else searched from the lowest-degree entry, so that a
+    # constant one ends the search at its first gcd.
+    if any(len(e.nums) > 1 for e in entries):
+        g = Poly.zero()
+        for e in sorted(entries, key=lambda e: e.degree):
+            g = poly_gcd(g, e)
+            if g.degree == 0:
+                break
+        if g.degree > 0:
+            # g is primitive, so by Gauss's lemma the quotients stay integral
+            # and content-free.
+            entries = [e.divexact(g) for e in entries]
     # Sign: first nonzero entry has a positive leading coefficient.
     if next((e.nums[-1] for e in entries if e.nums), 0) < 0:
         entries = [-x for x in entries]

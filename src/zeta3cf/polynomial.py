@@ -10,7 +10,10 @@ one: a non-integral Fraction raises ValueError, anything else TypeError.
 it stays exact.  Division is one integer pseudo-division (Knuth, TAOCP
 vol. 2, 4.6.1, Algorithm R): `divexact` divides exactly over Z with it, and
 `poly_gcd` runs the primitive remainder sequence over Z[k] on it (Collins
-1967; Brown 1971).
+1967; Brown 1971); a zero operand needs no division, the gcd is the other's
+primitive part.  A product needs no trailing-zero strip: Z has no zero
+divisors, so two nonzero leading coefficients have a nonzero product.  A
+constant equals its scalar, so it hashes as that scalar.
 
 `value_at(k)` is the one Horner loop: an int for an integer k.  `p(x)` is
 `value_at(x)` cast to Fraction, for any rational x.  `run(count)`
@@ -123,7 +126,7 @@ class Poly(namedtuple("Poly", "nums")):
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Poly | Scalar) -> "Poly":
-        o = as_poly(other)
+        o = other if isinstance(other, Poly) else as_poly(other)
         return _make([a + b for a, b in zip_longest(self.nums, o.nums, fillvalue=0)])
 
     __radd__ = __add__
@@ -138,12 +141,17 @@ class Poly(namedtuple("Poly", "nums")):
         return _make([-n for n in self.nums])
 
     def __mul__(self, other: Poly | Scalar) -> "Poly":
-        o = as_poly(other)
+        o = other if isinstance(other, Poly) else as_poly(other)
+        if not self.nums or not o.nums:
+            return o if self.nums else self
         out = [0] * (len(self.nums) + len(o.nums) - 1)
         for i, a in enumerate(self.nums):
-            for j, b in enumerate(o.nums):
-                out[i + j] += a * b
-        return _make(out)
+            if a:
+                for j, b in enumerate(o.nums, i):
+                    out[j] += a * b
+        # No strip: the top entry is the product of two nonzero leading
+        # coefficients.
+        return tuple.__new__(Poly, (tuple(out),))
 
     __rmul__ = __mul__
 
@@ -162,10 +170,15 @@ class Poly(namedtuple("Poly", "nums")):
             return NotImplemented
         return self.nums == other.nums
 
-    # Defining __eq__ drops the inherited hash; tuple's own != would skip
-    # the scalar case above.
+    def __hash__(self) -> int:
+        """A constant hashes as its scalar, the zero polynomial as 0: each
+        equals that scalar."""
+        if len(self.nums) > 1:
+            return tuple.__hash__(self)
+        return hash(self.nums[0] if self.nums else 0)
+
+    # tuple's own != would skip the scalar case of __eq__.
     __ne__ = object.__ne__
-    __hash__ = tuple.__hash__
 
     # -- division ------------------------------------------------------
 
@@ -272,6 +285,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     The primitive remainder sequence: a, b = b, primitive(prem(a, b)).
     """
     a, b = p.primitive(), q.primitive()
+    if a.is_zero:
+        a, b = b, a
     while not b.is_zero:
         a, b = b, a.divmod(b)[1].primitive()
     return -a if a.nums and a.nums[-1] < 0 else a

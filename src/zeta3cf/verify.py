@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 from .engine import (
     Terms,
@@ -307,7 +306,11 @@ def _proportional(points: list) -> bool:
     return (
         any(any(L) for L, _ in points)
         and any(any(R) for _, R in points)
-        and all(L[i] * R[j] == L[j] * R[i] for L, R in points for i, j in combinations(range(4), 2))
+        and all(
+            a * f == b * e and a * g == c * e and a * h == d * e
+            and b * g == c * f and b * h == d * f and c * h == d * g
+            for (a, b, c, d), (e, f, g, h) in points
+        )
     )
 
 

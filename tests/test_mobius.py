@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from zeta3cf.mobius import (
     scale_map,
     shift_map,
 )
-from zeta3cf.polynomial import K, Poly
+from zeta3cf.polynomial import K, Poly, poly_gcd
 
 from test_polynomial import rand_poly
 
@@ -183,6 +184,76 @@ def test_normal_form_is_canonical(e, other, lam, g, same):
     assert m.proj_eq(PolyMobius(*other)) == minors_vanish(e, other)
     first = next(x for x in m if not x.is_zero)
     assert first.nums[-1] > 0
+
+
+def reference_normal_form(e: tuple) -> tuple:
+    """The normal form by its definition: content and the gcd of all four
+    entries, taken in entry order, divided out, then the sign fixed."""
+    g = math.gcd(*(n for x in e for n in x.nums))
+    e = tuple(Poly(tuple(n // g for n in x.nums)) for x in e) if g > 1 else e
+    h = Poly.zero()
+    for x in e:
+        h = poly_gcd(h, x)
+    if h.degree > 0:
+        e = tuple(x.divexact(h) for x in e)
+    first = next(x for x in e if not x.is_zero)
+    return tuple(-x for x in e) if first.nums[-1] < 0 else e
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=entry_quads, g=small_polys.filter(lambda p: not p.is_zero))
+def test_normal_form_matches_its_definition(e, g):
+    scaled = tuple(g * x for x in e)
+    assert tuple(PolyMobius(*scaled)) == reference_normal_form(scaled)
+
+
+small_ints = st.integers(-4, 4) | st.integers(-(10**12), 10**12)
+
+
+@settings(max_examples=200, deadline=None)
+@example((0, 0, 0, 0))
+@example((2, 4, 4, 8))
+@example((-6, 0, 0, 4))
+@given(st.tuples(small_ints, small_ints, small_ints, small_ints))
+def test_int_entries_build_the_map_of_their_constants(quad):
+    consts = [Poly.const(x) for x in quad]
+    try:
+        m = PolyMobius(*quad)
+    except DegenerateMobius as exc:
+        with pytest.raises(DegenerateMobius) as raised:
+            PolyMobius(*consts)
+        assert str(raised.value) == str(exc)
+        return
+    assert m == PolyMobius(*consts)
+    assert all(x.is_constant for x in m)
+
+
+def test_constant_map_skips_the_factor_search(monkeypatch):
+    calls = []
+
+    def spy(p, q):
+        calls.append((p, q))
+        return poly_gcd(p, q)
+
+    monkeypatch.setattr(mobius, "poly_gcd", spy)
+    PolyMobius(6, -4, 0, 10)
+    PolyMobius(Poly.const(3), Poly.zero(), Poly.const(-1), Poly.const(1))
+    assert calls == []
+    PolyMobius(K + 1, 1, 0, 1)
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "quad, text",
+    [
+        ((2, 4, 4, 8), "degenerate transformation [Poly(1), Poly(2), Poly(2), Poly(4)]"),
+        ((0, 0, 0, 0), "degenerate transformation [Poly(0), Poly(0), Poly(0), Poly(0)]"),
+    ],
+)
+def test_degenerate_constant_maps_keep_their_texts(quad, text):
+    with pytest.raises(DegenerateMobius) as raised:
+        PolyMobius(*quad)
+    assert str(raised.value) == text
 
 
 def test_builders():

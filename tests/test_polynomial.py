@@ -97,6 +97,17 @@ def test_gcd():
     q = (K + 1) * (K + 3)
     assert poly_gcd(p, q) == K + 1
     assert poly_gcd(p, Poly.zero()) == p.primitive()
+    assert poly_gcd(Poly.zero(), -2 * p) == p.primitive()
+    assert poly_gcd(Poly.zero(), Poly.zero()).is_zero
+
+
+def test_gcd_with_zero_divides_nothing(monkeypatch):
+    def refuse(self, divisor):
+        raise AssertionError("pseudo-division")
+
+    monkeypatch.setattr(Poly, "divmod", refuse)
+    assert poly_gcd(Poly.zero(), -6 * K**2 - 4) == 3 * K**2 + 2
+    assert poly_gcd(-6 * K**2 - 4, Poly.zero()) == 3 * K**2 + 2
 
 
 @pytest.mark.parametrize(
@@ -268,3 +279,59 @@ def test_gcd_common_factor(p, q, h):
     assert a.divmod(g)[1].is_zero and b.divmod(g)[1].is_zero
     if h.degree > 0:
         assert g.divmod(h.primitive())[1].is_zero
+
+
+def test_equal_scalars_hash_alike():
+    # A constant equals its scalar and the zero polynomial equals 0, so each
+    # must hash as that scalar too.
+    assert len({Poly.const(3), 3}) == 1
+    assert len({Poly.zero(), 0}) == 1
+    assert len({Poly.const(-5), Fraction(-5), -5}) == 1
+    assert {K: "k"}[Poly((0, 1))] == "k"
+
+
+def schoolbook(p: tuple, q: tuple) -> tuple:
+    """Reference product: every pair of coefficients, then trailing zeros stripped."""
+    out = [0] * (len(p) + len(q))
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+# Small entries put zero inner coefficients and negative leading ones in
+# most draws; the wide ones keep big-int products in.
+mul_polys = st.lists(st.integers(-2, 2) | st.integers(-(10**20), 10**20), max_size=7).map(Poly)
+int_scalars = st.integers(-3, 3) | st.integers(-(10**20), 10**20)
+
+
+def _canonical(p: Poly) -> bool:
+    return not p.nums or (p.nums[-1] != 0 and all(type(n) is int for n in p.nums))
+
+
+@settings(max_examples=300, deadline=None)
+@example(Poly.zero(), K + 1)
+@example(K + 1, Poly.zero())
+@example(Poly.zero(), Poly.zero())
+@example(Poly((3, 0, 0, -2)), Poly((0, 0, -1)))
+@given(mul_polys, mul_polys)
+def test_mul_matches_schoolbook(p, q):
+    product = p * q
+    assert product.nums == schoolbook(p.nums, q.nums)
+    assert _canonical(product)
+
+
+@settings(max_examples=200, deadline=None)
+@example(K - 1, 0, False)
+@example(Poly.zero(), -4, True)
+@given(mul_polys, int_scalars, st.booleans())
+def test_mul_by_a_scalar_matches_schoolbook(p, c, as_fraction):
+    # int and integral Fraction scalars, on the right (__mul__) and on the
+    # left (__rmul__).
+    scalar = Fraction(c) if as_fraction else c
+    want = schoolbook(p.nums, (c,))
+    for product in (p * scalar, scalar * p):
+        assert product.nums == want
+        assert _canonical(product)

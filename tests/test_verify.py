@@ -5,6 +5,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 
 import pytest
@@ -515,6 +516,60 @@ def test_symbolic_check_side_zero_at_a_sample_point():
     step = SubstitutionStep("T", "S", "T", sigma)
     assert symbolic_check(source, derived, step)
     assert not symbolic_check(source, derived._replace(step=psi._replace(d=K**2 + 1)), step)
+
+
+def six_minor_proportional(points: list) -> bool:
+    """Reference for `_proportional`: every 2x2 minor L_i R_j - L_j R_i
+    vanishes at every point, and neither side is zero at them all."""
+    return (
+        any(any(L) for L, _ in points)
+        and any(any(R) for _, R in points)
+        and all(L[i] * R[j] == L[j] * R[i] for L, R in points for i, j in combinations(range(4), 2))
+    )
+
+
+int_quads4 = st.tuples(*[st.integers(-6, 6)] * 4)
+nonzero_ints = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def proportion_points(draw):
+    """(L, R) pairs: free, proportional (zero and negative scalars too), a
+    zero side, or both sides nonzero at only two places i < j, so that the
+    one minor (i, j) alone can be off."""
+    kind = draw(st.sampled_from(["free", "scaled", "zero L", "zero R", "one minor"]))
+    L = draw(int_quads4)
+    if kind == "free":
+        return L, draw(int_quads4)
+    if kind == "scaled":
+        lam = draw(st.integers(-4, 4))
+        return L, tuple(lam * x for x in L)
+    if kind == "zero L":
+        return (0, 0, 0, 0), draw(int_quads4)
+    if kind == "zero R":
+        return L, (0, 0, 0, 0)
+    i, j = draw(st.sampled_from(list(combinations(range(4), 2))))
+    L, R = [0] * 4, [0] * 4
+    L[i], L[j], R[i], R[j] = (draw(nonzero_ints) for _ in range(4))
+    return tuple(L), tuple(R)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(proportion_points(), max_size=4))
+def test_proportional_matches_the_six_minors(points):
+    assert verify._proportional(points) == six_minor_proportional(points)
+
+
+@pytest.mark.parametrize("i, j", list(combinations(range(4), 2)))
+def test_proportional_sees_each_minor(i, j):
+    # Only the minor (i, j) is off at the second point; the first is
+    # proportional under -3, with no zero entry.
+    L, R = [0] * 4, [0] * 4
+    L[i] = L[j] = R[i] = 1
+    R[j] = 2
+    points = [((1, 2, 3, 5), (-3, -6, -9, -15)), (tuple(L), tuple(R))]
+    assert verify._proportional(points[:1]) and six_minor_proportional(points[:1])
+    assert not verify._proportional(points) and not six_minor_proportional(points)
 
 
 @pytest.mark.parametrize("sigma", [PolyMobius.identity(), None])
