@@ -162,9 +162,7 @@ def _normalize(entries: list[Poly]) -> list[Poly]:
     g = gcd(*(n for e in entries for n in e.nums))
     if g > 1:
         entries = [_make([n // g for n in e.nums]) for e in entries]
-    # Common polynomial factor of positive degree: none if every entry is
-    # constant; else searched from the lowest-degree entry, so that a
-    # constant one ends the search at its first gcd.
+    # Common polynomial factor of positive degree, lowest-degree entry first.
     if any(len(e.nums) > 1 for e in entries):
         g = Poly.zero()
         for e in sorted(entries, key=lambda e: e.degree):
