@@ -36,9 +36,9 @@ first row ends in that row: (1, 0, 0, 0), or backward evaluation's seed
 (x, y, 0, 0).  One rule sets the tree's mode: every int product that is
 read only as a ratio runs it projective, shedding the large content that
 step products share (for Apery's fraction, q_n = (n!)^3 b_n; van der
-Poorten 1979) once its nodes reach `mobius.CONTENT_BITS` bits, and only
-`reduced_at`'s stretches, whose content is printed as a gcd, keep the
-exact tree.  These product walks, like `reduced_at`, test only the
+Poorten 1979) in alternate rounds once its nodes reach
+`mobius.CONTENT_BITS` bits, and only `reduced_at`'s stretches, whose
+content is printed as a gcd, keep the exact tree.  These product walks, like `reduced_at`, test only the
 denominators they report: an infinite value on the way is a point of the
 projective line, not an error.
 
@@ -227,9 +227,13 @@ def _primitive_walk(
             raise DegenerateConvergent(n)
         gx = 0
         if guesses is not None:
+            # Strip the primes det shares with radix by gcds with the
+            # small shared part, not the whole radix.
             det = abs(a * d - b * c)
-            while det and (g := math.gcd(det, radix)) != 1:
+            g = math.gcd(det, radix)
+            while g != 1 and det:
                 det //= g
+                g = math.gcd(det, g)
             radix *= det
             num, den = next(guesses, (0, 0))
             k, r = divmod(x2, den) if den else (0, 1)

@@ -11,7 +11,8 @@ A map is the record (a, b, c, d) of that normal form, the very tuple that
 `_product`, the package's one 2x2 matrix product, which serves these
 polynomial matrices and the integer matrices of the engine alike.  Its
 projective mode divides the large integer nodes of the tree by their
-content, for every engine product that is read only as a ratio.  Equality
+content in alternate rounds, for every engine product that is read only as
+a ratio.  Equality
 of maps is projective -- equal up to a nonzero scalar -- and is decided by
 comparing normal forms: the form above is unique in each projective class
 over Q(k), and every map is an exact multiple of its normal form.  So `==`
@@ -137,20 +138,28 @@ def _product(mats: Iterable[tuple], projective: bool = False) -> tuple:
     node on the tree's last edge a row, at half a matrix's cost.
 
     `projective` (ints only) gives a positive integer multiple of the
-    product instead: in each round where an end node has an entry of
+    product instead: in a round where an end node has an entry of
     CONTENT_BITS bits or more, each node below the root is divided by the
-    gcd of its four entries.  That keeps every ratio, sign and zero of the
-    entries.  Matrices that grow or shrink along the list put each round's
-    largest node at an end, so a round of small nodes costs one test."""
+    gcd of its four entries, unless the round before it did so.  That keeps
+    every ratio, sign and zero of the entries.  A shed costs a quadratic gcd
+    per node while the merges multiply in subquadratic time, and one merge
+    adds only about a fifth of a node's size in content, so shedding in
+    alternate rounds keeps most of the saving at fewer gcds.  Matrices that
+    grow or shrink along the list put each round's largest node at an end,
+    so a round of small nodes costs one test."""
     mats = list(mats) or [(1, 0, 0, 1)]
+    shed = False
     while len(mats) > 1:
         odd = mats[:len(mats) % 2]
         mats = [
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
             for (e, f, g, h), (a, b, c, d) in zip(mats[len(odd)::2], mats[len(odd) + 1::2])
         ]
-        big = projective and max(map(abs, mats[0] + mats[-1])).bit_length() >= CONTENT_BITS
-        if big and len(mats) + len(odd) > 1:
+        shed = (
+            projective and not shed and len(mats) + len(odd) > 1
+            and max(map(abs, mats[0] + mats[-1])).bit_length() >= CONTENT_BITS
+        )
+        if shed:
             # An all-zero node has gcd 0 and stays as it is.
             mats = [tuple(x // k for x in m) if (k := gcd(*m)) > 1 else m for m in mats]
         mats = odd + mats

@@ -63,7 +63,9 @@ def test_library_import_loads_no_cli_or_argparse():
         "cli = {'zeta3cf.cli', 'argparse', 'gettext', 'locale'}\n"
         "assert not cli & (set(sys.modules) - before), cli & set(sys.modules)\n"
     )
-    result = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the child from writing
+    # bytecode into the source tree.
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 

@@ -232,13 +232,17 @@ random_levels = st.lists(
 @example(
     levels=[(Poly([4]), K**2 - 3 * K - 2), (Poly([0]), -2 * K**2 - 3 * K - 3)], b0=3, a1=-2, m=6
 )
-@given(random_levels, small_ints, nonzero_small_ints, st.integers(0, 6))
+@example(levels=[(Poly([-2]), -3 * K**2 - 4 * K + 2), (Poly([-4]), K - 4)], b0=3, a1=3, m=10)
+@given(random_levels, small_ints, nonzero_small_ints, st.integers(0, 12))
 def test_truncation_value_matches_forward_on_random_level_stages(levels, b0, a1, m):
     # The same relation on random level stages: backward through the
     # normalized step map, forward through the flattened term families, each
     # as one product with no test on the intermediate columns.  Only a final
     # q = 0 is skipped; a backward pole with a finite forward value fails.
-    # The example passes infinity between maps on the way (value 3).
+    # The first example passes infinity between maps on the way (value 3).
+    # The second is a stream of 13 matrices: with CONTENT_BITS at 0 its
+    # tree sheds in rounds 1 and 3 and not in round 2, and singular nodes
+    # off the seed row's edge (a = k - 4 vanishes at k = 4) meet both kinds.
     stage = stage_from_levels("R", levels, PolyMobius(b0, a1, 1, 0), Target.TWO_ZETA3)
     flat = flatten(stage)
     steps = [(b, a, 1, 0) for a, b in flat.terms(len(levels) * (m + 1))]
@@ -248,8 +252,9 @@ def test_truncation_value_matches_forward_on_random_level_stages(levels, b0, a1,
 
 
 def test_truncation_value_matches_forward_with_every_node_reduced(monkeypatch):
-    # The same property with every node below the root divided by its
-    # content, so that infinities and 0/0 pass through reduced nodes.
+    # The same property with every round that may shed shedding: the nodes
+    # below the root are divided by their content in alternate rounds, so
+    # that infinities and 0/0 pass through reduced and unreduced nodes.
     monkeypatch.setattr(mobius, "CONTENT_BITS", 0)
     test_truncation_value_matches_forward_on_random_level_stages()
 
@@ -273,13 +278,39 @@ def test_backward_product_sheds_its_content(monkeypatch):
     assert value == Fraction(exact[0], exact[1])
 
 
+def test_backward_product_sheds_in_alternate_rounds(monkeypatch):
+    # At G, depth 1378, the product of 1381 matrices first reaches
+    # CONTENT_BITS in its round of 11 nodes.  That round and the round of 3
+    # shed, and the rounds of 5 and 1 between them and the root do not: 14
+    # content gcds (20 when every round past the size shed), and a root of
+    # 17 327 bits (14 391).
+    stage = derived_chain(stop="G")["G"]
+    calls = []
+
+    def gcd(*entries):
+        calls.append(len(entries))
+        return math.gcd(*entries)
+
+    roots = []
+
+    def product(mats, projective=False):
+        roots.append(_product(mats, projective))
+        return roots[-1]
+
+    monkeypatch.setattr(mobius, "gcd", gcd)
+    monkeypatch.setattr(engine, "_product", product)
+    truncation_value(stage, 1378)
+    assert calls == [4] * 14
+    assert max(map(abs, roots[0])).bit_length() == 17327
+
+
 def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fraction:
     """Apply step_k for k = top-1 .. 0, then the head, to the column (x, y) = x/y,
     as one projective product: (1, 0) is infinity, and a node is only ever
     divided by a positive integer, so a map's 0/0 stays (0, 0) and only the
     final column needs testing.  The nodes below the root shed their integer
-    content, about two thirds of the column's bits, once they reach
-    `mobius.CONTENT_BITS` bits; `Fraction` reduces the root.  The step
+    content, about two thirds of the column's bits, in alternate rounds once
+    they reach `mobius.CONTENT_BITS` bits; `Fraction` reduces the root.  The step
     matrices come from one `Poly.run` of each entry along k = 0 .. top-1.
     """
     if depth < 0:
@@ -334,6 +365,10 @@ def test_backward_matches_descend_on_the_chain(chain, monkeypatch, content_bits)
 
 
 @settings(max_examples=100, deadline=None)
+@example(  # 11 matrices: all-zero and singular nodes in a shed and an unshed round at 0
+    levels=[(Poly([-2]), K - K**2), (2 - 2 * K, 2 * K - 4), (4 * K**2 - K + 3, 2 - 3 * K)],
+    b0=4, a1=3, depth=8, content_bits=0,
+)
 @given(random_levels, small_ints, nonzero_small_ints, st.integers(0, 12), st.sampled_from([2500, 0]))
 def test_backward_matches_descend_on_random_level_stages(levels, b0, a1, depth, content_bits):
     stage = stage_from_levels("R", levels, PolyMobius(b0, a1, 1, 0), Target.TWO_ZETA3)

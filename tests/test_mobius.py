@@ -286,13 +286,50 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+# Lists of 9 to 11 matrices: with the size at 0 their trees shed in rounds 1
+# and 3 and not in round 2, with all-zero and singular nodes in each kind.
+long_examples = [
+    [(1, 2, -6, 3), (0, 0, 0, -2), (3, 0, 3, 2), (0, 0, 1, 0), (0, 0, -3, -1),
+     (-3, -1, 0, 2), (1, -3, -2, 6), (-2, -2, -2, 2), (0, 1, 0, 2)],
+    [(1, 4, 6, 2), (-2, -1, -2, 0), (-6, 1, 2, -3), (1, 2, 1, 2), (2, -2, 0, 0),
+     (1, 0, -4, 0), (0, 1, -2, -1), (-6, 0, 2, -1), (-1, 0, 2, 2), (-1, -3, 2, 6)],
+    [(4, 0, -1, -4), (-3, -2, 0, 0), (-2, -2, 2, -4), (1, -2, 6, 1), (0, 0, 0, 3),
+     (2, 0, -2, 0), (-1, 2, 0, -1), (-1, 0, 2, 0), (2, 0, 4, -6), (-2, 3, 0, 4), (-2, -1, 2, 3)],
+]
+
+
+def _shed_kinds(quads):
+    # {(shed, kind)} over the rounds below the root of the tree of `quads`
+    # with the size at 0: a round sheds when the round before did not.
+    kinds, mats, shed = set(), list(quads), False
+    while len(mats) > 1:
+        odd = mats[:len(mats) % 2]
+        mats = [_product(pair) for pair in zip(mats[len(odd)::2], mats[len(odd) + 1::2])]
+        if len(mats) + len(odd) > 1:
+            shed = not shed
+            kinds |= {(shed, "zero" if not any(m) else "singular") for m in mats
+                      if m[0] * m[3] == m[1] * m[2]}
+        mats = odd + mats
+    return kinds
+
+
+def test_long_examples_shed_around_zero_and_singular_nodes():
+    want = {(shed, kind) for shed in (True, False) for kind in ("zero", "singular")}
+    for quads in long_examples:
+        assert len(quads) >= 9 and _shed_kinds(quads) == want
+
+
 @settings(max_examples=300, deadline=None)
 @example([(0, 0, 0, 0), (2, 0, 0, 2), (1, 1, 1, 1)])  # an all-zero node
-@given(st.lists(int_quads, max_size=12))
+@example(long_examples[0])
+@example(long_examples[1])
+@example(long_examples[2])
+@given(st.lists(int_quads, max_size=20))
 def test_projective_product_is_a_positive_multiple(quads):
-    # With the size at 0 every node below the root is divided by its
-    # content; the root is a positive multiple of the exact product: every
-    # cross product of two entries vanishes and every sign agrees.
+    # With the size at 0 every round that may shed does: the nodes below the
+    # root are divided by their content in alternate rounds, from the first.
+    # The root is a positive multiple of the exact product: every cross
+    # product of two entries vanishes and every sign agrees.
     exact = _product(quads)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mobius, "CONTENT_BITS", 0)
@@ -303,13 +340,16 @@ def test_projective_product_is_a_positive_multiple(quads):
 
 @settings(max_examples=300, deadline=None)
 @example([(0, 0, 0, 0), (2, 0, 0, 2), (1, 1, 1, 1)])
-@given(st.lists(int_quads, max_size=12))
+@example(long_examples[0])
+@example(long_examples[1])
+@example(long_examples[2])
+@given(st.lists(int_quads, max_size=20))
 def test_product_ending_in_a_row_is_its_first_row(quads):
     # A product read only through its first row ends in (1, 0, 0, 0).  Of a
     # list of either parity, zero and singular matrices among them, that
     # gives the first row of the product without it, and a zero second row:
-    # exactly, and as a positive multiple with every node below the root
-    # divided by its content.
+    # exactly, and as a positive multiple with the nodes below the root
+    # divided by their content in alternate rounds.
     exact = _product(quads)
     rowed = [*quads, (1, 0, 0, 0)]
     assert _product(rowed) == (*exact[:2], 0, 0)
@@ -338,6 +378,28 @@ def test_projective_product_finds_its_largest_node_at_either_end():
         exact = _product(quads)
         root = _product(quads, projective=True)
         assert exact == tuple(x << mobius.CONTENT_BITS for x in root)
+
+
+def test_projective_product_sheds_in_alternate_rounds(monkeypatch):
+    # A round sheds only if the round before it did not.  Of 16 matrices at
+    # size 0, the rounds of 8 and 2 nodes shed and the round of 4 does not:
+    # 10 gcds, not 14.  Of 16 Fibonacci steps at size 3, the round of 8
+    # nodes (entries of 2 bits) does not qualify, the round of 4 ((5, 3, 3,
+    # 2)) sheds, and the round of 2 after it does not: 4 gcds.
+    calls = []
+
+    def gcd(*entries):
+        calls.append(len(entries))
+        return math.gcd(*entries)
+
+    monkeypatch.setattr(mobius, "gcd", gcd)
+    quads = [(3, 1, 1, 0)] * 15 + [(2, 0, 0, 2)]
+    for size, count in ((0, 10), (3, 4)):
+        monkeypatch.setattr(mobius, "CONTENT_BITS", size)
+        calls.clear()
+        root = _product(quads if size == 0 else [(1, 1, 1, 0)] * 16, projective=True)
+        assert calls == [4] * count
+    assert root == (1597, 987, 987, 610)
 
 
 def test_projective_product_keeps_small_nodes_exact():
