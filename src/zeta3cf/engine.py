@@ -38,9 +38,9 @@ read only as a ratio runs it projective, shedding the large content that
 step products share (for Apery's fraction, q_n = (n!)^3 b_n; van der
 Poorten 1979) in alternate rounds once its nodes reach
 `mobius.CONTENT_BITS` bits, and only `reduced_at`'s stretches, whose
-content is printed as a gcd, keep the exact tree.  These product walks, like `reduced_at`, test only the
-denominators they report: an infinite value on the way is a point of the
-projective line, not an error.
+content is printed as a gcd, keep the exact tree.  These product walks,
+like `reduced_at`, test only the denominators they report: an infinite
+value on the way is a point of the projective line, not an error.
 
 Printed integers thousands of digits long are carried as integral
 Decimals, exact through `rational.EXACT`, because CPython converts an int

@@ -12,11 +12,10 @@ A map is the record (a, b, c, d) of that normal form, the very tuple that
 polynomial matrices and the integer matrices of the engine alike.  Its
 projective mode divides the large integer nodes of the tree by their
 content in alternate rounds, for every engine product that is read only as
-a ratio.  Equality
-of maps is projective -- equal up to a nonzero scalar -- and is decided by
-comparing normal forms: the form above is unique in each projective class
-over Q(k), and every map is an exact multiple of its normal form.  So `==`
-(and the hash) is the tuple's own.
+a ratio.  Equality of maps is projective -- equal up to a nonzero scalar --
+and is decided by comparing normal forms: the form above is unique in each
+projective class over Q(k), and every map is an exact multiple of its
+normal form.  So `==` (and the hash) is the tuple's own.
 
 Normalizing divides out the entries' integer content, then their gcd over
 Z[k], taken from the lowest-degree entry up so that a constant entry ends it

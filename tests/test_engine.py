@@ -310,8 +310,8 @@ def _descend(stage: Stage, depth: int, top: int, seed: tuple[int, int]) -> Fract
     divided by a positive integer, so a map's 0/0 stays (0, 0) and only the
     final column needs testing.  The nodes below the root shed their integer
     content, about two thirds of the column's bits, in alternate rounds once
-    they reach `mobius.CONTENT_BITS` bits; `Fraction` reduces the root.  The step
-    matrices come from one `Poly.run` of each entry along k = 0 .. top-1.
+    they reach `mobius.CONTENT_BITS` bits; `Fraction` reduces the root.  The
+    step matrices come from one `Poly.run` of each entry along k = 0 .. top-1.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

@@ -393,11 +393,11 @@ def test_projective_product_sheds_in_alternate_rounds(monkeypatch):
         return math.gcd(*entries)
 
     monkeypatch.setattr(mobius, "gcd", gcd)
-    quads = [(3, 1, 1, 0)] * 15 + [(2, 0, 0, 2)]
-    for size, count in ((0, 10), (3, 4)):
+    for size, quads, count in ((0, [(3, 1, 1, 0)] * 15 + [(2, 0, 0, 2)], 10),
+                               (3, [(1, 1, 1, 0)] * 16, 4)):
         monkeypatch.setattr(mobius, "CONTENT_BITS", size)
         calls.clear()
-        root = _product(quads if size == 0 else [(1, 1, 1, 0)] * 16, projective=True)
+        root = _product(quads, projective=True)
         assert calls == [4] * count
     assert root == (1597, 987, 987, 610)
 
