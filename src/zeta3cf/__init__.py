@@ -33,7 +33,6 @@ from .stages import (
     catalog,
     flatten,
     lookup,
-    peel_head,
     substitution_chain,
 )
 from .verify import (
@@ -81,7 +80,6 @@ __all__ = [
     "level_map",
     "lookup",
     "oracles_agree",
-    "peel_head",
     "poly_gcd",
     "scale_map",
     "shift_map",

@@ -65,9 +65,13 @@ def _resolve_numeric_stage(name: str) -> stages.Stage:
     the literal transcription for presentational variants."""
     cat = stages.catalog()
     if name not in cat:
+        base, _, suffix = name.partition(".")
+        if suffix == "derived" and base in stages.CHAIN_ORDER[1:]:
+            raise CommandError(f"unknown stage {name!r}; eval {base} evaluates the derived"
+                               f" stage of chain position {base}")
         known = ", ".join(cat)
         raise CommandError(f"unknown stage {name!r}; known stages: {known}")
-    if name in ("APERY", "N"):
+    if name == "N":
         return cat[name]
     if name in stages.CHAIN_ORDER:
         return verify.derived_chain(stop=name)[name]
@@ -75,9 +79,8 @@ def _resolve_numeric_stage(name: str) -> stages.Stage:
 
 
 def _int_str_limit() -> int:
-    """This interpreter's int-str digit limit, 0 for none (as in Python 3.10
-    builds before 3.10.7, which have no limit)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """This interpreter's int-str digit limit, 0 for none."""
+    return sys.get_int_max_str_digits()
 
 
 def _ratio_str(num: int, den: int) -> str:

@@ -16,7 +16,8 @@ of named intermediate stages,
     APERY -> A5 -> W -> U -> P -> Q -> Z -> H -> G -> N,
 
 each obtained from the previous by a substitution X^{from}_k = sigma_k(X^{to}_k)
-(a shift, a scaling, or a constant Moebius change of variable).
+(the first, the head peel, is sigma = phi, Apery's own step; then a shift, a
+scaling, or a constant Moebius change of variable).
 
 The catalog stores each stage as it is traditionally displayed ("claimed"
 entries, transcribed literally, including any typographical damage the
@@ -107,13 +108,9 @@ class Stage(namedtuple("Stage", "name step head target levels kind note",
 
 class SubstitutionStep(namedtuple("SubstitutionStep", "name from_stage to_stage sigma note",
                                   defaults=("",))):
-    """Chain link: X^{from}_k = sigma_k(X^{to}_k); sigma None marks the head peel."""
+    """Chain link: X^{from}_k = sigma_k(X^{to}_k), sigma a PolyMobius."""
 
     __slots__ = ()
-
-    @property
-    def is_peel(self) -> bool:
-        return self.sigma is None
 
 
 class FlatCF(namedtuple("FlatCF", "name b0 period b_fam a_fam exceptions",
@@ -190,27 +187,6 @@ def stage_from_levels(
     # [1, 0]] has determinant -a, nonzero, so the product is never degenerate.
     step = PolyMobius(*_product((lv.b, lv.a, 1, 0) for lv in reversed(lvls)))
     return Stage(name, step, head, target, levels=lvls, kind=kind, note=note)
-
-
-def peel_head(stage: Stage, new_name: str | None = None) -> Stage:
-    """Absorb the k = 0 recurrence step into the head and shift k -> k+1.
-
-    The peeled stage evaluates to the same target: running the original to
-    depth m+1 equals running the peeled stage to depth m with the same seed.
-    """
-    head = PolyMobius(*_product([stage.step.at_k(0), stage.head.at_k(0)]))
-    levels = None
-    if stage.levels is not None:
-        levels = tuple(Level(lv.b.shift(1), lv.a.shift(1)) for lv in stage.levels)
-    return Stage(
-        new_name or f"{stage.name}+1",
-        stage.step.shifted(1),
-        head,
-        stage.target,
-        levels=levels,
-        kind="derived",
-        note=stage.note,
-    )
 
 
 def flatten(stage: Stage) -> FlatCF:
@@ -469,14 +445,14 @@ VARIANTS = {"A5": ("A6",), "U": ("U4",), "Q": ("Q12",), "G": ("G16", "G17")}
 def substitution_chain() -> tuple[SubstitutionStep, ...]:
     """The ordered chain of rewrites carrying APERY into N.
 
-    The first entry is the distinguished head peel (absorb the k = 0 step
-    and shift the index); every later entry is a substitution
-    X^{from}_k = sigma_k(X^{to}_k).  Built on the first call; every call
-    returns the same tuple of immutable steps.
+    Every entry is a substitution X^{from}_k = sigma_k(X^{to}_k).  The
+    first, the head peel, is sigma = phi, Apery's own step map: with
+    A5_k = A_{k+1}, A_k = phi_k(A5_k).  Built on the first call; every
+    call returns the same tuple of immutable steps.
     """
     k = K
     return (
-        SubstitutionStep("A5", "APERY", "A5", None, note="head peel, k -> k+1"),
+        SubstitutionStep("A5", "APERY", "A5", catalog()["APERY"].step),
         SubstitutionStep("W", "A5", "W", shift_map(5 * (k + 1) ** 3), note=T_NOTE),
         SubstitutionStep("U", "W", "U", scale_map(6 * (k + 1))),
         SubstitutionStep("P", "U", "P", scale_map((k + 1) ** 2)),

@@ -59,7 +59,6 @@ from .stages import (
     SubstitutionStep,
     Target,
     catalog,
-    peel_head,
     substitution_chain,
 )
 
@@ -92,9 +91,7 @@ def _two_zeta3_head(stage: Stage) -> tuple[int, int, int, int]:
 
 def _check_sigma(step: SubstitutionStep) -> None:
     """Nondegenerate for all integer k >= 0: det has no nonnegative integer root."""
-    sigma = step.sigma
-    assert sigma is not None
-    det = sigma.det.primitive()
+    det = step.sigma.det.primitive()
     if det.is_constant:
         return
     if det.nums[0] == 0:
@@ -151,10 +148,7 @@ def _derivative(f: Poly) -> Poly:
 
 def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:
     """Rewrite `source` through one chain step; result is the normative stage."""
-    if step.is_peel:
-        return peel_head(source, new_name=step.to_stage)
     sigma = step.sigma
-    assert sigma is not None
     _check_sigma(step)
     adjugate = (sigma.d, -sigma.b, -sigma.c, sigma.a)
     shifted = tuple(e.shift(1) for e in sigma)
@@ -264,34 +258,26 @@ def _tabulate(m: PolyMobius, count: int) -> list[list[int]]:
     return [list(e.run(count)) for e in m]
 
 
-def _proof_rows(phi: PolyMobius, psi: PolyMobius, sigma: PolyMobius | None) -> int:
+def _proof_rows(phi: PolyMobius, psi: PolyMobius, sigma: PolyMobius) -> int:
     """How many rows, k = 0 .. D + 1, of phi's and psi's tables
     `_symbolic_check` reads: D = deg L + deg R bounds its minors' degrees."""
-    mats = (psi, phi) if sigma is None else (sigma, sigma, psi, phi)
-    return sum(max(e.degree for e in m) for m in mats) + 2
+    return sum(max(e.degree for e in m) for m in (sigma, sigma, psi, phi)) + 2
 
 
 def _symbolic_check(source: Stage, derived: Stage, step: SubstitutionStep,
                     phi_table: list[list[int]], psi_table: list[list[int]]) -> bool:
     """Exact polynomial identity behind the rewrite, proved at integer points.
 
-    Substitution: L(k) = sigma(k) psi(k) against R(k) = phi(k) sigma(k+1), and
-    the derived head against the source head times sigma(0).  Head peel:
-    psi(k) against phi(k+1), and the head against the source head times phi(0).
-    `phi_table` and `psi_table` tabulate the source's and the derived step
-    map (`_tabulate`) at least as far as `_proof_rows` asks.
+    L(k) = sigma(k) psi(k) against R(k) = phi(k) sigma(k+1), and the derived
+    head against the source head times sigma(0).  `phi_table` and
+    `psi_table` tabulate the source's and the derived step map (`_tabulate`)
+    at least as far as `_proof_rows` asks.
     """
-    sigma = step.sigma
-    top = _proof_rows(source.step, derived.step, sigma) - 2
+    top = _proof_rows(source.step, derived.step, step.sigma) - 2
     phi, psi = list(zip(*phi_table)), list(zip(*psi_table))
-    if sigma is None:
-        points = [(psi[k], phi[k + 1]) for k in range(top + 1)]
-        entry = phi[0]
-    else:
-        s = list(zip(*_tabulate(sigma, top + 2)))
-        points = [(_mul(s[k], psi[k]), _mul(phi[k], s[k + 1])) for k in range(top + 1)]
-        entry = s[0]
-    head = (derived.head.at_k(0), _mul(source.head.at_k(0), entry))
+    s = list(zip(*_tabulate(step.sigma, top + 2)))
+    points = [(_mul(s[k], psi[k]), _mul(phi[k], s[k + 1])) for k in range(top + 1)]
+    head = (derived.head.at_k(0), _mul(source.head.at_k(0), s[0]))
     return _proportional(points) and _proportional([head])
 
 

@@ -41,7 +41,7 @@ from golden import STDOUT_GOLDEN
 from golden import main as run_golden
 from test_engine import _flat_from_families, random_integer_cfs
 
-INT_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+INT_STR_LIMIT = sys.get_int_max_str_digits()
 
 
 def run(argv):
@@ -81,6 +81,25 @@ def test_eval_unknown_stage_exits_2():
     assert code == 2
     assert "unknown stage" in text
     assert "status: error" in text
+
+
+@pytest.mark.parametrize("name", stages.CHAIN_ORDER[1:])
+def test_derived_catalog_name_points_to_its_chain_position(name):
+    # catalog prints NAME.derived; the numeric commands take NAME for it.
+    code, doc = run_json(["eval", f"{name}.derived"])
+    assert code == 2
+    assert doc["payload"]["error"] == (
+        f"unknown stage '{name}.derived'; eval {name} evaluates the derived stage"
+        f" of chain position {name}"
+    )
+
+
+@pytest.mark.parametrize("command", ["convergents", "rate"])
+@pytest.mark.parametrize("name", stages.CHAIN_ORDER[1:-1])
+def test_derived_chain_stages_have_no_levels_to_flatten(command, name):
+    code, doc = run_json([command, name])
+    assert code == 2
+    assert doc["payload"]["error"] == f"stage {name} has no level decomposition to flatten"
 
 
 def test_eval_derived_stage_backward_path():
@@ -618,7 +637,6 @@ def test_convergents_past_the_int_str_limit(apery_flat):
         assert code == 0
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str limit")
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize(
     "argv", [["eval", "APERY", "--depth", "300"], ["convergents", "APERY", "--n-max", "300"]]
@@ -649,7 +667,6 @@ LOWEST_LIMIT_REQUESTS = (
 )
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str limit")
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("request_", LOWEST_LIMIT_REQUESTS)
 def test_lowest_int_str_limit_changes_no_printed_byte(request_, fmt):
@@ -669,7 +686,6 @@ def test_lowest_int_str_limit_changes_no_printed_byte(request_, fmt):
         assert run(argv) == (0, text)
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str limit")
 @pytest.mark.parametrize(
     "argv, formats_print",
     [(["gutnik", "--v-max", "700"], False), (["convergents", "APERY", "--n-max", "600"], True)],
@@ -690,7 +706,6 @@ def test_json_limit_error_names_other_formats_only_when_they_print(argv, formats
     assert ("use --format text or csv" in error) == formats_print
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str limit")
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_gutnik_past_the_int_str_limit_prints_only_the_error_envelope(fmt):
     # nes_gcd at v = 700 is longer than 4300 digits.  Every format ends in

@@ -13,15 +13,16 @@ from zeta3cf.stages import (
     CHAIN_ORDER,
     HeadNotFlattenable,
     Stage,
+    SubstitutionStep,
     Target,
     catalog,
     flatten,
     lookup,
-    peel_head,
     perturbed,
     stage_from_levels,
     substitution_chain,
 )
+from zeta3cf.verify import derive_stage
 
 
 def nested_truncation(stage: Stage, n: int) -> Fraction:
@@ -109,7 +110,7 @@ def test_step_matrix_single_level():
 def test_chain_order_and_entries():
     chain = substitution_chain()
     assert [s.name for s in chain] == ["A5", "W", "U", "P", "Q", "Z", "H", "G", "N"]
-    assert chain[0].is_peel
+    assert chain[0].sigma == lookup("APERY").step
     by_name = {s.name: s for s in chain}
     assert by_name["W"].sigma == PolyMobius(1, 5 * (K + 1) ** 3, 0, 1)
     assert by_name["U"].sigma == PolyMobius(6 * (K + 1), 0, 0, 1)
@@ -125,11 +126,15 @@ def test_chain_order_and_entries():
 
 def test_sigma_nondegenerate_for_nonnegative_k():
     for step in substitution_chain():
-        if step.sigma is None:
-            continue
         det = step.sigma.det
         for k in range(0, 60):
             assert det(k) != 0, f"sigma for {step.name} degenerates at k={k}"
+
+
+def peel_head(stage: Stage) -> Stage:
+    """The head peel: the substitution whose sigma is the stage's own step."""
+    name = f"{stage.name}+1"
+    return derive_stage(stage, SubstitutionStep(name, stage.name, name, stage.step))
 
 
 def test_peel_head_map():

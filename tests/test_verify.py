@@ -431,7 +431,7 @@ def test_symbolic_check_catches_broken_run(chain, monkeypatch):
 
 def test_verify_chain_tabulates_each_stage_once(chain, monkeypatch):
     # One Poly.run per entry of each stage (APERY and the nine derived) and
-    # of each of the eight sigma; the residuals read the derived stages'
+    # of each of the nine sigma; the residuals read the derived stages'
     # tables.
     runs, depths = [], []
     run, truncation = Poly.run, verify.truncation_value
@@ -439,7 +439,7 @@ def test_verify_chain_tabulates_each_stage_once(chain, monkeypatch):
     monkeypatch.setattr(verify, "truncation_value",
                         lambda s, depth, columns: depths.append(depth) or truncation(s, depth, columns))
     assert verify_chain().passed
-    assert len(runs) == 4 * (10 + 8)
+    assert len(runs) == 4 * (10 + 9)
     assert depths == [RESIDUAL_DEPTH] * 9
 
 
@@ -572,7 +572,7 @@ def test_proportional_sees_each_minor(i, j):
     assert not verify._proportional(points) and not six_minor_proportional(points)
 
 
-@pytest.mark.parametrize("sigma", [PolyMobius.identity(), None])
+@pytest.mark.parametrize("sigma", [PolyMobius.identity()])
 def test_symbolic_check_reads_every_point_the_degrees_ask_for(sigma):
     # psi = diag(1 + V, 1) against phi = sigma = I: the one nonzero minor is
     # V = k (k - 1) ... (k - 5), of degree D = 6, which vanishes at k = 0 ..
