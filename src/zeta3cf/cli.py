@@ -71,10 +71,8 @@ def _resolve_numeric_stage(name: str) -> stages.Stage:
                                f" stage of chain position {base}")
         known = ", ".join(cat)
         raise CommandError(f"unknown stage {name!r}; known stages: {known}")
-    if name == "N":
-        return cat[name]
-    if name in stages.CHAIN_ORDER:
-        return verify.derived_chain(stop=name)[name]
+    if name != "N" and name in stages.CHAIN_ORDER:
+        return verify.derived_chain()[name]
     return cat[name]
 
 
@@ -265,14 +263,14 @@ def _catalog_rows() -> tuple[tuple, ...]:
         else:
             base = derived[base_of.get(stage.name, stage.name)]
             status = "MISMATCH" if verify.diff_stages(stage, base) else "match"
-        rows.append(_catalog_row(stage.name, stage, stage.levels, status))
+        rows.append(_catalog_row(stage.name, stage, status))
     for name in stages.CHAIN_ORDER[1:]:
-        rows.append(_catalog_row(f"{name}.derived", derived[name], None, "normative"))
+        rows.append(_catalog_row(f"{name}.derived", derived[name], "normative"))
     return tuple(rows)
 
 
-def _catalog_row(name: str, stage: stages.Stage, levels, status: str) -> tuple:
-    levels = ";".join(f"(b={lv.b}|a={lv.a})" for lv in levels) if levels is not None else "-"
+def _catalog_row(name: str, stage: stages.Stage, status: str) -> tuple:
+    levels = ";".join(f"(b={lv.b}|a={lv.a})" for lv in stage.levels) if stage.levels else "-"
     head, step = str(stage.head), str(stage.step)
     return name, stage.kind, stage.target.name, head, step, levels, status, stage.note or "-"
 

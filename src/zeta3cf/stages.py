@@ -106,9 +106,9 @@ class Stage(namedtuple("Stage", "name step head target levels kind note",
         return cls(*fields)
 
 
-class SubstitutionStep(namedtuple("SubstitutionStep", "name from_stage to_stage sigma note",
-                                  defaults=("",))):
-    """Chain link: X^{from}_k = sigma_k(X^{to}_k), sigma a PolyMobius."""
+class SubstitutionStep(namedtuple("SubstitutionStep", "name sigma note", defaults=("",))):
+    """Chain link X^{from}_k = sigma_k(X^{to}_k) into the stage `name`, sigma a
+    PolyMobius; X^{from} is the stage before `name` in CHAIN_ORDER."""
 
     __slots__ = ()
 
@@ -445,22 +445,23 @@ VARIANTS = {"A5": ("A6",), "U": ("U4",), "Q": ("Q12",), "G": ("G16", "G17")}
 def substitution_chain() -> tuple[SubstitutionStep, ...]:
     """The ordered chain of rewrites carrying APERY into N.
 
-    Every entry is a substitution X^{from}_k = sigma_k(X^{to}_k).  The
+    Entry i is the substitution X^{from}_k = sigma_k(X^{to}_k) from
+    CHAIN_ORDER[i] into CHAIN_ORDER[i + 1], the stage it names.  The
     first, the head peel, is sigma = phi, Apery's own step map: with
     A5_k = A_{k+1}, A_k = phi_k(A5_k).  Built on the first call; every
     call returns the same tuple of immutable steps.
     """
     k = K
     return (
-        SubstitutionStep("A5", "APERY", "A5", catalog()["APERY"].step),
-        SubstitutionStep("W", "A5", "W", shift_map(5 * (k + 1) ** 3), note=T_NOTE),
-        SubstitutionStep("U", "W", "U", scale_map(6 * (k + 1))),
-        SubstitutionStep("P", "U", "P", scale_map((k + 1) ** 2)),
-        SubstitutionStep("Q", "P", "Q", _TAU.inverse()),
-        SubstitutionStep("Z", "Q", "Z", PolyMobius.identity()),
-        SubstitutionStep("H", "Z", "H", PolyMobius(1, 0, 0, 2)),
-        SubstitutionStep("G", "H", "G", PolyMobius(2, 1, 1, 0)),
-        SubstitutionStep("N", "G", "N", PolyMobius(1, 0, 0, k + 1)),
+        SubstitutionStep("A5", catalog()["APERY"].step),
+        SubstitutionStep("W", shift_map(5 * (k + 1) ** 3), note=T_NOTE),
+        SubstitutionStep("U", scale_map(6 * (k + 1))),
+        SubstitutionStep("P", scale_map((k + 1) ** 2)),
+        SubstitutionStep("Q", _TAU.inverse()),
+        SubstitutionStep("Z", PolyMobius.identity()),
+        SubstitutionStep("H", PolyMobius(1, 0, 0, 2)),
+        SubstitutionStep("G", PolyMobius(2, 1, 1, 0)),
+        SubstitutionStep("N", PolyMobius(1, 0, 0, k + 1)),
     )
 
 

@@ -11,12 +11,12 @@ content, the labels of the entries that differ (`diff_stages`; `diff_texts`
 renders both polynomials on demand), which makes the verifier double as a
 typo detector for damaged displays.
 
-The derived stages are constants: `derived_chain`, which `eval` and
-`catalog` read, derives each of them once per process (`functools.cache`)
-and only as far down the chain as a caller asks.  `verify_chain` derives
-the whole chain afresh on every call, since deriving is what it checks;
-what it derives from, the claimed catalog and the substitution steps, is
-built once per process in `stages`.  Each stage's step map is tabulated
+One loop, `_derive`, derives the chain for both of its readers.  The
+derived stages are constants: `derived_chain`, which `eval` and `catalog`
+read, runs the loop once per process (`functools.cache`).  `verify_chain`
+runs it afresh on every call, since deriving is what it checks; what it
+derives from, the claimed catalog and the substitution steps, is built
+once per process in `stages`.  Each stage's step map is tabulated
 once per call, at k = 0 .. T - 1 with one `Poly.run` per entry, T one
 length for the whole chain, as far as the residual and every proof need;
 a stage's own proof reads its table as psi, the next step's as phi, and
@@ -159,39 +159,43 @@ def derive_stage(source: Stage, step: SubstitutionStep) -> Stage:
     # normalization keeps nonzero.
     psi = PolyMobius(*_product([shifted, source.step, adjugate]))
     head = PolyMobius(*_product([sigma.at_k(0), source.head.at_k(0)]))
-    return Stage(
-        step.to_stage,
-        psi,
-        head,
-        source.target,
-        kind="derived",
-        note=step.note,
-    )
+    return Stage(step.name, psi, head, source.target, kind="derived", note=step.note)
+
+
+def _derive(sigma_override: dict[str, PolyMobius] | None = None) -> list[tuple]:
+    """The chain derived from the Apery endpoint: (source, step, derived,
+    error) for each link in order, the named sigma replaced from
+    `sigma_override`.  A degenerate sigma derives nothing (derived None,
+    error its message), and the link after it starts from the same source.
+    """
+    links = []
+    source = catalog()["APERY"]
+    for step in substitution_chain():
+        if sigma_override and step.name in sigma_override:
+            step = step._replace(sigma=sigma_override[step.name])
+        try:
+            derived = derive_stage(source, step)
+        except DegenerateSigma as exc:
+            links.append((source, step, None, str(exc)))
+        else:
+            links.append((source, step, derived, None))
+            source = derived
+    return links
 
 
 @cache
-def _derived(i: int) -> Stage:
-    """The normative stage at chain position i, derived from the Apery endpoint."""
-    if i == 0:
-        return catalog()["APERY"]
-    return derive_stage(_derived(i - 1), substitution_chain()[i - 1])
+def _normative_chain() -> tuple[Stage, ...]:
+    return (catalog()["APERY"],) + tuple(derived for _, _, derived, _ in _derive())
 
 
-def derived_chain(stop: str | None = None) -> dict[str, Stage]:
-    """The normative stages, derived from the Apery endpoint alone: all of
-    them, or with `stop` named, those up to and including it.
+def derived_chain() -> dict[str, Stage]:
+    """The normative stages in CHAIN_ORDER, derived from the Apery endpoint
+    alone by the loop `verify_chain` runs (`_derive`).
 
-    Each stage is derived once per process, and only as far as a call asks:
-    `stop="A5"` derives one step.  Every call returns a new dict of shared
-    stages.  ValueError if `stop` is not a chain position.
+    The chain is derived once per process, on the first call.  Every call
+    returns a new dict of shared stages.
     """
-    if stop is None:
-        names = CHAIN_ORDER
-    elif stop in CHAIN_ORDER:
-        names = CHAIN_ORDER[: CHAIN_ORDER.index(stop) + 1]
-    else:
-        raise ValueError(f"unknown stage {stop!r}; chain positions: {', '.join(CHAIN_ORDER)}")
-    return {name: _derived(i) for i, name in enumerate(names)}
+    return dict(zip(CHAIN_ORDER, _normative_chain()))
 
 
 class StepReport(namedtuple("StepReport", "step_name symbolic_pass derived mismatches "
@@ -333,21 +337,8 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
     claimed = catalog()
     ref = zeta3_reference(RESIDUAL_REF_DIGITS).fraction
     # The whole chain is derived first, since the table length waits on
-    # every step's degrees.  A degenerate sigma derives nothing, and the
-    # step after it starts from the same source.
-    links: list[tuple[Stage, SubstitutionStep, Stage | None, str | None]] = []
-    source = claimed["APERY"]
-    for step in substitution_chain():
-        if sigma_override and step.name in sigma_override:
-            step = step._replace(sigma=sigma_override[step.name])
-        try:
-            derived = derive_stage(source, step)
-        except DegenerateSigma as exc:
-            links.append((source, step, None, str(exc)))
-        else:
-            links.append((source, step, derived, None))
-            source = derived
-    # One table length covers every residual and every proof.
+    # every step's degrees; one length covers every residual and proof.
+    links = _derive(sigma_override)
     count = max([RESIDUAL_DEPTH + 1] + [_proof_rows(source.step, derived.step, step.sigma)
                                         for source, step, derived, _ in links
                                         if derived is not None])
@@ -363,7 +354,7 @@ def verify_chain(sigma_override: dict[str, PolyMobius] | None = None) -> ChainRe
             step.name,
             _symbolic_check(source, derived, step, phi, psi),
             derived,
-            diff_stages(claimed[step.to_stage], derived),
+            diff_stages(claimed[step.name], derived),
             _residual(derived, psi, ref),
         ))
         phi = psi

@@ -271,7 +271,7 @@ def test_backward_product_sheds_its_content(monkeypatch):
         return roots[-1][1]
 
     monkeypatch.setattr(engine, "_product", spy)
-    value = truncation_value(derived_chain(stop="G")["G"], 1378)
+    value = truncation_value(derived_chain()["G"], 1378)
     [(exact, root)] = roots
     bits = lambda m: max(map(abs, m)).bit_length()
     assert 2 * bits(root) < bits(exact) == 44229
@@ -284,7 +284,7 @@ def test_backward_product_sheds_in_alternate_rounds(monkeypatch):
     # shed, and the rounds of 5 and 1 between them and the root do not: 14
     # content gcds (20 when every round past the size shed), and a root of
     # 17 327 bits (14 391).
-    stage = derived_chain(stop="G")["G"]
+    stage = derived_chain()["G"]
     calls = []
 
     def gcd(*entries):

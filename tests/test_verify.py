@@ -73,7 +73,7 @@ def test_derive_w_from_a5(chain):
 
 def test_derive_identity_sigma(chain):
     q = chain["Q"]
-    step = type(step_named("Z"))("X", "Q", "Q", PolyMobius.identity())
+    step = type(step_named("Z"))("X", PolyMobius.identity())
     again = derive_stage(q, step)
     assert again.step.proj_eq(q.step)
     assert again.head.proj_eq(q.head)
@@ -83,13 +83,6 @@ def test_derive_n_from_g(chain):
     derived = derive_stage(chain["G"], step_named("N"))
     assert derived.step.proj_eq(lookup("N").step)
     assert canonical_head(derived).proj_eq(PolyMobius(2, 1, 1, 0))
-
-
-def test_stopped_derivation_matches_full_chain(chain):
-    for i, name in enumerate(CHAIN_ORDER):
-        prefix = derived_chain(stop=name)
-        assert tuple(prefix) == CHAIN_ORDER[: i + 1]
-        assert prefix[name] == chain[name]
 
 
 def _count_derivations(monkeypatch) -> list:
@@ -112,27 +105,23 @@ def test_second_derived_chain_derives_nothing(chain, monkeypatch):
 
 
 def test_derived_chain_derives_only_up_to_stop(monkeypatch):
-    # From an empty memo, each call derives the steps it newly asks for.  A
-    # fresh cache, not cache_clear(), leaves the session's shared stages as
-    # they are.
-    monkeypatch.setattr(verify, "_derived", functools.cache(verify._derived.__wrapped__))
+    # From an empty memo, the first call derives A5 .. N once each, in chain
+    # order, and a second call derives nothing.  A fresh cache, not
+    # cache_clear(), leaves the session's shared stages as they are.
+    fresh = functools.cache(verify._normative_chain.__wrapped__)
+    monkeypatch.setattr(verify, "_normative_chain", fresh)
     calls = _count_derivations(monkeypatch)
-    assert tuple(derived_chain(stop="APERY")) == ("APERY",)
-    assert calls == []
-    assert tuple(derived_chain(stop="A5")) == ("APERY", "A5")
-    assert calls == ["A5"]
-    derived_chain(stop="W")
-    derived_chain(stop="A5")
-    assert calls == ["A5", "W"]
     assert tuple(derived_chain()) == CHAIN_ORDER
+    assert calls == list(CHAIN_ORDER[1:])
+    derived_chain()
     assert calls == list(CHAIN_ORDER[1:])
 
 
 def test_derived_chain_returns_new_dicts_of_shared_stages(chain):
-    first, second = derived_chain(), derived_chain(stop="G")
+    first, second = derived_chain(), derived_chain()
     assert first is not second and first is not chain
     assert all(first[name] is chain[name] for name in CHAIN_ORDER)
-    assert all(second[name] is chain[name] for name in second)
+    assert all(second[name] is chain[name] for name in CHAIN_ORDER)
     # A caller that changes its dict changes no later result.
     first["W"] = first.pop("N")
     first.clear()
@@ -140,14 +129,13 @@ def test_derived_chain_returns_new_dicts_of_shared_stages(chain):
     assert derived_chain()["W"] is chain["W"]
 
 
-@pytest.mark.parametrize("stop", ["A6", "BOGUS", "", "apery"])
-def test_derived_chain_rejects_a_stop_off_the_chain(stop):
-    # A variant or an unknown name used to return the whole chain.
-    with pytest.raises(ValueError) as info:
-        derived_chain(stop=stop)
-    assert str(info.value) == (
-        f"unknown stage {stop!r}; chain positions: APERY, A5, W, U, P, Q, Z, H, G, N"
-    )
+def test_eval_reads_the_stages_verify_chain_proves(chain, chain_report):
+    # One derivation serves both readers: each stage `eval` and `catalog`
+    # read is the one verify-chain derives and proves at its position.
+    assert chain["APERY"] is stages.catalog()["APERY"]
+    assert [s.step_name for s in chain_report.steps] == list(CHAIN_ORDER[1:])
+    for report in chain_report.steps:
+        assert chain[report.step_name] == report.derived, report.step_name
 
 
 def test_nothing_is_derived_at_import():
@@ -156,7 +144,7 @@ def test_nothing_is_derived_at_import():
 
     script = (
         "import zeta3cf.cli as c, zeta3cf.stages as s, zeta3cf.verify as v\n"
-        "for f in (v._derived, s.catalog, s.substitution_chain, c._catalog_rows):\n"
+        "for f in (v._normative_chain, s.catalog, s.substitution_chain, c._catalog_rows):\n"
         "    assert f.cache_info().currsize == 0, f\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -171,7 +159,7 @@ def test_one_product_psi_matches_composition(chain, quad, name):
     sigma = PolyMobius(*quad)
     source = chain[name]
     try:
-        derived = derive_stage(source, SubstitutionStep("X", name, "X", sigma))
+        derived = derive_stage(source, SubstitutionStep("X", sigma))
     except DegenerateSigma:
         assume(False)
     assert derived.step.proj_eq(sigma.inverse() @ source.step @ sigma.shifted(1))
@@ -335,6 +323,27 @@ def test_verify_chain_mismatches_print_both_polynomials(chain_report):
         assert claimed_text != derived_text
         assert claimed_text == str(getattr(lookup("Q").step, entry[-1]))
         assert derived_text == str(getattr(q.derived.step, entry[-1]))
+
+
+@pytest.mark.parametrize("broken", [None] + list(CHAIN_ORDER[1:]))
+def test_diff_texts_labels_are_the_reported_mismatches(broken):
+    # verify-chain renders each mismatch by `diff_texts`, and reports it by
+    # `diff_stages`: the two name the same entries, for every step and
+    # variant of the normative chain and of each --hook-break-sigma chain.
+    override = {broken: PolyMobius(1, 1, 0, 1)} if broken else None
+    report = verify_chain(sigma_override=override)
+    claimed = stages.catalog()
+
+    def labels(name, derived):
+        return tuple(label for label, _, _ in diff_texts(claimed[name], derived))
+
+    for step in report.steps:
+        assert step.error is None
+        assert labels(step.step_name, step.derived) == step.mismatches, step.step_name
+    derived = {step.step_name: step.derived for step in report.steps}
+    for variant in report.variants:
+        assert labels(variant.name, derived[variant.base]) == variant.mismatches, variant.name
+    assert any(step.mismatches for step in report.steps)
 
 
 def test_diff_texts_renders_a_head_rescaled(chain):
@@ -513,7 +522,7 @@ def test_symbolic_check_side_zero_at_a_sample_point():
     assert _mul(sigma.at_k(1), psi.at_k(1)) == _mul(phi.at_k(1), sigma.at_k(2)) == (0, 0, 0, 0)
     source = Stage("S", phi, PolyMobius(1, 0, 0, 1), Target.ZETA3)
     derived = Stage("T", psi, PolyMobius(1, 0, 0, 2), Target.ZETA3)
-    step = SubstitutionStep("T", "S", "T", sigma)
+    step = SubstitutionStep("T", sigma)
     assert symbolic_check(source, derived, step)
     assert not symbolic_check(source, derived._replace(step=psi._replace(d=K**2 + 1)), step)
 
@@ -583,7 +592,7 @@ def test_symbolic_check_reads_every_point_the_degrees_ask_for(sigma):
     identity = PolyMobius.identity()
     source = Stage("S", identity, identity, Target.ZETA3)
     derived = Stage("T", PolyMobius(1 + vanishing, 0, 0, 1), identity, Target.ZETA3)
-    step = SubstitutionStep("T", "S", "T", sigma)
+    step = SubstitutionStep("T", sigma)
     assert not symbolic_check(source, derived, step)
     assert symbolic_check(source, source._replace(name="T"), step)
 
@@ -591,7 +600,7 @@ def test_symbolic_check_reads_every_point_the_degrees_ask_for(sigma):
 @pytest.mark.parametrize("name", CHAIN_ORDER[1:])
 def test_symbolic_check_rejects_perturbed_stage(chain, name):
     step = step_named(name)
-    source, derived = chain[step.from_stage], chain[name]
+    source, derived = chain[CHAIN_ORDER[CHAIN_ORDER.index(name) - 1]], chain[name]
     assert symbolic_check(source, derived, step)
     a, b, c, d = derived.head.at_k(0)
     assert not symbolic_check(source, derived._replace(head=PolyMobius(a, b + 1, c, d)), step)
